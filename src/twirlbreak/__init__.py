@@ -46,7 +46,6 @@ from .twirl import (
     twirl_exact,
     twirl_uu,
     twirl_uustar,
-    verify_2design,
 )
 from .gaussian import (
     CovarianceMatrix,

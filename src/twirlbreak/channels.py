@@ -9,7 +9,8 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
-    HermitianSpectrum,
+    as_unitary_stack,
+    conjugate_sum,
     hermitian_eigenvalues,
     kron,
     partial_trace_multi,
@@ -49,62 +50,78 @@ class ProbabilityVector:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map as a list of Kraus operators (weights folded in as sqrt(p) U)."""
+    """A CPTP map as a (K, d, d) stack of Kraus operators (weights folded in as sqrt(p) U)."""
 
-    operators: tuple
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
+        ops = np.asarray(self.operators, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise ValueError("need a non-empty stack of same-shape square Kraus operators")
         object.__setattr__(self, "operators", ops)
-        if not ops:
-            raise ValueError("at least one Kraus operator required")
-        d = ops[0].shape[0]
-        if any(k.shape != (d, d) for k in ops):
-            raise ValueError("all Kraus operators must share the same square shape")
-        s = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(s - np.eye(d))) > COMPLETENESS_TOL:
-            raise ValueError(
-                f"Kraus completeness violated, residual {np.max(np.abs(s - np.eye(d))):.3e}"
-            )
+        s = np.einsum("kba,kbc->ac", ops.conj(), ops)
+        residual = np.max(np.abs(s - np.eye(ops.shape[1])))
+        if residual > COMPLETENESS_TOL:
+            raise ValueError(f"Kraus completeness violated, residual {residual:.3e}")
 
     @property
     def dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
+
+
+def _controlled(blocks: np.ndarray) -> np.ndarray:
+    """sum_k |k><k| x U_k from the (K, d, d) stack of blocks U_k."""
+    k, d, _ = blocks.shape
+    return np.einsum("ij,iab->iajb", np.eye(k), blocks).reshape(k * d, k * d)
 
 
 @dataclass(frozen=True)
 class DilatedChannel:
-    """Classical environment state plus control-unitary pair (E1 A E2 B order)."""
+    """Unitary dilation with a classical correlated environment.
 
-    env_state: DensityOperator      # on E1 x E2, dimension K x K
-    control_unitary: np.ndarray     # on E1 x A x E2 x B
-    system_dims: tuple              # (d_A, d_B)
+    The environment is sum_k p_k |k,k><k,k| on E1 x E2 and the controls are
+    sum_k |k><k| x U_k on E1 x A and sum_k |k><k| x V_k on E2 x B.  Only p
+    and the K blocks U_k, V_k are stored, so the environment is diagonal
+    (classical) by construction; tracing it out leaves
+    sum_k p_k (U_k x V_k) rho (U_k x V_k)^dag.
+    """
+
+    probabilities: ProbabilityVector
+    u_blocks: np.ndarray            # (K, d_A, d_A)
+    v_blocks: np.ndarray            # (K, d_B, d_B)
 
     def __post_init__(self):
-        u = np.asarray(self.control_unitary, dtype=complex)
-        object.__setattr__(self, "control_unitary", u)
-        n = u.shape[0]
-        if np.max(np.abs(u @ u.conj().T - np.eye(n))) > 1e-10:
-            raise ValueError("control unitary is not unitary")
-        env = self.env_state.mat
-        if np.max(np.abs(env - np.diag(np.diag(env)))) > 1e-14:
-            raise ValueError("environment state is not classical (off-diagonal terms)")
+        object.__setattr__(self, "u_blocks", as_unitary_stack(self.u_blocks))
+        object.__setattr__(self, "v_blocks", as_unitary_stack(self.v_blocks))
+        if not len(self.probabilities) == len(self.u_blocks) == len(self.v_blocks):
+            raise ValueError("probability vector length must match the control block count")
 
     @property
     def env_dim(self) -> int:
-        return self.env_state.dim_a
+        return len(self.probabilities)
+
+    @property
+    def system_dims(self) -> tuple:
+        return (self.u_blocks.shape[1], self.v_blocks.shape[1])
+
+    @property
+    def env_state(self) -> DensityOperator:
+        """The classical environment state on E1 x E2 (K^2 x K^2, diagonal)."""
+        k = self.env_dim
+        # p_k on |k,k>, the (k * K + k)-th basis vector
+        return DensityOperator(np.diag(np.diag(self.probabilities.p).ravel()), k, k)
+
+    @property
+    def control_unitary(self) -> np.ndarray:
+        """The dense control unitary on E1 x A x E2 x B."""
+        return kron(_controlled(self.u_blocks), _controlled(self.v_blocks))
 
 
 def apply_kraus(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
     if ch.dim != rho.dim:
         raise ValueError(f"channel dim {ch.dim} != state dim {rho.dim}")
-    out = sum(k @ rho.mat @ k.conj().T for k in ch.operators)
+    out = conjugate_sum(rho.mat, ch.operators, np.ones((1, 1, 1)), 1.0)
     return DensityOperator(out, rho.dim_a, rho.dim_b)
-
-
-def apply_kraus_mat(ch: KrausChannel, mat: np.ndarray) -> np.ndarray:
-    """Kraus action on a raw matrix (no density-operator validation)."""
-    return sum(k @ mat @ k.conj().T for k in ch.operators)
 
 
 def correlated_pauli(p: ProbabilityVector) -> KrausChannel:
@@ -129,15 +146,6 @@ def local_depolarizing(p: ProbabilityVector, side: str = "A") -> KrausChannel:
     return KrausChannel(ops)
 
 
-def _factor_side_a(k: np.ndarray, d: int, tol: float = 1e-10):
-    """If k == K_A x I_d on a d x d bipartite space, return K_A, else None."""
-    t = k.reshape(d, d, d, d)
-    cand = t[:, 0, :, 0]
-    if np.max(np.abs(k - np.kron(cand, np.eye(d)))) > tol:
-        return None
-    return cand
-
-
 def is_entanglement_breaking(ch: KrausChannel, tol: float = 1e-10):
     """Choi test: apply the channel (of E x I form, acting on side A of a
     d x d space) to the maximally entangled state and check PPT.
@@ -149,9 +157,11 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = 1e-10):
     d = int(round(np.sqrt(ch.dim)))
     if d * d != ch.dim:
         raise ValueError("channel dimension is not a perfect square")
-    for k in ch.operators:
-        if _factor_side_a(k, d) is None:
-            raise ValueError("channel is not of the form E x I on side A")
+    # each Kraus operator must equal K_A x I, rebuilt from its side-A block
+    side_a = ch.operators.reshape(-1, d, d, d, d)[:, :, 0, :, 0]
+    lifted = np.einsum("kac,bd->kabcd", side_a, np.eye(d)).reshape(ch.operators.shape)
+    if np.max(np.abs(ch.operators - lifted)) > 1e-10:
+        raise ValueError("channel is not of the form E x I on side A")
     out = apply_kraus(ch, max_entangled(d))
     spec = hermitian_eigenvalues(partial_transpose_mat(out.mat, d, d))
     return spec.min() >= -tol, spec
@@ -164,36 +174,15 @@ def is_product_form(rho: DensityOperator, tol: float = 1e-12) -> bool:
     return float(np.max(np.abs(rho.mat - target))) <= tol
 
 
-def build_control_unitary(unitaries) -> np.ndarray:
-    """sum_k |k><k| x U_k on E x system."""
-    k = len(unitaries)
-    d = unitaries[0].shape[0]
-    u = np.zeros((k * d, k * d), dtype=complex)
-    for i, ui in enumerate(unitaries):
-        u[i * d : (i + 1) * d, i * d : (i + 1) * d] = ui
-    return u
-
-
 def build_twirl_dilation(unitaries, probabilities=None, conjugate_second=False) -> DilatedChannel:
     """Dilation of sum_k p_k (U_k x V_k) rho (U_k x V_k)^dag with a classical
     correlated environment; V_k = U_k or U_k^* (conjugate_second)."""
-    unitaries = [np.asarray(u, dtype=complex) for u in unitaries]
-    kk = len(unitaries)
-    d = unitaries[0].shape[0]
+    us = np.asarray(unitaries, dtype=complex)
     if probabilities is None:
-        probs = np.full(kk, 1.0 / kk)
-    else:
-        probs = np.asarray(probabilities.p if isinstance(probabilities, ProbabilityVector) else probabilities)
-        if len(probs) != kk:
-            raise ValueError("probability vector length must match unitary count")
-    env = np.zeros((kk * kk, kk * kk), dtype=complex)
-    for i, pi in enumerate(probs):
-        env[i * kk + i, i * kk + i] = pi
-    env_state = DensityOperator(env, kk, kk)
-    seconds = [u.conj() if conjugate_second else u for u in unitaries]
-    u_e1a = build_control_unitary(unitaries)
-    u_e2b = build_control_unitary(seconds)
-    return DilatedChannel(env_state, kron(u_e1a, u_e2b), (d, d))
+        probabilities = np.full(len(us), 1.0 / len(us))
+    if not isinstance(probabilities, ProbabilityVector):
+        probabilities = ProbabilityVector(tuple(probabilities))
+    return DilatedChannel(probabilities, us, us.conj() if conjugate_second else us)
 
 
 def build_pauli_dilation(p: ProbabilityVector) -> DilatedChannel:
@@ -204,16 +193,25 @@ def build_pauli_dilation(p: ProbabilityVector) -> DilatedChannel:
 
 
 def apply_dilation(dc: DilatedChannel, rho: DensityOperator) -> DensityOperator:
-    """Embed rho with the environment, conjugate by the control unitary,
-    trace out the environment."""
+    """The dilation's action with the classical environment traced out."""
+    if (rho.dim_a, rho.dim_b) != dc.system_dims:
+        raise ValueError("state dimensions do not match the dilation")
+    out = conjugate_sum(rho.mat, dc.u_blocks, dc.v_blocks, dc.probabilities.p)
+    return DensityOperator(out, rho.dim_a, rho.dim_b)
+
+
+def apply_dilation_dense(dc: DilatedChannel, rho: DensityOperator) -> DensityOperator:
+    """Reference for apply_dilation at small K: embed rho with the environment,
+    conjugate by the dense control unitary, trace out the environment."""
     da, db = dc.system_dims
     if (rho.dim_a, rho.dim_b) != (da, db):
         raise ValueError("state dimensions do not match the dilation")
     k = dc.env_dim
+    u = dc.control_unitary
     # env x rho lives on (E1, E2, A, B); reorder to (E1, A, E2, B)
     total = kron(dc.env_state.mat, rho.mat)
     total = permute_subsystems(total, [k, k, da, db], [0, 2, 1, 3])
-    total = dc.control_unitary @ total @ dc.control_unitary.conj().T
+    total = u @ total @ u.conj().T
     out = partial_trace_multi(total, [k, da, k, db], keep=[1, 3])
     return DensityOperator(out, da, db)
 

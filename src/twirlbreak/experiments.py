@@ -122,9 +122,10 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     grid = _grid(cfg, "param_grid")
     seed = int(cfg.get("seed", 20240611))
     n_mc = int(cfg.get("mc_samples", 10_000))
-    sampler = twirl.HaarSampler(seed, d)
+    # one Haar stream per row, so a row does not depend on the rows before it
+    streams = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []
-    for value in grid:
+    for value, stream in zip(grid, streams):
         try:
             if mode == "uu":
                 rho = states.werner_multi(states.WernerParamMulti(d, value))
@@ -134,7 +135,7 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
             raise ConfigError(f"invalid family parameter {value}: {exc}") from exc
         double = twirl.twirl_exact(rho, mode)
         residual = frobenius_distance(double.mat, rho.mat)
-        mc = twirl.mc_twirl(rho, mode, n_mc, sampler)
+        mc = twirl.mc_twirl(rho, mode, n_mc, twirl.HaarSampler(stream, d))
         mc_residual = frobenius_distance(mc.mat, rho.mat)
         product = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
         if d == 2:

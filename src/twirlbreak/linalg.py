@@ -14,6 +14,11 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+UNITARITY_TOL = 1e-10
+
+# Working-set budget of conjugate_sum: the Kronecker products of one chunk of
+# terms take at most this many bytes, so memory does not grow with K.
+CONJUGATE_SUM_CHUNK_BYTES = 16 * 2**20
 
 
 def _as_complex(m) -> np.ndarray:
@@ -76,6 +81,47 @@ class HermitianSpectrum:
 def kron(a, b) -> np.ndarray:
     """Kronecker product with A as the left (slow) factor."""
     return np.kron(_as_complex(a), _as_complex(b))
+
+
+def as_unitary_stack(us) -> np.ndarray:
+    """A non-empty (K, d, d) complex stack, checked for unitarity in one batched call."""
+    us = np.asarray(us, dtype=complex)
+    if us.ndim != 3 or us.shape[1] != us.shape[2] or len(us) == 0:
+        raise ValueError(f"expected a non-empty (K, d, d) stack, got shape {us.shape}")
+    gram = us @ us.conj().transpose(0, 2, 1)
+    if np.max(np.abs(gram - np.eye(us.shape[1]))) > UNITARITY_TOL:
+        raise ValueError("stack contains a non-unitary element")
+    return us
+
+
+def conjugate_sum(op, a, b, weights) -> np.ndarray:
+    """sum_k w_k (A_k x B_k) op (A_k x B_k)^dag for stacks a (K, d_A, d_A),
+    b (K, d_B, d_B) and nonnegative weights (K,); a stack of one matrix, or
+    one weight, is broadcast along K.
+
+    Every Kraus channel (b = ones((1, 1, 1)), w = 1), twirl and classical-
+    environment dilation here is this sum.  Terms are taken in chunks whose
+    Kronecker products fit in CONJUGATE_SUM_CHUNK_BYTES.
+    """
+    op = np.asarray(op, dtype=complex)
+    k, da, db = max(len(a), len(b)), np.shape(a)[-1], np.shape(b)[-1]
+    a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), (k,))
+    d = da * db
+    if op.shape != (d, d):
+        raise ValueError(f"operator shape {op.shape} does not match the stacks ({d}, {d})")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    root_w = np.sqrt(weights)[:, None, None, None, None]
+    step = max(1, CONJUGATE_SUM_CHUNK_BYTES // (16 * d * d))
+    out = np.zeros((d, d), dtype=complex)
+    for s in range(0, k, step):
+        chunk = slice(s, s + step)
+        # sqrt(w_k) (A_k x B_k), A the left (slow) factor
+        m = root_w[chunk] * a[chunk, :, None, :, None] * b[chunk, None, :, None, :]
+        m = m.reshape(-1, d, d)
+        out += np.einsum("nab,bc,ndc->ad", m, op, m.conj(), optimize=True)
+    return out
 
 
 def permute_subsystems(mat: np.ndarray, dims, perm) -> np.ndarray:

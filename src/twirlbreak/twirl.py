@@ -7,8 +7,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DensityOperator, kron, partial_trace_multi, partial_transpose_mat
-from .states import flip_operator, max_entangled
+from .linalg import (
+    DensityOperator,
+    as_unitary_stack,
+    conjugate_sum,
+    kron,
+    partial_trace_multi,
+    partial_transpose_mat,
+)
+from .states import flip_operator, max_entangled, random_density
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -16,21 +23,13 @@ PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
 
 @dataclass(frozen=True)
 class UnitarySet:
-    """A finite set of d x d unitaries (exact 2-design or MC Haar batch)."""
+    """A finite set of d x d unitaries as one (K, d, d) stack (exact 2-design
+    or MC Haar batch)."""
 
-    unitaries: tuple
-    kind: str  # "exact-2design" | "mc-haar"
-    d: int
+    unitaries: np.ndarray
 
     def __post_init__(self):
-        us = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
-        object.__setattr__(self, "unitaries", us)
-        eye = np.eye(self.d)
-        for u in us:
-            if u.shape != (self.d, self.d):
-                raise ValueError("unitary has wrong shape")
-            if np.max(np.abs(u @ u.conj().T - eye)) > 1e-10:
-                raise ValueError("set contains a non-unitary element")
+        object.__setattr__(self, "unitaries", as_unitary_stack(self.unitaries))
 
     def __len__(self):
         return len(self.unitaries)
@@ -67,7 +66,7 @@ def clifford_group_qubit() -> UnitarySet:
                     seen[fp] = v
                     nxt.append(v)
         frontier = nxt
-    return UnitarySet(tuple(seen.values()), "exact-2design", 2)
+    return UnitarySet(list(seen.values()))
 
 
 def contains_up_to_phase(uset: UnitarySet, u: np.ndarray, tol: float = 1e-9) -> bool:
@@ -77,39 +76,33 @@ def contains_up_to_phase(uset: UnitarySet, u: np.ndarray, tol: float = 1e-9) -> 
 
 def twirl_operator(op: np.ndarray, uset: UnitarySet, conjugate_second: bool = False) -> np.ndarray:
     """(1/K) sum_k (U_k x V_k) op (U_k x V_k)^dag with V_k = U_k or U_k^*."""
-    out = np.zeros_like(np.asarray(op, dtype=complex))
-    for u in uset.unitaries:
-        v = u.conj() if conjugate_second else u
-        w = kron(u, v)
-        out += w @ op @ w.conj().T
-    return out / len(uset)
+    us = uset.unitaries
+    return conjugate_sum(op, us, us.conj() if conjugate_second else us, 1.0 / len(us))
 
 
 def partial_twirl_operator(op: np.ndarray, uset: UnitarySet, side: str, dims) -> np.ndarray:
     """(1/K) sum_k (U_k x I) op (U_k x I)^dag (or I x U_k for side B)."""
     da, db = dims
-    out = np.zeros_like(np.asarray(op, dtype=complex))
-    for u in uset.unitaries:
-        w = kron(u, np.eye(db)) if side == "A" else kron(np.eye(da), u)
-        out += w @ op @ w.conj().T
-    return out / len(uset)
+    us = uset.unitaries
+    a, b = (us, np.eye(db)[None]) if side == "A" else (np.eye(da)[None], us)
+    return conjugate_sum(op, a, b, 1.0 / len(us))
 
 
 def twirl_uu(rho: DensityOperator, uset: UnitarySet) -> DensityOperator:
-    if rho.dim_a != uset.d or rho.dim_b != uset.d:
+    if rho.dim_a != uset.unitaries.shape[1] or rho.dim_b != uset.unitaries.shape[1]:
         raise ValueError("state dimensions do not match the unitary set")
     return DensityOperator(twirl_operator(rho.mat, uset), rho.dim_a, rho.dim_b)
 
 
 def twirl_uustar(rho: DensityOperator, uset: UnitarySet) -> DensityOperator:
-    if rho.dim_a != uset.d or rho.dim_b != uset.d:
+    if rho.dim_a != uset.unitaries.shape[1] or rho.dim_b != uset.unitaries.shape[1]:
         raise ValueError("state dimensions do not match the unitary set")
     return DensityOperator(twirl_operator(rho.mat, uset, conjugate_second=True), rho.dim_a, rho.dim_b)
 
 
 def partial_twirl(rho: DensityOperator, side: str, uset: UnitarySet) -> DensityOperator:
     d = rho.dim_a if side == "A" else rho.dim_b
-    if d != uset.d:
+    if d != uset.unitaries.shape[1]:
         raise ValueError("unitary set dimension does not match the chosen side")
     out = partial_twirl_operator(rho.mat, uset, side, (rho.dim_a, rho.dim_b))
     return DensityOperator(out, rho.dim_a, rho.dim_b)
@@ -176,7 +169,7 @@ class HaarSampler:
     seed reproduces an identical sequence.
     """
 
-    seed: int
+    seed: int | np.random.SeedSequence
     d: int
     _rng: np.random.Generator = field(init=False, repr=False)
 
@@ -211,18 +204,16 @@ def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -
     da, db = dims
     us = s.sample_batch(n)
     if mode == "uu":
-        w = _batch_kron(us, us)
+        a, b = us, us
     elif mode == "uustar":
-        w = _batch_kron(us, us.conj())
+        a, b = us, us.conj()
     elif mode == "partial-A":
-        eye = np.broadcast_to(np.eye(db), (n, db, db))
-        w = _batch_kron(us, eye)
+        a, b = us, np.eye(db)[None]
     elif mode == "partial-B":
-        eye = np.broadcast_to(np.eye(da), (n, da, da))
-        w = _batch_kron(eye, us)
+        a, b = np.eye(da)[None], us
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return np.einsum("nab,bc,ndc->ad", w, np.asarray(op, dtype=complex), w.conj(), optimize=True) / n
+    return conjugate_sum(op, a, b, 1.0 / n)
 
 
 def mc_twirl(rho: DensityOperator, mode: str, n: int, s: HaarSampler) -> DensityOperator:
@@ -231,36 +222,20 @@ def mc_twirl(rho: DensityOperator, mode: str, n: int, s: HaarSampler) -> Density
     return DensityOperator(out, rho.dim_a, rho.dim_b)
 
 
-def _batch_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n, da, _ = a.shape
-    db = b.shape[1]
-    return (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, da * db, da * db)
-
-
-def verify_2design(uset: UnitarySet) -> bool:
-    """Check the two defining consequences of 2-design-ness used here:
-    partial twirl fully depolarizes one side, and the U x U twirl of a
-    generic input lands in span{I, V}."""
-    if uset.d != 2:
-        raise ValueError("only the qubit design is shipped")
-    d = uset.d
-    # 1) partial twirl reproduces I/2 x Tr_A on a complete operator basis
-    for i in range(d * d):
-        for j in range(d * d):
-            basis = np.zeros((d * d, d * d), dtype=complex)
-            basis[i, j] = 1.0
-            got = partial_twirl_operator(basis, uset, "A", (d, d))
-            want = partial_twirl_exact_mat(basis, (d, d), "A")
-            if np.max(np.abs(got - want)) > 1e-12:
-                return False
-    # 2) twirled generic input lies in span{I, V}
-    rng = np.random.default_rng(20240317)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
-    out = twirl_operator(rho, uset)
-    proj = twirl_uu_exact_mat(out, d)  # projection onto span{I, V}
-    return float(np.linalg.norm(out - proj)) <= 1e-11
+def design_residuals(uset: UnitarySet, rng: np.random.Generator) -> tuple[float, float]:
+    """Residuals of two consequences of 2-design-ness, both zero for a 2-design:
+    the max-abs deviation of the side-A partial twirl from I/d x Tr_A over all
+    matrix units, and the worst distance of the U x U twirl of five random
+    states from span{I, V}."""
+    d = uset.unitaries.shape[1]
+    units = np.eye(d**4).reshape(d**4, d * d, d * d)  # every matrix unit E_ij
+    basis_residual = max(
+        float(np.max(np.abs(partial_twirl_operator(e, uset, "A", (d, d)) - partial_twirl_exact_mat(e, (d, d), "A"))))
+        for e in units
+    )
+    twirled = [twirl_operator(random_density(d, d, rng).mat, uset) for _ in range(5)]
+    span_residual = max(float(np.linalg.norm(t - twirl_uu_exact_mat(t, d))) for t in twirled)
+    return basis_residual, span_residual
 
 
 def pt_conjugated_twirl(op: np.ndarray, uset: UnitarySet, d: int) -> np.ndarray:

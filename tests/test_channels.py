@@ -9,6 +9,7 @@ from twirlbreak.channels import (
     KrausChannel,
     ProbabilityVector,
     apply_dilation,
+    apply_dilation_dense,
     apply_kraus,
     build_pauli_dilation,
     build_twirl_dilation,
@@ -176,9 +177,11 @@ class TestDilation:
         worst = 0.0
         for _ in range(50):
             rho = random_density(2, 2, rng)
+            want = apply_kraus(ch, rho).mat
             worst = max(
                 worst,
-                frobenius_distance(apply_dilation(dc, rho).mat, apply_kraus(ch, rho).mat),
+                frobenius_distance(apply_dilation(dc, rho).mat, want),
+                frobenius_distance(apply_dilation_dense(dc, rho).mat, want),
             )
         assert worst < 1e-11
 
@@ -186,37 +189,34 @@ class TestDilation:
         # dilation with V_k = I realizes the one-sided channel
         rng = np.random.default_rng(8)
         p = ProbabilityVector((0.5, 0.2, 0.2, 0.1))
-        dc = build_twirl_dilation(
-            PAULIS, probabilities=p, conjugate_second=False
-        )
-        # overwrite the B-side controls with identities via a fresh dilation
-        eye_set = [np.eye(2)] * 4
-        from twirlbreak.channels import build_control_unitary
-
-        u = kron(build_control_unitary(PAULIS), build_control_unitary(eye_set))
-        dc = DilatedChannel(dc.env_state, u, (2, 2))
+        dc = DilatedChannel(p, PAULIS, np.broadcast_to(np.eye(2), (4, 2, 2)))
         ch = local_depolarizing(p, "A")
         for _ in range(10):
             rho = random_density(2, 2, rng)
-            assert frobenius_distance(apply_dilation(dc, rho).mat, apply_kraus(ch, rho).mat) < 1e-11
+            want = apply_kraus(ch, rho).mat
+            assert frobenius_distance(apply_dilation(dc, rho).mat, want) < 1e-11
+            assert frobenius_distance(apply_dilation_dense(dc, rho).mat, want) < 1e-11
 
     def test_clifford_twirl_dilation(self):
-        # full 24-element design dilation: env is classical, action matches
-        # the exact twirl (few inputs; the 2304-dim conjugation is costly)
-        from twirlbreak.twirl import clifford_group_qubit, twirl_operator
+        # full 24-element design dilation; the Clifford group is a unitary
+        # 2-design, so its action is the analytic Haar twirl
+        from twirlbreak.twirl import clifford_group_qubit, twirl_exact
 
-        cl = clifford_group_qubit()
-        dc = build_twirl_dilation(list(cl.unitaries), conjugate_second=False)
-        assert env_is_classical(dc.env_state)
+        dc = build_twirl_dilation(clifford_group_qubit().unitaries, conjugate_second=False)
+        assert dc.env_dim == 24
         rng = np.random.default_rng(9)
         for _ in range(3):
             rho = random_density(2, 2, rng)
-            want = twirl_operator(rho.mat, cl)
+            want = twirl_exact(rho, "uu").mat
             assert frobenius_distance(apply_dilation(dc, rho).mat, want) < 1e-11
 
-    def test_rejects_non_classical_env(self):
-        with pytest.raises(ValueError, match="classical"):
-            DilatedChannel(triplet(), np.eye(16), (2, 2))
+    def test_rejects_probability_length_mismatch(self):
+        with pytest.raises(ValueError, match="length"):
+            DilatedChannel(UNIFORM, PAULIS[:3], PAULIS[:3])
+
+    def test_rejects_non_unitary_control(self):
+        with pytest.raises(ValueError, match="non-unitary"):
+            DilatedChannel(UNIFORM, PAULIS, np.full((4, 2, 2), 0.5))
 
 
 class TestEnvIsClassical:

@@ -3,9 +3,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from twirlbreak.cli import main
+from twirlbreak.linalg import frobenius_distance
+from twirlbreak.states import WernerParamMulti, werner_multi
+from twirlbreak.twirl import HaarSampler, mc_twirl
 
 CONFIG_DIR = "configs"
 
@@ -107,6 +111,21 @@ class TestOutputs:
         a = outs[0]["rows"][0]["params"]["mc_residual"]
         b = outs[1]["rows"][0]["params"]["mc_residual"]
         assert a != b
+
+    def test_qudit_rows_reproduce_alone(self, capsys, tmp_path):
+        # each row draws from its own Haar stream, spawned from the seed by row index
+        grid = [-0.9, -0.5, 0.0, 0.5]
+        rows = []
+        for g in (grid, grid[:2]):
+            cfg = {"d": 2, "mode": "uu", "param_grid": g, "seed": 5, "mc_samples": 200}
+            code, out, _ = _run(capsys, "qudit-twirl", "--config", _write(tmp_path, f"q{len(g)}.json", cfg))
+            assert code == 0
+            rows.append([r["params"]["mc_residual"] for r in json.loads(out)["rows"]])
+        full, truncated = rows
+        assert truncated == full[:2]
+        rho = werner_multi(WernerParamMulti(2, grid[3]))
+        alone = mc_twirl(rho, "uu", 200, HaarSampler(np.random.SeedSequence(5).spawn(4)[3], 2))
+        assert full[3] == frobenius_distance(alone.mat, rho.mat)
 
     def test_csv_output(self, capsys, tmp_path):
         path = str(tmp_path / "rows.csv")

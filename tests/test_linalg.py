@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twirlbreak import linalg
+from twirlbreak.channels import DilatedChannel, ProbabilityVector, apply_dilation_dense
 from twirlbreak.linalg import (
     DensityOperator,
+    conjugate_sum,
     frobenius_distance,
     hermitian_eigenvalues,
     is_ppt,
@@ -14,6 +17,7 @@ from twirlbreak.linalg import (
     partial_transpose,
 )
 from twirlbreak.states import max_entangled, random_density, random_product, singlet, triplet
+from twirlbreak.twirl import HaarSampler
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -196,3 +200,51 @@ def test_eigenvalue_sum_is_trace(seed):
     rho = random_density(2, 2, rng)
     spec = hermitian_eigenvalues(rho.mat).eigenvalues
     assert abs(spec.sum() - 1.0) < 1e-10
+
+
+class TestConjugateSum:
+    @given(
+        st.integers(1, 30),
+        st.sampled_from(["U", "U*", "I"]),
+        st.sampled_from([2, 3]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_mixed_unitary_channel(self, k, second, d, seed):
+        rng = np.random.default_rng(seed)
+        us = HaarSampler(seed, d).sample_batch(k)
+        vs = {"U": us, "U*": us.conj(), "I": np.broadcast_to(np.eye(d), (k, d, d))}[second]
+        w = rng.dirichlet(np.ones(k))
+        rho = random_density(d, d, rng)
+        out = conjugate_sum(rho.mat, us, vs, w)
+        assert abs(np.trace(out) - 1.0) < 1e-12
+        assert np.linalg.eigvalsh(out)[0] >= -1e-12
+        # term-by-term sum as the reference at any K
+        want = sum(wk * kron(u, v) @ rho.mat @ kron(u, v).conj().T for wk, u, v in zip(w, us, vs))
+        assert frobenius_distance(out, want) < 1e-11
+        # the dense classical-environment dilation is affordable at small K
+        if k <= 6:
+            dense = apply_dilation_dense(DilatedChannel(ProbabilityVector(tuple(w)), us, vs), rho)
+            assert frobenius_distance(out, dense.mat) < 1e-11
+
+    def test_chunks_match_one_chunk(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        us = HaarSampler(31, 2).sample_batch(50)
+        w = rng.dirichlet(np.ones(50))
+        op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        whole = conjugate_sum(op, us, us.conj(), w)  # 50 terms fit in one chunk
+        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CHUNK_BYTES", 7 * 16 * 16)  # 7 terms a chunk
+        assert frobenius_distance(conjugate_sum(op, us, us.conj(), w), whole) < 1e-14
+
+    @pytest.mark.parametrize(
+        "op, a, b, w",
+        [
+            (np.eye(4), np.ones((3, 2, 2)), np.ones((2, 2, 2)), np.ones(3)),  # K mismatch
+            (np.eye(4), np.ones((3, 2, 2)), np.ones((3, 2, 2)), np.ones(2)),  # weight count
+            (np.eye(3), np.ones((3, 2, 2)), np.ones((3, 2, 2)), np.ones(3)),  # operator size
+            (np.eye(4), np.ones((3, 2, 2)), np.ones((3, 2, 2)), -np.ones(3)),  # negative weight
+        ],
+    )
+    def test_rejects_inconsistent_input(self, op, a, b, w):
+        with pytest.raises(ValueError):
+            conjugate_sum(op, a, b, w)
