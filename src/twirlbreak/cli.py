@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--csv", help="also write a flat CSV of result rows")
         sp.add_argument("--seed", type=int, help="override the config seed")
         sp.add_argument("--mc-samples", type=int, help="override the Monte-Carlo sample count")
-        sp.add_argument("--tol", type=float, help="override verification tolerances")
+        sp.add_argument("--tol", type=float, help="override the numeric verification tolerances")
         sp.add_argument("--fock-cutoff", type=int, help="override the Fock-space cutoff")
     return parser
 

@@ -180,11 +180,10 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         if mu < 1:
             raise ConfigError("mu must be >= 1")
         cm = gaussian.epr_cm(mu)
-        residual = max(
-            float(np.max(np.abs(gaussian.apply_rotations(cm, th, -th).m - cm.m))) for th in angles
-        )
+        residual = gaussian.rotation_residual(cm, angles, -1.0)
         nu_min, _ = gaussian.pt_symplectic_eigenvalues(cm)
-        double_neg = max(0.0, 1.0 - nu_min)  # CM-level entanglement witness
+        # Gaussian negativity (Vidal & Werner, PRA 65, 032314, 2002)
+        double_neg = max(0.0, (1.0 / nu_min - 1.0) / 2)
         # single transmission: uniform dephasing of the truncated squeezed state
         lam = np.sqrt((mu - 1) / (mu + 1))
         n_fock = cutoff
@@ -204,7 +203,7 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                     "pt_symplectic_min": nu_min,
                     "dephased_min_pt_eigenvalue": min_pt,
                 },
-                single_transmission_negativity=max(0.0, -min_pt),
+                single_transmission_negativity=negativity(dephased.rho),
                 double_transmission_negativity=double_neg,
                 invariance_residual=residual,
                 eb_verdict="EB (dephased output PPT)" if min_pt >= -1e-10 else "NOT-EB",
@@ -212,19 +211,8 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         )
     # correlated environment: the whole invariant family is separable
     fam = gaussian.solve_invariant_cm("correlated")
-    swept, all_sep = 0, True
-    for alpha in np.linspace(1.0, 3.0, 6):
-        for beta in np.linspace(1.0, 3.0, 6):
-            for omega in np.linspace(-1.5, 1.5, 6):
-                for phi in np.linspace(-1.5, 1.5, 6):
-                    try:
-                        cm = gaussian.quasi_normal_cm(
-                            gaussian.QuasiNormalParams(alpha, beta, omega, phi)
-                        )
-                    except ValueError:
-                        continue
-                    swept += 1
-                    all_sep &= gaussian.is_separable_two_mode(cm)
+    swept, _, nu_min = gaussian.quasi_normal_sweep(fam, 6)
+    all_sep = nu_min >= 1.0 - gaussian.BONA_FIDE_TOL
     rows.append(
         ResultRow(
             scenario="bosonic",

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from twirlbreak import twirl
 from twirlbreak.cli import main
 from twirlbreak.linalg import frobenius_distance
 from twirlbreak.states import WernerParamMulti, werner_multi
@@ -61,6 +62,23 @@ class TestScenarios:
             # cutoff grows with squeezing so the truncation tail stays small
             assert r["params"]["fock_cutoff"] >= 8
         assert mu_rows[-1]["params"]["fock_cutoff"] > 8
+
+    def test_bosonic_rows_match_closed_forms(self, capsys):
+        code, out, _ = _run(capsys, "bosonic", "--config", f"{CONFIG_DIR}/bosonic.json")
+        assert code == 0
+        mu_rows = [r for r in json.loads(out)["rows"] if "mu" in r["params"]]
+        assert len(mu_rows) == 4
+        for r in mu_rows:
+            mu = r["params"]["mu"]
+            root = np.sqrt(mu * mu - 1)
+            # EPR: nu_min of the partial transpose is mu - sqrt(mu^2 - 1), and the
+            # Gaussian negativity (1/nu_min - 1)/2 is (mu + sqrt(mu^2 - 1) - 1)/2
+            assert abs(r["params"]["pt_symplectic_min"] - (mu - root)) < 1e-10
+            assert abs(r["double_transmission_negativity"] - (mu + root - 1) / 2) < 1e-10
+            # the dephased (single-transmission) output is PPT
+            assert abs(r["single_transmission_negativity"]) < 1e-10
+            assert r["params"]["dephased_min_pt_eigenvalue"] >= -1e-10
+        assert mu_rows[0]["double_transmission_negativity"] == 0
 
     def test_eb_test_scenario(self, capsys):
         code, out, _ = _run(capsys, "eb-test", "--config", f"{CONFIG_DIR}/eb_test.json")
@@ -237,6 +255,18 @@ class TestExitCodes:
         code, _, err = _run(capsys, "verify", "--config", cfg)
         assert code == 1
         assert "FAIL" in err
+
+    def test_tol_override_leaves_structural_checks_exact(self, capsys, tmp_path, monkeypatch):
+        full = twirl.clifford_group_qubit
+        monkeypatch.setattr(twirl, "clifford_group_qubit", lambda: twirl.UnitarySet(full().unitaries[:-1]))
+        cfg = _write(tmp_path, "cfg.json", {"tol": 1.0, "mc_samples": 200})
+        code, out, err = _run(capsys, "verify", "--config", cfg)
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["clifford-cardinality"] == {
+            "name": "clifford-cardinality", "passed": False, "residual": 1, "tolerance": 0
+        }
+        assert "FAIL clifford-cardinality" in err
 
     def test_unknown_scenario_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from twirlbreak.gaussian import (
+    OMEGA,
     CovarianceMatrix,
     QuasiNormalParams,
     TruncatedFockState,
@@ -14,8 +16,10 @@ from twirlbreak.gaussian import (
     min_pt_eigenvalue,
     pt_symplectic_eigenvalues,
     quasi_normal_cm,
+    quasi_normal_sweep,
     reconstruct_decomposition,
     rotation_matrix,
+    rotation_residual,
     separable_decomposition_dephased,
     solve_invariant_cm,
     symplectic_eigenvalues,
@@ -25,6 +29,13 @@ from twirlbreak.linalg import DensityOperator
 from twirlbreak.states import random_density, random_pure
 
 ANGLES = np.linspace(0, 2 * np.pi, 32, endpoint=False) + 0.123
+
+
+def eig_symplectic_reference(m):
+    """(nu_-, nu_+) from the moduli of the eigenvalues of i Omega V, which come
+    in +- pairs; sound only when the pairs come out exact."""
+    nus = np.sort(np.abs(np.linalg.eigvals(1j * OMEGA @ m)))
+    return nus[0], nus[2]
 
 
 class TestRotationMatrix:
@@ -55,6 +66,19 @@ class TestApplyRotations:
         cm = epr_cm(2.0)
         rotated = apply_rotations(cm, 0.7, 0.7)
         assert np.max(np.abs(rotated.m - cm.m)) > 0.1
+
+
+class TestRotationResidual:
+    def test_matches_per_angle_rotations(self):
+        cm = quasi_normal_cm(QuasiNormalParams(2.0, 1.5, 0.4, 0.3))
+        for sign in (1.0, -1.0):
+            want = max(np.max(np.abs(apply_rotations(cm, th, sign * th).m - cm.m)) for th in ANGLES)
+            assert abs(rotation_residual(cm, ANGLES, sign) - want) < 1e-15
+
+    def test_epr_fixed_only_by_anticorrelated_rotations(self):
+        for mu in (1.5, 2.0, 5.0):
+            assert rotation_residual(epr_cm(mu), ANGLES, -1.0) < 1e-12
+            assert rotation_residual(epr_cm(mu), ANGLES, 1.0) > 0.1
 
 
 class TestEprCm:
@@ -114,15 +138,33 @@ class TestSeparability:
         assert is_separable_two_mode(CovarianceMatrix(np.eye(4)))
 
     def test_quasi_normal_sweep_separable(self):
-        for alpha in np.linspace(1.0, 3.0, 10):
-            for beta in np.linspace(1.0, 3.0, 10):
-                for omega in np.linspace(-1.5, 1.5, 10):
-                    for phi in np.linspace(-1.5, 1.5, 10):
+        # the stacked sweep against the per-point route it replaced
+        fam = solve_invariant_cm("correlated")
+        count, worst, nu_min = 0, 0.0, np.inf
+        for alpha in np.linspace(1.0, 3.0, 5):
+            for beta in np.linspace(1.0, 3.0, 5):
+                for omega in np.linspace(-1.5, 1.5, 5):
+                    for phi in np.linspace(-1.5, 1.5, 5):
                         try:
                             cm = quasi_normal_cm(QuasiNormalParams(alpha, beta, omega, phi))
                         except ValueError:
                             continue
+                        count += 1
+                        worst = max(worst, fam.residual(cm.m))
+                        nu_min = min(nu_min, pt_symplectic_eigenvalues(cm)[0])
                         assert is_separable_two_mode(cm)
+        got_count, got_worst, got_nu_min = quasi_normal_sweep(fam, 5)
+        assert got_count == count
+        assert abs(got_worst - worst) < 1e-12
+        assert abs(got_nu_min - nu_min) < 1e-12
+        assert got_nu_min >= 1.0 - 1e-10
+
+    @pytest.mark.parametrize("n, count", [(6, 320), (10, 2776)])
+    def test_sweep_counts_pinned(self, n, count):
+        got_count, worst, nu_min = quasi_normal_sweep(solve_invariant_cm("correlated"), n)
+        assert got_count == count
+        assert worst < 1e-12
+        assert nu_min >= 1.0
 
     def test_reduced_form_closed_condition(self):
         # for blocks alpha I / alpha I / gamma I: bona-fide implies separable
@@ -192,6 +234,13 @@ class TestSolveInvariantCm:
     def test_non_family_member_rejected(self):
         fam = solve_invariant_cm("correlated")
         assert fam.residual(epr_cm(2.0).m) > 0.1
+
+    def test_residual_of_a_stack(self):
+        fam = solve_invariant_cm("correlated")
+        stack = np.stack([epr_cm(2.0).m, np.eye(4), quasi_normal_cm(QuasiNormalParams(2.0, 1.5, 0.4, 0.3)).m])
+        got = fam.residual(stack)
+        assert got.shape == (3,)
+        assert np.array_equal(got, [fam.residual(m) for m in stack])
 
 
 class TestDephaseTruncated:
@@ -308,6 +357,28 @@ class TestCovarianceMatrixValidation:
 def test_epr_invariance_property(mu, theta):
     cm = epr_cm(mu)
     assert np.max(np.abs(apply_rotations(cm, theta, -theta).m - cm.m)) < 1e-11
+
+
+@given(
+    st.floats(1.0, 5.0),
+    st.floats(0.25, 4.0),
+    st.lists(st.floats(-0.5, 0.5), min_size=10, max_size=10),
+)
+@settings(max_examples=60, deadline=None)
+def test_closed_form_spectrum_property(nu1, gap, h_entries):
+    # Williamson form S diag(nu1, nu1, nu2, nu2) S^T with a random symplectic S
+    h = np.zeros((4, 4))
+    h[np.triu_indices(4)] = h_entries
+    s = expm(OMEGA @ (h + h.T))
+    nu2 = nu1 + gap
+    m = s @ np.diag([nu1, nu1, nu2, nu2]) @ s.T
+    cm = CovarianceMatrix((m + m.T) / 2)
+    got = symplectic_eigenvalues(cm)
+    assert np.allclose(got, (nu1, nu2), rtol=1e-9, atol=0)
+    assert np.allclose(got, eig_symplectic_reference(cm.m), rtol=1e-9, atol=0)
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    got_pt = pt_symplectic_eigenvalues(cm)
+    assert np.allclose(got_pt, eig_symplectic_reference(flip @ cm.m @ flip), rtol=1e-9, atol=0)
 
 
 @given(st.integers(0, 2**32 - 1))
