@@ -40,7 +40,6 @@ from .twirl import (
     HaarSampler,
     UnitarySet,
     clifford_group_qubit,
-    haar_sample,
     mc_twirl,
     partial_twirl,
     twirl_exact,

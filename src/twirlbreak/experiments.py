@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channels, gaussian, states, twirl, verification
-from .linalg import frobenius_distance, negativity
+from .linalg import DensityOperator, frobenius_distance, negativity
 
 VALID_SCENARIOS = ("pauli", "qudit-twirl", "bosonic", "eb-test", "verify")
 
@@ -144,7 +144,7 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         else:
             single_out = product
         single_residual = frobenius_distance(single_out, product)
-        single_neg = 0.0  # product form I/d x Tr_A is separable by construction
+        single_neg = negativity(DensityOperator(single_out, d, d))
         neg_double = negativity(double)
         if d <= 2:
             verdict = "EB" if neg_double <= 1e-10 else "entanglement preserved"
@@ -211,7 +211,7 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         )
     # correlated environment: the whole invariant family is separable
     fam = gaussian.solve_invariant_cm("correlated")
-    swept, _, nu_min = gaussian.quasi_normal_sweep(fam, 6)
+    swept, fam_residual, nu_min = gaussian.quasi_normal_sweep(fam, 6)
     all_sep = nu_min >= 1.0 - gaussian.BONA_FIDE_TOL
     rows.append(
         ResultRow(
@@ -223,8 +223,8 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                 "all_separable": all_sep,
             },
             single_transmission_negativity=0.0,
-            double_transmission_negativity=0.0,
-            invariance_residual=0.0,
+            double_transmission_negativity=max(0.0, (1.0 / nu_min - 1.0) / 2),
+            invariance_residual=fam_residual,
             eb_verdict="separable family" if all_sep else "UNEXPECTED: entangled point",
         )
     )

@@ -100,18 +100,32 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
     one weight, is broadcast along K.
 
     Every Kraus channel (b = ones((1, 1, 1)), w = 1), twirl and classical-
-    environment dilation here is this sum.  Terms are taken in chunks whose
-    Kronecker products fit in CONJUGATE_SUM_CHUNK_BYTES.
+    environment dilation here is this sum.  Two routes, picked from the
+    shapes; neither holds more than CONJUGATE_SUM_CHUNK_BYTES of terms:
+
+    - one-sided, when one stack as passed holds a single matrix F (the
+      identity of a partial twirl, the 1x1 factor of a Kraus channel) and
+      each side's superoperator (d_A^4 and d_B^4 entries) fits in the
+      budget: the sum is then (sum_k w_k G_k x conj(G_k)) x (F x conj(F))
+      acting on the realigned op, with the G side summed by one matrix
+      product per chunk of terms;
+    - two-sided otherwise: the Kronecker products sqrt(w_k) (A_k x B_k) of
+      one chunk of terms at a time are contracted with op.
     """
     op = np.asarray(op, dtype=complex)
     k, da, db = max(len(a), len(b)), np.shape(a)[-1], np.shape(b)[-1]
-    a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
     weights = np.broadcast_to(np.asarray(weights, dtype=float), (k,))
     d = da * db
     if op.shape != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match the stacks ({d}, {d})")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
+    if min(len(a), len(b)) == 1 and 16 * max(da, db) ** 4 <= CONJUGATE_SUM_CHUNK_BYTES:
+        # the sum factorises into (sum_k w_k S(G_k)) x S(F), S(M) = M x conj(M)
+        wa, wb = (weights, np.ones(1)) if len(b) == 1 else (np.ones(1), weights)
+        out = _superoperator(a, wa) @ _swap_middle(op, da, db, da, db) @ _superoperator(b, wb).T
+        return _swap_middle(out, da, da, db, db)
+    a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
     root_w = np.sqrt(weights)[:, None, None, None, None]
     step = max(1, CONJUGATE_SUM_CHUNK_BYTES // (16 * d * d))
     out = np.zeros((d, d), dtype=complex)
@@ -122,6 +136,27 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
         m = m.reshape(-1, d, d)
         out += np.einsum("nab,bc,ndc->ad", m, op, m.conj(), optimize=True)
     return out
+
+
+def _superoperator(g, weights) -> np.ndarray:
+    """sum_k w_k G_k x conj(G_k) for a (K, d, d) stack, as the (d^2, d^2) matrix
+    [(x, z), (x', z')] that maps X[x', z'] to sum_k w_k G_k X G_k^dag."""
+    g = np.asarray(g, dtype=complex)
+    k, d = len(g), g.shape[-1]
+    flat = g.reshape(k, d * d)
+    # [(x, x'), (z, z')] order: one GEMM a chunk of terms
+    s = np.zeros((d * d, d * d), dtype=complex)
+    step = max(1, CONJUGATE_SUM_CHUNK_BYTES // (16 * d**4))
+    for i in range(0, k, step):
+        chunk = slice(i, i + step)
+        s += flat[chunk].T @ (weights[chunk, None] * flat[chunk].conj())
+    return _swap_middle(s, d, d, d, d)
+
+
+def _swap_middle(m, d0, d1, d2, d3) -> np.ndarray:
+    """m as a (d0, d1, d2, d3) tensor with its middle axes swapped, flattened
+    to a (d0 d2, d1 d3) matrix."""
+    return m.reshape(d0, d1, d2, d3).transpose(0, 2, 1, 3).reshape(d0 * d2, d1 * d3)
 
 
 def permute_subsystems(mat: np.ndarray, dims, perm) -> np.ndarray:

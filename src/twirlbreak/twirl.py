@@ -163,10 +163,14 @@ def partial_twirl_exact_mat(op: np.ndarray, dims, side: str = "A") -> np.ndarray
 
 @dataclass
 class HaarSampler:
-    """Seeded Haar-unitary sampler (Ginibre + QR with phase fix).
+    """Seeded Haar-unitary sampler (Mezzadri, Notices AMS 54, 592, 2007).
 
-    The stream is defined batch-wise: sample() is sample_batch(1).  A fixed
-    seed reproduces an identical sequence.
+    Each sample is the Q factor of a complex Ginibre matrix Z = QR whose R
+    has a positive real diagonal, which makes Q Haar-distributed.  Q comes
+    from column-by-column Gram-Schmidt, done twice (CGS2), in place on the
+    Gaussian draws.  The stream is defined batch-wise: sample() is
+    sample_batch(1), and sample_batch(3) then sample_batch(4) equals
+    sample_batch(7).  A fixed seed reproduces an identical sequence.
     """
 
     seed: int | np.random.SeedSequence
@@ -177,20 +181,20 @@ class HaarSampler:
         self._rng = np.random.default_rng(self.seed)
 
     def sample_batch(self, n: int) -> np.ndarray:
-        # interleaved draws keep the stream independent of the batch split
-        x = self._rng.standard_normal((n, self.d, self.d, 2))
-        z = (x[..., 0] + 1j * x[..., 1]) / np.sqrt(2)
-        q, r = np.linalg.qr(z)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        ph = diag / np.abs(diag)
-        return q * ph[:, None, :]
+        # interleaved (re, im) draws keep the stream independent of the batch
+        # split; the Ginibre scale 1/sqrt(2) drops out of Q
+        q = self._rng.standard_normal((n, self.d, self.d, 2)).view(complex)[..., 0]
+        for j in range(self.d):
+            v, prev = q[:, :, j : j + 1], q[:, :, :j]
+            # a second pass removes what rounding left of the first projection
+            for _ in range(2):
+                # prev^dag v, formed as (v^dag prev)^dag so only v is conjugated
+                v -= prev @ (v.mT.conj() @ prev).mT.conj()
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+        return q
 
     def sample(self) -> np.ndarray:
         return self.sample_batch(1)[0]
-
-
-def haar_sample(s: HaarSampler) -> np.ndarray:
-    return s.sample()
 
 
 def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -> np.ndarray:

@@ -6,10 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from twirlbreak import twirl
+from twirlbreak import gaussian, twirl
 from twirlbreak.cli import main
-from twirlbreak.linalg import frobenius_distance
-from twirlbreak.states import WernerParamMulti, werner_multi
+from twirlbreak.linalg import DensityOperator, frobenius_distance, negativity
+from twirlbreak.states import IsotropicParam, WernerParamMulti, isotropic, werner_multi
 from twirlbreak.twirl import HaarSampler, mc_twirl
 
 CONFIG_DIR = "configs"
@@ -79,6 +79,31 @@ class TestScenarios:
             assert abs(r["single_transmission_negativity"]) < 1e-10
             assert r["params"]["dephased_min_pt_eigenvalue"] >= -1e-10
         assert mu_rows[0]["double_transmission_negativity"] == 0
+
+    @pytest.mark.parametrize("config", ["qudit_werner_d3", "qudit_isotropic_d3"])
+    def test_qudit_single_negativity_is_measured(self, capsys, config):
+        code, out, _ = _run(capsys, "qudit-twirl", "--config", f"{CONFIG_DIR}/{config}.json")
+        assert code == 0
+        doc = json.loads(out)
+        cfg = json.load(open(f"{CONFIG_DIR}/{config}.json"))
+        assert len(doc["rows"]) == len(cfg["param_grid"])
+        for row, value in zip(doc["rows"], cfg["param_grid"]):
+            if cfg["mode"] == "uu":
+                rho = werner_multi(WernerParamMulti(3, value))
+            else:
+                rho = isotropic(IsotropicParam(3, value))
+            single = DensityOperator(twirl.partial_twirl_exact_mat(rho.mat, (3, 3), "A"), 3, 3)
+            assert row["single_transmission_negativity"] == negativity(single)
+
+    def test_bosonic_family_row_is_measured(self, capsys):
+        code, out, _ = _run(capsys, "bosonic", "--config", f"{CONFIG_DIR}/bosonic.json")
+        assert code == 0
+        row = json.loads(out)["rows"][-1]
+        assert row["params"]["mode"] == "correlated"
+        swept, residual, nu_min = gaussian.quasi_normal_sweep(gaussian.solve_invariant_cm("correlated"), 6)
+        assert row["params"]["swept_points"] == swept
+        assert row["invariance_residual"] == residual
+        assert row["double_transmission_negativity"] == max(0.0, (1.0 / nu_min - 1.0) / 2)
 
     def test_eb_test_scenario(self, capsys):
         code, out, _ = _run(capsys, "eb-test", "--config", f"{CONFIG_DIR}/eb_test.json")

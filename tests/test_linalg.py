@@ -205,26 +205,35 @@ def test_eigenvalue_sum_is_trace(seed):
 class TestConjugateSum:
     @given(
         st.integers(1, 30),
-        st.sampled_from(["U", "U*", "I"]),
+        st.sampled_from(["U", "U*", "I", "V"]),
         st.sampled_from([2, 3]),
+        st.sampled_from([1, 2, 3]),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_mixed_unitary_channel(self, k, second, d, seed):
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_unitary_channel(self, k, second, d, d_single, swap, seed):
+        # "U", "U*": K-long stacks on both sides (two-sided route); "I", "V":
+        # a length-1 stack (the identity, one Haar unitary) of dimension
+        # d_single against K unitaries (one-sided route); swap exchanges the sides
         rng = np.random.default_rng(seed)
         us = HaarSampler(seed, d).sample_batch(k)
-        vs = {"U": us, "U*": us.conj(), "I": np.broadcast_to(np.eye(d), (k, d, d))}[second]
+        single = {"I": np.eye(d_single)[None], "V": HaarSampler(seed + 1, d_single).sample_batch(1)}
+        vs = {"U": us, "U*": us.conj(), **single}[second]
+        a, b = (vs, us) if swap else (us, vs)
+        da, db = a.shape[-1], b.shape[-1]
         w = rng.dirichlet(np.ones(k))
-        rho = random_density(d, d, rng)
-        out = conjugate_sum(rho.mat, us, vs, w)
+        rho = random_density(da, db, rng)
+        out = conjugate_sum(rho.mat, a, b, w)
         assert abs(np.trace(out) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out)[0] >= -1e-12
         # term-by-term sum as the reference at any K
-        want = sum(wk * kron(u, v) @ rho.mat @ kron(u, v).conj().T for wk, u, v in zip(w, us, vs))
+        a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
+        want = sum(wk * kron(u, v) @ rho.mat @ kron(u, v).conj().T for wk, u, v in zip(w, a, b))
         assert frobenius_distance(out, want) < 1e-11
         # the dense classical-environment dilation is affordable at small K
         if k <= 6:
-            dense = apply_dilation_dense(DilatedChannel(ProbabilityVector(tuple(w)), us, vs), rho)
+            dense = apply_dilation_dense(DilatedChannel(ProbabilityVector(tuple(w)), a, b), rho)
             assert frobenius_distance(out, dense.mat) < 1e-11
 
     def test_chunks_match_one_chunk(self, monkeypatch):
@@ -232,9 +241,28 @@ class TestConjugateSum:
         us = HaarSampler(31, 2).sample_batch(50)
         w = rng.dirichlet(np.ones(50))
         op = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        whole = conjugate_sum(op, us, us.conj(), w)  # 50 terms fit in one chunk
-        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CHUNK_BYTES", 7 * 16 * 16)  # 7 terms a chunk
-        assert frobenius_distance(conjugate_sum(op, us, us.conj(), w), whole) < 1e-14
+        # two-sided and one-sided inputs; 50 terms fit in one chunk
+        inputs = [(us, us.conj()), (us, np.eye(2)[None])]
+        whole = [conjugate_sum(op, a, b, w) for a, b in inputs]
+        # 7 terms a chunk: two-sided, seven 4x4 Kronecker products; one-sided,
+        # seven 2^4-entry superoperator terms (the superoperator still fits)
+        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CHUNK_BYTES", 7 * 16 * 16)
+        for (a, b), want in zip(inputs, whole):
+            assert frobenius_distance(conjugate_sum(op, a, b, w), want) < 1e-14
+
+    def test_one_sided_route_matches_two_sided(self, monkeypatch):
+        # a budget below d_G^4 entries sends a one-sided input down the
+        # two-sided route
+        rng = np.random.default_rng(32)
+        us = HaarSampler(33, 3).sample_batch(40)
+        w = rng.dirichlet(np.ones(40))
+        op = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        f = HaarSampler(34, 2).sample_batch(1)
+        inputs = [(op, us, f), (op.T, f, us)]
+        one_sided = [conjugate_sum(x, a, b, w) for x, a, b in inputs]
+        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CHUNK_BYTES", 16 * 3**4 - 1)
+        for (x, a, b), want in zip(inputs, one_sided):
+            assert frobenius_distance(conjugate_sum(x, a, b, w), want) < 1e-13
 
     @pytest.mark.parametrize(
         "op, a, b, w",

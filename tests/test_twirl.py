@@ -21,7 +21,6 @@ from twirlbreak.twirl import (
     clifford_group_qubit,
     contains_up_to_phase,
     design_residuals,
-    haar_sample,
     mc_twirl,
     mc_twirl_operator,
     partial_twirl,
@@ -140,16 +139,39 @@ class TestPartialTwirl:
             assert np.linalg.norm(got - want) < 1e-11
 
 
+def _qr_reference(x: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Gaussian draws x (n, d, d, 2) by Ginibre + QR with
+    the phase fix of Mezzadri (Notices AMS 54, 592, 2007)."""
+    z = (x[..., 0] + 1j * x[..., 1]) / np.sqrt(2)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
 class TestHaarSampler:
     def test_unitarity(self):
-        for u in HaarSampler(11, 3).sample_batch(20):
-            assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-12
+        # twice-repeated Gram-Schmidt is unitary to a few ulps; one pass
+        # leaves ~1e-13 on these draws
+        for d in (2, 3, 4, 8):
+            us = HaarSampler(11, d).sample_batch(10_000)
+            assert np.max(np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(d))) < 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_matches_qr_reference(self, d):
+        n = 10_000
+        x = np.random.default_rng(25).standard_normal((n, d, d, 2))
+        assert np.max(np.abs(HaarSampler(25, d).sample_batch(n) - _qr_reference(x))) < 1e-12
 
     def test_deterministic_stream(self):
         a = HaarSampler(12, 2).sample_batch(5)
         b = HaarSampler(12, 2).sample_batch(5)
         assert np.array_equal(a, b)
-        assert np.array_equal(haar_sample(HaarSampler(12, 2)), a[0])
+        assert np.array_equal(HaarSampler(12, 2).sample(), a[0])
+
+    def test_batch_split(self):
+        s = HaarSampler(26, 3)
+        split = np.concatenate([s.sample_batch(3), s.sample_batch(4)])
+        assert np.array_equal(split, HaarSampler(26, 3).sample_batch(7))
 
     def test_second_moment(self):
         # Haar average of U |0><0| U^dag approaches I/2
@@ -208,20 +230,23 @@ class TestMCTwirl:
         assert dists[0] > dists[1] > dists[2]
 
     def test_peak_memory_flat_in_n(self):
-        # the Kronecker products are taken in chunks of bounded size, so only
-        # the O(n d^2) stack of samples grows with n
+        # the Kronecker products (two-sided, "uu") and the superoperator terms
+        # (one-sided, "partial-A") are taken in chunks of bounded size, and
+        # the sampler works in place, so only the O(n d^2) stack of samples
+        # grows with n
         d = 8
         rho = random_density(d, d, np.random.default_rng(23))
-        peaks = {}
-        for n in (1000, 4000):
-            tracemalloc.start()
-            try:
-                mc_twirl_operator(rho.mat, "partial-A", n, HaarSampler(24, d), (d, d))
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
         sample_stack_growth = (4000 - 1000) * d * d * 16
-        assert peaks[4000] - peaks[1000] < 4 * sample_stack_growth
+        for mode in ("partial-A", "uu"):
+            peaks = {}
+            for n in (1000, 4000):
+                tracemalloc.start()
+                try:
+                    mc_twirl_operator(rho.mat, mode, n, HaarSampler(24, d), (d, d))
+                    peaks[n] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+            assert peaks[4000] - peaks[1000] < 4 * sample_stack_growth, mode
 
     def test_seed_reproducibility(self):
         rho = random_density(2, 2, np.random.default_rng(21))
