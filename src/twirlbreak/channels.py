@@ -4,6 +4,7 @@ classical environments, and the entanglement-breaking decision procedure."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,17 +105,20 @@ class DilatedChannel:
     def system_dims(self) -> tuple:
         return (self.u_blocks.shape[1], self.v_blocks.shape[1])
 
-    @property
+    # built on first use and kept: the dense reference reads both on every call
+    @cached_property
     def env_state(self) -> DensityOperator:
         """The classical environment state on E1 x E2 (K^2 x K^2, diagonal)."""
         k = self.env_dim
         # p_k on |k,k>, the (k * K + k)-th basis vector
         return DensityOperator(np.diag(np.diag(self.probabilities.p).ravel()), k, k)
 
-    @property
+    @cached_property
     def control_unitary(self) -> np.ndarray:
-        """The dense control unitary on E1 x A x E2 x B."""
-        return kron(_controlled(self.u_blocks), _controlled(self.v_blocks))
+        """The dense control unitary on E1 x A x E2 x B (read-only)."""
+        u = kron(_controlled(self.u_blocks), _controlled(self.v_blocks))
+        u.flags.writeable = False
+        return u
 
 
 def apply_kraus(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:

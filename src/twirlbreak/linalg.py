@@ -16,9 +16,14 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 UNITARITY_TOL = 1e-10
 
-# Working-set budget of conjugate_sum: the Kronecker products of one chunk of
-# terms take at most this many bytes, so memory does not grow with K.
+# Memory budget of conjugate_sum: the one-sided route is taken only when each
+# side's superoperator fits in this many bytes, and sums its terms in chunks
+# that do too, so memory does not grow with K.
 CONJUGATE_SUM_CHUNK_BYTES = 16 * 2**20
+# Chunk size of the two-sided route: the Kronecker products of one chunk of
+# terms, and their product with the operator, take this many bytes each, so
+# both stay in cache between the two matrix products that use them.
+CONJUGATE_SUM_CACHE_BYTES = 2**19
 
 
 def _as_complex(m) -> np.ndarray:
@@ -101,16 +106,21 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
 
     Every Kraus channel (b = ones((1, 1, 1)), w = 1), twirl and classical-
     environment dilation here is this sum.  Two routes, picked from the
-    shapes; neither holds more than CONJUGATE_SUM_CHUNK_BYTES of terms:
+    shapes; apart from op, the stacks and the (D, D) result, D = d_A d_B,
+    neither holds arrays that grow with K:
 
     - one-sided, when one stack as passed holds a single matrix F (the
       identity of a partial twirl, the 1x1 factor of a Kraus channel) and
-      each side's superoperator (d_A^4 and d_B^4 entries) fits in the
-      budget: the sum is then (sum_k w_k G_k x conj(G_k)) x (F x conj(F))
-      acting on the realigned op, with the G side summed by one matrix
-      product per chunk of terms;
-    - two-sided otherwise: the Kronecker products sqrt(w_k) (A_k x B_k) of
-      one chunk of terms at a time are contracted with op.
+      each side's superoperator (d_A^4 and d_B^4 entries) fits in
+      CONJUGATE_SUM_CHUNK_BYTES: the sum is then (sum_k w_k G_k x conj(G_k))
+      x (F x conj(F)) acting on the realigned op, with the G side summed by
+      one matrix product per chunk of terms; a chunk's weighted conjugates,
+      their product and the running sum fit in that budget;
+    - two-sided otherwise: per chunk of terms, the Kronecker products
+      K_k = sqrt(w_k) (A_k x B_k) are laid out once so that two matrix
+      products give Y_k = K_k op and then sum_k Y_k K_k^dag.  The products
+      and Y each take CONJUGATE_SUM_CACHE_BYTES (or one term's D^2 entries,
+      if more), in two buffers reused by every chunk.
     """
     op = np.asarray(op, dtype=complex)
     k, da, db = max(len(a), len(b)), np.shape(a)[-1], np.shape(b)[-1]
@@ -126,15 +136,22 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
         out = _superoperator(a, wa) @ _swap_middle(op, da, db, da, db) @ _superoperator(b, wb).T
         return _swap_middle(out, da, da, db, db)
     a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
-    root_w = np.sqrt(weights)[:, None, None, None, None]
-    step = max(1, CONJUGATE_SUM_CHUNK_BYTES // (16 * d * d))
+    root_w = np.sqrt(weights)
+    step = min(k, max(1, CONJUGATE_SUM_CACHE_BYTES // (16 * d * d)))
+    kt_buf, y_buf = np.empty(step * d * d, dtype=complex), np.empty(step * d * d, dtype=complex)
     out = np.zeros((d, d), dtype=complex)
     for s in range(0, k, step):
         chunk = slice(s, s + step)
-        # sqrt(w_k) (A_k x B_k), A the left (slow) factor
-        m = root_w[chunk] * a[chunk, :, None, :, None] * b[chunk, None, :, None, :]
-        m = m.reshape(-1, d, d)
-        out += np.einsum("nab,bc,ndc->ad", m, op, m.conj(), optimize=True)
+        m = min(step, k - s)
+        # kt[i, j, n, i', j'] = sqrt(w_n) A_n[i, i'] B_n[j, j']: as a (D m, D)
+        # matrix it stacks the K_n vertically, as a (D, m D) one side by side
+        a_t = (root_w[chunk, None, None] * a[chunk]).transpose(1, 0, 2)
+        kt = kt_buf[: m * d * d].reshape(da, db, m, da, db)
+        np.multiply(a_t[:, None, :, :, None], b[chunk].transpose(1, 0, 2)[None, :, :, None, :], out=kt)
+        # y[(i, j, n), :] = (K_n op)[(i, j), :]: as (D, m D), the K_n op side by side
+        y = np.matmul(kt.reshape(d * m, d), op, out=y_buf[: m * d * d].reshape(d * m, d))
+        np.conjugate(kt, out=kt)
+        out += y.reshape(d, m * d) @ kt.reshape(d, m * d).T
     return out
 
 
@@ -144,12 +161,15 @@ def _superoperator(g, weights) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     k, d = len(g), g.shape[-1]
     flat = g.reshape(k, d * d)
-    # [(x, x'), (z, z')] order: one GEMM a chunk of terms
+    # [(x, x'), (z, z')] order: one GEMM a chunk of terms; a chunk holds its
+    # weighted conjugates (d^2 entries a term), the product and the sum (d^4 each)
     s = np.zeros((d * d, d * d), dtype=complex)
-    step = max(1, CONJUGATE_SUM_CHUNK_BYTES // (16 * d**4))
+    step = max(1, (CONJUGATE_SUM_CHUNK_BYTES - 2 * 16 * d**4) // (16 * d * d))
     for i in range(0, k, step):
         chunk = slice(i, i + step)
-        s += flat[chunk].T @ (weights[chunk, None] * flat[chunk].conj())
+        g_bar = flat[chunk].conj()
+        g_bar *= weights[chunk, None]
+        s += flat[chunk].T @ g_bar
     return _swap_middle(s, d, d, d, d)
 
 

@@ -164,6 +164,13 @@ class TestDilation:
         assert u.shape == (64, 64)
         assert np.max(np.abs(u @ u.conj().T - np.eye(64))) < 1e-14
 
+    def test_dense_parts_built_once(self):
+        dc = build_pauli_dilation(UNIFORM)
+        assert dc.env_state is dc.env_state
+        assert dc.control_unitary is dc.control_unitary
+        with pytest.raises(ValueError):
+            dc.control_unitary[0, 0] = 0
+
     def test_identity_probabilities(self):
         dc = build_pauli_dilation(ProbabilityVector((1, 0, 0, 0)))
         rho = random_density(2, 2, np.random.default_rng(6))

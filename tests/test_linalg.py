@@ -209,13 +209,17 @@ class TestConjugateSum:
         st.sampled_from([2, 3]),
         st.sampled_from([1, 2, 3]),
         st.booleans(),
+        st.booleans(),
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
-    def test_mixed_unitary_channel(self, k, second, d, d_single, swap, seed):
+    def test_mixed_unitary_channel(self, k, second, d, d_single, swap, long, seed):
         # "U", "U*": K-long stacks on both sides (two-sided route); "I", "V":
         # a length-1 stack (the identity, one Haar unitary) of dimension
-        # d_single against K unitaries (one-sided route); swap exchanges the sides
+        # d_single against K unitaries (one-sided route); swap exchanges the
+        # sides; long adds two default two-sided chunks of terms to K
+        if long and second in ("U", "U*"):
+            k += 2 * (linalg.CONJUGATE_SUM_CACHE_BYTES // (16 * d**4))
         rng = np.random.default_rng(seed)
         us = HaarSampler(seed, d).sample_batch(k)
         single = {"I": np.eye(d_single)[None], "V": HaarSampler(seed + 1, d_single).sample_batch(1)}
@@ -227,9 +231,11 @@ class TestConjugateSum:
         out = conjugate_sum(rho.mat, a, b, w)
         assert abs(np.trace(out) - 1.0) < 1e-12
         assert np.linalg.eigvalsh(out)[0] >= -1e-12
-        # term-by-term sum as the reference at any K
+        # term-by-term sum as the reference at any K: each (U_k x V_k) rho
+        # (U_k x V_k)^dag on its own, then the weighted sum
         a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
-        want = sum(wk * kron(u, v) @ rho.mat @ kron(u, v).conj().T for wk, u, v in zip(w, a, b))
+        kr = np.einsum("nik,njl->nijkl", a, b).reshape(k, da * db, da * db)
+        want = np.tensordot(w, kr @ rho.mat @ kr.conj().mT, 1)
         assert frobenius_distance(out, want) < 1e-11
         # the dense classical-environment dilation is affordable at small K
         if k <= 6:
@@ -244,9 +250,12 @@ class TestConjugateSum:
         # two-sided and one-sided inputs; 50 terms fit in one chunk
         inputs = [(us, us.conj()), (us, np.eye(2)[None])]
         whole = [conjugate_sum(op, a, b, w) for a, b in inputs]
-        # 7 terms a chunk: two-sided, seven 4x4 Kronecker products; one-sided,
-        # seven 2^4-entry superoperator terms (the superoperator still fits)
-        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CHUNK_BYTES", 7 * 16 * 16)
+        # 7 terms a chunk on each route: two-sided, seven 4x4 Kronecker
+        # products (CONJUGATE_SUM_CACHE_BYTES); one-sided, the 2^4-entry
+        # product and sum plus seven 2^2-entry weighted conjugates
+        # (CONJUGATE_SUM_CHUNK_BYTES; the superoperator still fits)
+        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CACHE_BYTES", 7 * 16 * 16)
+        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CHUNK_BYTES", 2 * 16 * 16 + 7 * 16 * 4)
         for (a, b), want in zip(inputs, whole):
             assert frobenius_distance(conjugate_sum(op, a, b, w), want) < 1e-14
 

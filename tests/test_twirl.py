@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from twirlbreak import linalg
 from twirlbreak.channels import PAULIS
 from twirlbreak.linalg import frobenius_distance, kron, partial_trace_multi
 from twirlbreak.states import (
@@ -247,6 +248,22 @@ class TestMCTwirl:
                 finally:
                     tracemalloc.stop()
             assert peaks[4000] - peaks[1000] < 4 * sample_stack_growth, mode
+
+    def test_two_sided_working_set(self):
+        # the two-sided route holds two cache-sized buffers, not chunks of
+        # Kronecker products that scale with a large memory budget: apart from
+        # the samples (and their conjugates, for "uustar") the peak stays
+        # within a few CONJUGATE_SUM_CACHE_BYTES
+        d, n = 8, 1000
+        rho = random_density(d, d, np.random.default_rng(25))
+        for mode, stacks in (("uu", 1), ("uustar", 2)):
+            tracemalloc.start()
+            try:
+                mc_twirl_operator(rho.mat, mode, n, HaarSampler(26, d), (d, d))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - stacks * n * d * d * 16 < 4 * linalg.CONJUGATE_SUM_CACHE_BYTES, mode
 
     def test_seed_reproducibility(self):
         rho = random_density(2, 2, np.random.default_rng(21))
