@@ -3,13 +3,11 @@ single-system transmission while preserving it for two-system transmission."""
 
 from .linalg import (
     DensityOperator,
-    HermitianSpectrum,
     frobenius_distance,
     hermitian_eigenvalues,
     is_ppt,
     kron,
     negativity,
-    partial_trace,
     partial_transpose,
 )
 from .states import (
@@ -20,7 +18,6 @@ from .states import (
     isotropic,
     max_entangled,
     singlet,
-    triplet,
     werner_multi,
     werner_qubit,
 )
@@ -43,14 +40,11 @@ from .twirl import (
     mc_twirl,
     partial_twirl,
     twirl_exact,
-    twirl_uu,
-    twirl_uustar,
 )
 from .gaussian import (
     CovarianceMatrix,
     QuasiNormalParams,
     TruncatedFockState,
-    apply_rotations,
     dephase_truncated,
     epr_cm,
     is_separable_two_mode,

@@ -19,6 +19,7 @@ from .linalg import (
     permute_subsystems,
 )
 from .states import max_entangled
+from .twirl import partial_twirl_exact_mat
 
 COMPLETENESS_TOL = 1e-10
 
@@ -168,13 +169,12 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = 1e-10):
         raise ValueError("channel is not of the form E x I on side A")
     out = apply_kraus(ch, max_entangled(d))
     spec = hermitian_eigenvalues(partial_transpose_mat(out.mat, d, d))
-    return spec.min() >= -tol, spec
+    return bool(spec[0] >= -tol), spec
 
 
 def is_product_form(rho: DensityOperator, tol: float = 1e-12) -> bool:
     """Structural separability certificate: rho == I/d_A x Tr_A(rho)."""
-    sigma = partial_trace_multi(rho.mat, [rho.dim_a, rho.dim_b], keep=[1])
-    target = kron(np.eye(rho.dim_a) / rho.dim_a, sigma)
+    target = partial_twirl_exact_mat(rho.mat, (rho.dim_a, rho.dim_b), "A")
     return float(np.max(np.abs(rho.mat - target))) <= tol
 
 

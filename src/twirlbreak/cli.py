@@ -1,8 +1,14 @@
 """Command-line front end.
 
-Usage:
-    twirlbreak <scenario> --config <path> [--out <path>] [--csv <path>]
-               [--seed N] [--mc-samples N] [--tol X] [--fock-cutoff N]
+Usage (each subcommand takes only the flags it reads):
+    twirlbreak pauli       --config <path> [--out <path>] [--csv <path>]
+    twirlbreak qudit-twirl --config <path> [--out <path>] [--csv <path>] [--seed N] [--mc-samples N]
+    twirlbreak bosonic     --config <path> [--out <path>] [--csv <path>] [--fock-cutoff N]
+    twirlbreak eb-test     --config <path> [--out <path>] [--csv <path>]
+    twirlbreak verify      --config <path> [--out <path>] [--seed N] [--mc-samples N] [--tol X]
+
+--seed, --mc-samples, --tol and --fock-cutoff override the config key of
+the same name (seed, mc_samples, tol, fock_cutoff).
 
 Exit codes: 0 success, 1 verification failure, 2 config/parse error.
 """
@@ -13,7 +19,6 @@ import argparse
 import sys
 
 from .experiments import (
-    VALID_SCENARIOS,
     ConfigError,
     ExperimentConfig,
     dumps_document,
@@ -26,38 +31,46 @@ from .experiments import (
     write_csv,
 )
 
-_RUNNERS = {
-    "pauli": run_pauli_scenario,
-    "qudit-twirl": run_qudit_scenario,
-    "bosonic": run_bosonic_scenario,
-    "eb-test": run_eb_test,
+# each subcommand's runner and the optional flags it reads, besides --config and --out
+_SUBCOMMANDS = {
+    "pauli": (run_pauli_scenario, ("--csv",)),
+    "qudit-twirl": (run_qudit_scenario, ("--csv", "--seed", "--mc-samples")),
+    "bosonic": (run_bosonic_scenario, ("--csv", "--fock-cutoff")),
+    "eb-test": (run_eb_test, ("--csv",)),
+    "verify": (run_verify, ("--seed", "--mc-samples", "--tol")),
+}
+
+# flag -> (type, help); every flag but --csv overrides its config key
+_FLAGS = {
+    "--csv": (str, "also write a flat CSV of result rows"),
+    "--seed": (int, "override the config seed"),
+    "--mc-samples": (int, "override the Monte-Carlo sample count"),
+    "--tol": (float, "override the numeric verification tolerances"),
+    "--fock-cutoff": (int, "override the Fock-space cutoff"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="twirlbreak", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="twirlbreak", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in VALID_SCENARIOS:
+    for name, (_, flags) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="path to the JSON config file")
         sp.add_argument("--out", help="write the result document here (default: stdout)")
-        sp.add_argument("--csv", help="also write a flat CSV of result rows")
-        sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--mc-samples", type=int, help="override the Monte-Carlo sample count")
-        sp.add_argument("--tol", type=float, help="override the numeric verification tolerances")
-        sp.add_argument("--fock-cutoff", type=int, help="override the Fock-space cutoff")
+        for flag in flags:
+            kind, text = _FLAGS[flag]
+            sp.add_argument(flag, type=kind, help=text)
     return parser
 
 
 def _apply_overrides(cfg: ExperimentConfig, args) -> None:
-    if args.seed is not None:
-        cfg.params["seed"] = args.seed
-    if args.mc_samples is not None:
-        cfg.params["mc_samples"] = args.mc_samples
-    if args.tol is not None:
-        cfg.params["tol"] = args.tol
-    if args.fock_cutoff is not None:
-        cfg.params["fock_cutoff"] = args.fock_cutoff
+    for flag in _SUBCOMMANDS[args.scenario][1]:
+        key = flag[2:].replace("-", "_")  # argparse's dest, also the config key
+        value = getattr(args, key)
+        if flag != "--csv" and value is not None:
+            cfg.params[key] = value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -70,11 +83,12 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    runner = _SUBCOMMANDS[args.scenario][0]
     try:
         cfg = ExperimentConfig.from_file(args.scenario, args.config)
         _apply_overrides(cfg, args)
         if args.scenario == "verify":
-            doc = run_verify(cfg)
+            doc = runner(cfg)
             _emit(dumps_document(doc), args.out)
             failed = [c for c in doc["checks"] if not c["passed"]]
             for c in failed:
@@ -83,7 +97,7 @@ def main(argv=None) -> int:
                     file=sys.stderr,
                 )
             return 0 if doc["all_passed"] else 1
-        rows = _RUNNERS[args.scenario](cfg)
+        rows = runner(cfg)
         doc = rows_to_document(rows, args.scenario, cfg.params)
         _emit(dumps_document(doc), args.out)
         if args.csv:

@@ -24,7 +24,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     scenario: str
     params: dict = field(default_factory=dict)
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.scenario not in VALID_SCENARIOS:
@@ -52,17 +51,20 @@ class ExperimentConfig:
 
 @dataclass
 class ResultRow:
+    """One result row; a field is None where the scenario does not measure it."""
+
     scenario: str
     params: dict
-    single_transmission_negativity: float
-    double_transmission_negativity: float
-    invariance_residual: float
+    single_transmission_negativity: float | None
+    double_transmission_negativity: float | None
+    invariance_residual: float | None
     eb_verdict: str
 
     def __post_init__(self):
-        if self.single_transmission_negativity < 0 or self.double_transmission_negativity < 0:
+        negativities = (self.single_transmission_negativity, self.double_transmission_negativity)
+        if any(v is not None and v < 0 for v in negativities):
             raise ValueError("negativities must be nonnegative")
-        if self.invariance_residual < 0:
+        if self.invariance_residual is not None and self.invariance_residual < 0:
             raise ValueError("residuals must be nonnegative")
 
 
@@ -222,7 +224,7 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                 "swept_points": swept,
                 "all_separable": all_sep,
             },
-            single_transmission_negativity=0.0,
+            single_transmission_negativity=None,
             double_transmission_negativity=max(0.0, (1.0 / nu_min - 1.0) / 2),
             invariance_residual=fam_residual,
             eb_verdict="separable family" if all_sep else "UNEXPECTED: entangled point",
@@ -276,14 +278,14 @@ def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
         verdict = "EB" if ppt else "NOT-EB"
     else:
         verdict = "PPT" if ppt else "NPT"
-    neg = float(-spec.eigenvalues[spec.eigenvalues < 0].sum())
+    neg = float(-spec[spec < 0].sum())
     return [
         ResultRow(
             scenario="eb-test",
-            params={"d": d, "witness_spectrum": [float(x) for x in spec.eigenvalues]},
+            params={"d": d, "witness_spectrum": [float(x) for x in spec]},
             single_transmission_negativity=neg,
-            double_transmission_negativity=0.0,
-            invariance_residual=0.0,
+            double_transmission_negativity=None,
+            invariance_residual=None,
             eb_verdict=verdict,
         )
     ]
@@ -365,13 +367,7 @@ def write_csv(rows: list[ResultRow], path: str) -> None:
             ]
         )
         for r in rows:
-            w.writerow(
-                [
-                    r.scenario,
-                    json.dumps(r.params, default=float),
-                    format(r.single_transmission_negativity, ".17g"),
-                    format(r.double_transmission_negativity, ".17g"),
-                    format(r.invariance_residual, ".17g"),
-                    r.eb_verdict,
-                ]
-            )
+            measured = (r.single_transmission_negativity, r.double_transmission_negativity, r.invariance_residual)
+            # an empty cell where the scenario measures nothing
+            cells = ["" if v is None else format(v, ".17g") for v in measured]
+            w.writerow([r.scenario, json.dumps(r.params, default=float), *cells, r.eb_verdict])

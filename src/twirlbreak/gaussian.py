@@ -70,12 +70,6 @@ def _rotation_pair(theta_a, theta_b) -> np.ndarray:
     return s
 
 
-def apply_rotations(v: CovarianceMatrix, theta_a: float, theta_b: float) -> CovarianceMatrix:
-    """Congruence by R(theta_a) + R(theta_b) (direct sum)."""
-    s = _rotation_pair(theta_a, theta_b)
-    return CovarianceMatrix(s @ v.m @ s.T)
-
-
 def rotation_residual(v: CovarianceMatrix, angles, sign: float) -> float:
     """Largest entry of |S V S^T - V| over S = R(theta) + R(sign theta),
     theta in angles: 0 when V is fixed by correlated (sign 1) or
@@ -265,4 +259,4 @@ def reconstruct_decomposition(components, n: int) -> np.ndarray:
 
 def min_pt_eigenvalue(state: TruncatedFockState) -> float:
     n = state.cutoff
-    return hermitian_eigenvalues(partial_transpose_mat(state.rho.mat, n, n)).min()
+    return float(hermitian_eigenvalues(partial_transpose_mat(state.rho.mat, n, n))[0])

@@ -7,7 +7,7 @@ transposition acts on subsystem B by default (j <-> l swap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,20 +67,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.dim_a * self.dim_b
-
-
-@dataclass(frozen=True)
-class HermitianSpectrum:
-    """Real eigenvalues of a Hermitian matrix, sorted ascending."""
-
-    eigenvalues: np.ndarray = field()
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        object.__setattr__(self, "eigenvalues", ev)
-
-    def min(self) -> float:
-        return float(self.eigenvalues[0])
 
 
 def kron(a, b) -> np.ndarray:
@@ -208,16 +194,6 @@ def partial_trace_multi(mat: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def partial_trace(rho: DensityOperator, subsystem: str) -> DensityOperator:
-    """Trace out subsystem 'A' or 'B', returning the complementary marginal."""
-    if subsystem not in ("A", "B"):
-        raise ValueError("subsystem must be 'A' or 'B'")
-    keep = [1] if subsystem == "A" else [0]
-    red = partial_trace_multi(rho.mat, [rho.dim_a, rho.dim_b], keep)
-    d = rho.dim_b if subsystem == "A" else rho.dim_a
-    return DensityOperator(red, d, 1)
-
-
 def partial_transpose_mat(mat: np.ndarray, dim_a: int, dim_b: int, side: str = "B") -> np.ndarray:
     """Partial transposition of a bipartite matrix (default on subsystem B)."""
     t = np.asarray(mat).reshape(dim_a, dim_b, dim_a, dim_b)
@@ -234,12 +210,12 @@ def partial_transpose(rho: DensityOperator, side: str = "B") -> np.ndarray:
     return partial_transpose_mat(rho.mat, rho.dim_a, rho.dim_b, side=side)
 
 
-def hermitian_eigenvalues(m, tol: float = 1e-10) -> HermitianSpectrum:
+def hermitian_eigenvalues(m, tol: float = 1e-10) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending.  Raises on non-Hermitian input."""
     m = _as_complex(m)
     if np.max(np.abs(m - m.conj().T)) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return HermitianSpectrum(np.linalg.eigvalsh(m))
+    return np.linalg.eigvalsh(m)
 
 
 def is_ppt(rho: DensityOperator, tol: float = PSD_TOL) -> bool:
@@ -250,13 +226,12 @@ def is_ppt(rho: DensityOperator, tol: float = PSD_TOL) -> bool:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    spec = hermitian_eigenvalues(partial_transpose(rho))
-    return spec.min() >= -tol
+    return bool(hermitian_eigenvalues(partial_transpose(rho))[0] >= -tol)
 
 
 def negativity(rho: DensityOperator) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    ev = hermitian_eigenvalues(partial_transpose(rho)).eigenvalues
+    ev = hermitian_eigenvalues(partial_transpose(rho))
     return float(np.sum(np.abs(ev[ev < 0])))
 
 
@@ -266,8 +241,3 @@ def frobenius_distance(a, b) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
-
-
-def density(mat, dim_a: int, dim_b: int) -> DensityOperator:
-    """Shorthand constructor."""
-    return DensityOperator(mat, dim_a, dim_b)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, kron
+from .linalg import DensityOperator
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,6 @@ def singlet() -> DensityOperator:
     v[1] = 1 / np.sqrt(2)
     v[2] = -1 / np.sqrt(2)
     return DensityOperator(np.outer(v, v.conj()), 2, 2)
-
-
-def triplet() -> DensityOperator:
-    """Projector onto (|00> + |11>)/sqrt(2); equals max_entangled(2)."""
-    return max_entangled(2)
 
 
 def max_entangled(d: int) -> DensityOperator:
@@ -125,9 +120,3 @@ def random_pure(d_a: int, d_b: int, rng: np.random.Generator) -> DensityOperator
     v = rng.standard_normal(d_a * d_b) + 1j * rng.standard_normal(d_a * d_b)
     v /= np.linalg.norm(v)
     return DensityOperator(np.outer(v, v.conj()), d_a, d_b)
-
-
-def random_product(d_a: int, d_b: int, rng: np.random.Generator) -> DensityOperator:
-    ra = random_density(d_a, 1, rng).mat
-    rb = random_density(d_b, 1, rng).mat
-    return DensityOperator(kron(ra, rb), d_a, d_b)

@@ -69,11 +69,6 @@ def clifford_group_qubit() -> UnitarySet:
     return UnitarySet(list(seen.values()))
 
 
-def contains_up_to_phase(uset: UnitarySet, u: np.ndarray, tol: float = 1e-9) -> bool:
-    target = _phase_canonical(np.asarray(u, dtype=complex))
-    return any(np.max(np.abs(_phase_canonical(v) - target)) < tol for v in uset.unitaries)
-
-
 def twirl_operator(op: np.ndarray, uset: UnitarySet, conjugate_second: bool = False) -> np.ndarray:
     """(1/K) sum_k (U_k x V_k) op (U_k x V_k)^dag with V_k = U_k or U_k^*."""
     us = uset.unitaries
@@ -86,18 +81,6 @@ def partial_twirl_operator(op: np.ndarray, uset: UnitarySet, side: str, dims) ->
     us = uset.unitaries
     a, b = (us, np.eye(db)[None]) if side == "A" else (np.eye(da)[None], us)
     return conjugate_sum(op, a, b, 1.0 / len(us))
-
-
-def twirl_uu(rho: DensityOperator, uset: UnitarySet) -> DensityOperator:
-    if rho.dim_a != uset.unitaries.shape[1] or rho.dim_b != uset.unitaries.shape[1]:
-        raise ValueError("state dimensions do not match the unitary set")
-    return DensityOperator(twirl_operator(rho.mat, uset), rho.dim_a, rho.dim_b)
-
-
-def twirl_uustar(rho: DensityOperator, uset: UnitarySet) -> DensityOperator:
-    if rho.dim_a != uset.unitaries.shape[1] or rho.dim_b != uset.unitaries.shape[1]:
-        raise ValueError("state dimensions do not match the unitary set")
-    return DensityOperator(twirl_operator(rho.mat, uset, conjugate_second=True), rho.dim_a, rho.dim_b)
 
 
 def partial_twirl(rho: DensityOperator, side: str, uset: UnitarySet) -> DensityOperator:
@@ -201,7 +184,9 @@ def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -
     """Empirical twirl of a raw operator over n Haar samples.
 
     Samples are pre-generated serially from the seeded sampler, so results
-    do not depend on how the averaging is scheduled.
+    do not depend on how the averaging is scheduled.  The U x U* twirl is
+    taken as PT o (U x U twirl) o PT, so no conjugate copy of the samples
+    is made.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -210,7 +195,8 @@ def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -
     if mode == "uu":
         a, b = us, us
     elif mode == "uustar":
-        a, b = us, us.conj()
+        inner = conjugate_sum(partial_transpose_mat(op, da, db), us, us, 1.0 / n)
+        return partial_transpose_mat(inner, da, db)
     elif mode == "partial-A":
         a, b = us, np.eye(db)[None]
     elif mode == "partial-B":

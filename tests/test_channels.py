@@ -27,7 +27,7 @@ from twirlbreak.linalg import (
     partial_trace_multi,
     partial_transpose,
 )
-from twirlbreak.states import random_density, singlet, triplet, werner_qubit
+from twirlbreak.states import max_entangled, random_density, singlet, werner_qubit
 from twirlbreak.twirl import HaarSampler
 
 UNIFORM = ProbabilityVector((0.25, 0.25, 0.25, 0.25))
@@ -97,8 +97,8 @@ class TestCorrelatedPauli:
 class TestLocalDepolarizing:
     def test_pt_spectrum_closed_form(self):
         ch = local_depolarizing(ProbabilityVector((0.6, 0.4 / 3, 0.4 / 3, 0.4 / 3)), "A")
-        out = apply_kraus(ch, triplet())
-        spec = hermitian_eigenvalues(partial_transpose(out)).eigenvalues
+        out = apply_kraus(ch, max_entangled(2))
+        spec = hermitian_eigenvalues(partial_transpose(out))
         assert abs(spec[0] - (0.5 - 0.6)) < 1e-12
 
     def test_uniform_fully_depolarizes(self):
@@ -110,6 +110,11 @@ class TestLocalDepolarizing:
             marginal = partial_trace_multi(rho.mat, [2, 2], keep=[1])
             assert frobenius_distance(out.mat, kron(np.eye(2) / 2, marginal)) < 1e-12
             assert is_product_form(out)
+
+    def test_partial_depolarizing_not_product_form(self):
+        # a non-uniform Pauli mixture keeps correlations between the sides
+        out = apply_kraus(local_depolarizing(EB_BOUNDARY, "A"), werner_qubit(0.9))
+        assert not is_product_form(out)
 
     def test_side_b(self):
         ch = local_depolarizing(UNIFORM, "B")
@@ -123,19 +128,19 @@ class TestEntanglementBreaking:
     def test_boundary_spectrum(self):
         ppt, spec = is_entanglement_breaking(local_depolarizing(ProbabilityVector((0.5, 0.5, 0, 0))))
         assert ppt
-        assert np.allclose(np.sort(spec.eigenvalues), [0, 0, 0.5, 0.5], atol=1e-12)
+        assert np.allclose(spec, [0, 0, 0.5, 0.5], atol=1e-12)
 
     def test_not_eb(self):
         ppt, spec = is_entanglement_breaking(
             local_depolarizing(ProbabilityVector((0.6, 0.4 / 3, 0.4 / 3, 0.4 / 3)))
         )
         assert not ppt
-        assert abs(spec.min() - (-0.1)) < 1e-12
+        assert abs(spec[0] - (-0.1)) < 1e-12
 
     def test_identity_not_eb(self):
         ppt, spec = is_entanglement_breaking(local_depolarizing(ProbabilityVector((1, 0, 0, 0))))
         assert not ppt
-        assert abs(spec.min() - (-0.5)) < 1e-12
+        assert abs(spec[0] - (-0.5)) < 1e-12
 
     def test_threshold_200_random(self):
         rng = np.random.default_rng(5)
@@ -238,7 +243,7 @@ class TestEnvIsClassical:
         assert env_is_classical(dc.env_state)
 
     def test_triplet_not_classical(self):
-        assert not env_is_classical(triplet())
+        assert not env_is_classical(max_entangled(2))
 
 
 @given(st.integers(0, 2**32 - 1))

@@ -197,6 +197,80 @@ class TestOutputs:
         assert json.load(open(path))["config"]["mc_samples"] == 200
 
 
+class TestUnmeasuredFields:
+    @pytest.mark.parametrize(
+        "scenario, config, row, fields",
+        [
+            ("eb-test", "eb_test", 0, ("double_transmission_negativity", "invariance_residual")),
+            ("bosonic", "bosonic", -1, ("single_transmission_negativity",)),
+        ],
+    )
+    def test_null_in_json_and_empty_in_csv(self, capsys, tmp_path, scenario, config, row, fields):
+        path = str(tmp_path / "rows.csv")
+        code, out, _ = _run(capsys, scenario, "--config", f"{CONFIG_DIR}/{config}.json", "--csv", path)
+        assert code == 0
+        json_row = json.loads(out)["rows"][row]
+        with open(path, newline="") as f:
+            csv_row = list(csv.DictReader(f))[row]
+        for field in fields:
+            assert json_row[field] is None
+            assert csv_row[field] == ""
+
+
+# the flags each subcommand reads besides --config and --out, and a value for each
+READS = {
+    "pauli": ("--csv",),
+    "qudit-twirl": ("--csv", "--seed", "--mc-samples"),
+    "bosonic": ("--csv", "--fock-cutoff"),
+    "eb-test": ("--csv",),
+    "verify": ("--seed", "--mc-samples", "--tol"),
+}
+VALUES = {"--seed": 7, "--mc-samples": 200, "--tol": 0.5, "--fock-cutoff": 9}
+CONFIGS = {
+    "pauli": "pauli",
+    "qudit-twirl": "qudit_werner_d3",
+    "bosonic": "bosonic",
+    "eb-test": "eb_test",
+    "verify": "verify",
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "scenario, flag",
+        [(s, f) for s in READS for f in ("--csv", *VALUES) if f not in READS[s]],
+    )
+    def test_unread_flag_exits_2(self, capsys, tmp_path, scenario, flag):
+        value = str(tmp_path / "x") if flag == "--csv" else str(VALUES[flag])
+        with pytest.raises(SystemExit) as exc:
+            main([scenario, "--config", f"{CONFIG_DIR}/{CONFIGS[scenario]}.json", flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("scenario, flag", [(s, f) for s in READS for f in READS[s]])
+    def test_read_flag_is_applied(self, capsys, tmp_path, scenario, flag):
+        config = f"{CONFIG_DIR}/{CONFIGS[scenario]}.json"
+        if scenario == "verify":  # a short run; the flag under test may override it
+            config = _write(tmp_path, "cfg.json", {"mc_samples": 200})
+        if flag == "--csv":
+            path = tmp_path / "rows.csv"
+            code, out, _ = _run(capsys, scenario, "--config", config, "--csv", str(path))
+            assert code == 0
+            assert len(path.read_text().splitlines()) == 1 + len(json.loads(out)["rows"])
+            return
+        code, out, _ = _run(capsys, scenario, "--config", config, flag, str(VALUES[flag]))
+        assert code == 0
+        doc = json.loads(out)
+        key = flag[2:].replace("-", "_")
+        if scenario != "verify":
+            assert doc["config"][key] == VALUES[flag]
+        elif flag == "--tol":
+            assert 0.5 in {c["tolerance"] for c in doc["checks"]}
+        else:
+            assert doc[key] == VALUES[flag]
+
+
 class TestChannelFiles:
     def test_pauli_p_channel_eb(self, capsys, tmp_path):
         chan = _write(tmp_path, "chan.json", {"pauli_p": [0.4, 0.2, 0.2, 0.2]})

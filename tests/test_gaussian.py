@@ -9,7 +9,6 @@ from twirlbreak.gaussian import (
     CovarianceMatrix,
     QuasiNormalParams,
     TruncatedFockState,
-    apply_rotations,
     dephase_truncated,
     epr_cm,
     is_separable_two_mode,
@@ -29,6 +28,14 @@ from twirlbreak.linalg import DensityOperator
 from twirlbreak.states import random_density, random_pure
 
 ANGLES = np.linspace(0, 2 * np.pi, 32, endpoint=False) + 0.123
+
+
+def rotate(m, theta_a, theta_b):
+    """S m S^T for S = R(theta_a) + R(theta_b) (direct sum), one angle pair."""
+    s = np.zeros((4, 4))
+    s[:2, :2] = rotation_matrix(theta_a)
+    s[2:, 2:] = rotation_matrix(theta_b)
+    return s @ m @ s.T
 
 
 def eig_symplectic_reference(m):
@@ -53,26 +60,21 @@ class TestRotationMatrix:
 
 class TestApplyRotations:
     def test_zero_angles(self):
-        cm = epr_cm(2.0)
-        assert np.array_equal(apply_rotations(cm, 0.0, 0.0).m, cm.m)
+        assert rotation_residual(epr_cm(2.0), [0.0], 1.0) == 0.0
 
     def test_epr_anticorrelated_invariance(self):
         for mu in (1.0, 1.5, 2.0, 5.0):
-            cm = epr_cm(mu)
-            for th in ANGLES:
-                assert np.max(np.abs(apply_rotations(cm, th, -th).m - cm.m)) < 1e-12
+            assert rotation_residual(epr_cm(mu), ANGLES, -1.0) < 1e-12
 
     def test_epr_correlated_changes(self):
-        cm = epr_cm(2.0)
-        rotated = apply_rotations(cm, 0.7, 0.7)
-        assert np.max(np.abs(rotated.m - cm.m)) > 0.1
+        assert rotation_residual(epr_cm(2.0), [0.7], 1.0) > 0.1
 
 
 class TestRotationResidual:
     def test_matches_per_angle_rotations(self):
         cm = quasi_normal_cm(QuasiNormalParams(2.0, 1.5, 0.4, 0.3))
         for sign in (1.0, -1.0):
-            want = max(np.max(np.abs(apply_rotations(cm, th, sign * th).m - cm.m)) for th in ANGLES)
+            want = max(np.max(np.abs(rotate(cm.m, th, sign * th) - cm.m)) for th in ANGLES)
             assert abs(rotation_residual(cm, ANGLES, sign) - want) < 1e-15
 
     def test_epr_fixed_only_by_anticorrelated_rotations(self):
@@ -186,8 +188,7 @@ class TestSeparability:
 class TestQuasiNormalCm:
     def test_correlated_invariance(self):
         cm = quasi_normal_cm(QuasiNormalParams(2.0, 1.5, 0.4, 0.3))
-        for th in ANGLES:
-            assert np.max(np.abs(apply_rotations(cm, th, th).m - cm.m)) < 1e-12
+        assert rotation_residual(cm, ANGLES, 1.0) < 1e-12
 
     def test_zero_coupling_is_thermal_product(self):
         cm = quasi_normal_cm(QuasiNormalParams(2.0, 3.0, 0.0, 0.0))
@@ -199,8 +200,8 @@ class TestQuasiNormalCm:
         gamma = np.sqrt(p.omega**2 + p.phi**2)
         # rotate mode B to diagonalize the coupling block
         phi_angle = np.arctan2(p.phi, p.omega)
-        rotated = apply_rotations(cm, 0.0, phi_angle)
-        assert np.allclose(rotated.m[:2, 2:], gamma * np.eye(2), atol=1e-12)
+        rotated = rotate(cm.m, 0.0, phi_angle)
+        assert np.allclose(rotated[:2, 2:], gamma * np.eye(2), atol=1e-12)
 
     def test_rejects_non_bona_fide(self):
         with pytest.raises(ValueError):
@@ -226,10 +227,7 @@ class TestSolveInvariantCm:
             fam = solve_invariant_cm(mode)
             for b in fam.basis:
                 for th in ANGLES:
-                    s = np.zeros((4, 4))
-                    s[:2, :2] = rotation_matrix(th)
-                    s[2:, 2:] = rotation_matrix(sign * th)
-                    assert np.max(np.abs(s @ b @ s.T - b)) < 1e-12
+                    assert np.max(np.abs(rotate(b, th, sign * th) - b)) < 1e-12
 
     def test_non_family_member_rejected(self):
         fam = solve_invariant_cm("correlated")
@@ -355,8 +353,7 @@ class TestCovarianceMatrixValidation:
 @given(st.floats(1.0, 10.0), st.floats(0.0, 2 * np.pi))
 @settings(max_examples=40, deadline=None)
 def test_epr_invariance_property(mu, theta):
-    cm = epr_cm(mu)
-    assert np.max(np.abs(apply_rotations(cm, theta, -theta).m - cm.m)) < 1e-11
+    assert rotation_residual(epr_cm(mu), [theta], -1.0) < 1e-11
 
 
 @given(

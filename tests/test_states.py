@@ -14,7 +14,6 @@ from twirlbreak.states import (
     max_entangled,
     random_density,
     singlet,
-    triplet,
     werner_multi,
     werner_multi_entangled,
     werner_qubit,
@@ -43,15 +42,14 @@ class TestSinglet:
 
 
 class TestTriplet:
-    def test_equals_max_entangled(self):
-        assert frobenius_distance(triplet().mat, max_entangled(2).mat) == 0.0
+    """(|00> + |11>)/sqrt(2), the d = 2 maximally entangled state."""
 
     def test_negativity(self):
-        assert abs(negativity(triplet()) - 0.5) < 1e-12
+        assert abs(negativity(max_entangled(2)) - 0.5) < 1e-12
 
     def test_uustar_invariance(self):
         s = HaarSampler(2, 2)
-        rho = triplet().mat
+        rho = max_entangled(2).mat
         for u in s.sample_batch(50):
             assert frobenius_distance(conj_pair(u, rho, star=True), rho) < 1e-12
 
