@@ -9,6 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    PSD_TOL,
     DensityOperator,
     as_unitary_stack,
     conjugate_sum,
@@ -17,6 +18,7 @@ from .linalg import (
     partial_trace_multi,
     partial_transpose_mat,
     permute_subsystems,
+    validate_density_stack,
 )
 from .states import max_entangled
 from .twirl import partial_twirl_exact_mat
@@ -141,17 +143,42 @@ def local_depolarizing(p: ProbabilityVector, side: str = "A") -> KrausChannel:
     """Pauli mixture applied to one qubit of a two-qubit system."""
     if len(p) != 4:
         raise ValueError("depolarizing channel needs 4 probabilities")
+    return KrausChannel(local_depolarizing_kraus(np.array([p.p]), side)[0])
+
+
+def local_depolarizing_kraus(probs, side: str = "A") -> np.ndarray:
+    """Kraus sets {sqrt(p_k) P_k x I} (side A) or {sqrt(p_k) I x P_k} (side B),
+    one per row of a (m, 4) array of Pauli probabilities: a (m, 4, 4, 4) stack."""
     eye = np.eye(2)
     if side == "A":
-        ops = tuple(np.sqrt(pk) * kron(pauli, eye) for pk, pauli in zip(p.p, PAULIS))
+        lifted = np.stack([kron(pauli, eye) for pauli in PAULIS])
     elif side == "B":
-        ops = tuple(np.sqrt(pk) * kron(eye, pauli) for pk, pauli in zip(p.p, PAULIS))
+        lifted = np.stack([kron(eye, pauli) for pauli in PAULIS])
     else:
         raise ValueError("side must be 'A' or 'B'")
-    return KrausChannel(ops)
+    return np.sqrt(np.asarray(probs, dtype=float))[:, :, None, None] * lifted
 
 
-def is_entanglement_breaking(ch: KrausChannel, tol: float = 1e-10):
+def choi_pt_spectra(operators) -> np.ndarray:
+    """Ascending partial-transpose spectra (m, d^2) of the Choi states of a
+    (m, K, d^2, d^2) stack of Kraus sets of E x I form (E on side A): each
+    channel applied to the maximally entangled state.  Every Choi state is
+    validated as a density matrix."""
+    ops = np.asarray(operators, dtype=complex)
+    d = int(round(np.sqrt(ops.shape[-1])))
+    if d * d != ops.shape[-1]:
+        raise ValueError("channel dimension is not a perfect square")
+    # each Kraus operator must equal K_A x I, rebuilt from its side-A block
+    side_a = ops.reshape(ops.shape[:2] + (d, d, d, d))[:, :, :, 0, :, 0]
+    lifted = np.einsum("mkac,bd->mkabcd", side_a, np.eye(d)).reshape(ops.shape)
+    if np.max(np.abs(ops - lifted), initial=0.0) > 1e-10:
+        raise ValueError("channel is not of the form E x I on side A")
+    phi = max_entangled(d).mat
+    choi = validate_density_stack(np.sum(ops @ phi @ ops.conj().swapaxes(-1, -2), axis=1))
+    return hermitian_eigenvalues(partial_transpose_mat(choi, d, d))
+
+
+def is_entanglement_breaking(ch: KrausChannel, tol: float = PSD_TOL):
     """Choi test: apply the channel (of E x I form, acting on side A of a
     d x d space) to the maximally entangled state and check PPT.
 
@@ -159,16 +186,7 @@ def is_entanglement_breaking(ch: KrausChannel, tol: float = 1e-10):
     decides entanglement breaking exactly; for d >= 3 it is only the
     necessary PPT/NPT statement.
     """
-    d = int(round(np.sqrt(ch.dim)))
-    if d * d != ch.dim:
-        raise ValueError("channel dimension is not a perfect square")
-    # each Kraus operator must equal K_A x I, rebuilt from its side-A block
-    side_a = ch.operators.reshape(-1, d, d, d, d)[:, :, 0, :, 0]
-    lifted = np.einsum("kac,bd->kabcd", side_a, np.eye(d)).reshape(ch.operators.shape)
-    if np.max(np.abs(ch.operators - lifted)) > 1e-10:
-        raise ValueError("channel is not of the form E x I on side A")
-    out = apply_kraus(ch, max_entangled(d))
-    spec = hermitian_eigenvalues(partial_transpose_mat(out.mat, d, d))
+    spec = choi_pt_spectra(ch.operators[None])[0]
     return bool(spec[0] >= -tol), spec
 
 

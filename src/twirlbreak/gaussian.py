@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, hermitian_eigenvalues, partial_transpose_mat
+from .linalg import DensityOperator, hermitian_eigenvalues, partial_transpose_mat, validate_density_stack
 
 BONA_FIDE_TOL = 1e-10
 
@@ -227,36 +227,81 @@ def truncated_tmsv(lam: float, n: int, tail_tol: float = 1e-3) -> TruncatedFockS
     return TruncatedFockState(DensityOperator(np.outer(vec, vec.conj()), n, n))
 
 
+def _dephase(mats: np.ndarray, n: int, side: str) -> np.ndarray:
+    """Zero every element with k != k' on the dephased side of each matrix of
+    a (m, n^2, n^2) stack."""
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+    same = np.eye(n, dtype=bool)  # k == k'
+    mask = same[:, None, :, None] if side == "A" else same[None, :, None, :]
+    return np.where(mask, mats.reshape(-1, n, n, n, n), 0.0).reshape(-1, n * n, n * n)
+
+
+def _min_pt_eigenvalues(mats: np.ndarray, n: int) -> np.ndarray:
+    """Least eigenvalue of the partial transpose of each matrix of a stack."""
+    return hermitian_eigenvalues(partial_transpose_mat(mats, n, n))[:, 0]
+
+
+def _decompose(pure: np.ndarray, n: int):
+    """Weights d_k (m, n) and unit kets xi(k) (m, n, n) of the dephased output
+    of each pure state of a stack, its state vector recovered by eigh; a
+    component of weight <= 1e-14 gets a zero ket."""
+    purity = np.einsum("mij,mji->m", pure, pure).real
+    if np.any(purity < 1.0 - 1e-10):
+        raise ValueError("input must be pure; spectrally decompose mixed states first")
+    c = np.linalg.eigh(pure)[1][:, :, -1].reshape(-1, n, n)
+    weights = np.sum(np.abs(c) ** 2, axis=2)
+    kept = weights > 1e-14
+    xi = np.divide(c, np.sqrt(weights)[:, :, None], out=np.zeros_like(c), where=kept[:, :, None])
+    return np.where(kept, weights, 0.0), xi
+
+
+def _separable_sum(weights: np.ndarray, kets_a: np.ndarray, kets_b: np.ndarray) -> np.ndarray:
+    """sum_c w_c |a_c><a_c| x |b_c><b_c| for each row of (m, C) weights and
+    (m, C, d_A), (m, C, d_B) kets: a (m, d_A d_B, d_A d_B) stack."""
+    m, c = weights.shape
+    v = (kets_a[:, :, :, None] * kets_b[:, :, None, :]).reshape(m, c, -1)  # |a_c> x |b_c>
+    return (v.swapaxes(1, 2) * weights[:, None, :]) @ v.conj()
+
+
+def dephasing_sweep(vectors, n: int):
+    """Uniform side-A dephasing of a (m, n^2) stack of unit two-mode state
+    vectors, cutoff n per mode.  Each input and each dephased output is
+    validated as a density matrix.  Returns, per state, the least eigenvalue
+    of the output's partial transpose and the largest entry error of the
+    output rebuilt from its separable decomposition (which recovers the
+    state vector from the density matrix)."""
+    v = np.asarray(vectors, dtype=complex)
+    pure = validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
+    dephased = validate_density_stack(_dephase(pure, n, "A"))
+    weights, xi = _decompose(pure, n)
+    kets = np.broadcast_to(np.eye(n), xi.shape)
+    rec = _separable_sum(weights, kets, xi)
+    return _min_pt_eigenvalues(dephased, n), np.max(np.abs(rec - dephased), axis=(1, 2))
+
+
 def dephase_truncated(state: TruncatedFockState, side: str = "A") -> TruncatedFockState:
     """Uniform phase-rotation average: zeroes every element with k != k' on
     the dephased side (the closed-form theta integral); trace preserving."""
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
     n = state.cutoff
-    same = np.eye(n, dtype=bool)  # k == k'
-    mask = same[:, None, :, None] if side == "A" else same[None, :, None, :]
-    t = np.where(mask, state.rho.mat.reshape(n, n, n, n), 0.0)
-    return TruncatedFockState(DensityOperator(t.reshape(n * n, n * n), n, n))
+    return TruncatedFockState(DensityOperator(_dephase(state.rho.mat[None], n, side)[0], n, n))
 
 
 def separable_decomposition_dephased(state: TruncatedFockState):
     """Explicit separable decomposition of the side-A dephased output of a
     pure input: components (d_k, |k>, |xi(k)>) with d_k = sum_j |c_kj|^2."""
-    rho = state.rho
-    purity = float(np.trace(rho.mat @ rho.mat).real)
-    if purity < 1.0 - 1e-10:
-        raise ValueError("input must be pure; spectrally decompose mixed states first")
-    c = np.linalg.eigh(rho.mat)[1][:, -1].reshape(state.cutoff, state.cutoff)
-    weights = np.sum(np.abs(c) ** 2, axis=1)
+    weights, xi = _decompose(state.rho.mat[None], state.cutoff)
     kets = np.eye(state.cutoff, dtype=complex)
-    return [(float(weights[k]), kets[k], c[k] / np.sqrt(weights[k])) for k in np.flatnonzero(weights > 1e-14)]
+    return [(float(weights[0, k]), kets[k], xi[0, k]) for k in np.flatnonzero(weights[0])]
 
 
 def reconstruct_decomposition(components, n: int) -> np.ndarray:
     """sum_k d_k |k><k| x |xi(k)><xi(k)|."""
-    return sum(dk * np.kron(np.outer(ket_k, ket_k.conj()), np.outer(xi, xi.conj())) for dk, ket_k, xi in components)
+    weights = np.array([dk for dk, _, _ in components], dtype=float).reshape(1, -1)
+    kets_a = np.array([ket for _, ket, _ in components], dtype=complex).reshape(1, -1, n)
+    kets_b = np.array([xi for _, _, xi in components], dtype=complex).reshape(1, -1, n)
+    return _separable_sum(weights, kets_a, kets_b)[0]
 
 
 def min_pt_eigenvalue(state: TruncatedFockState) -> float:
-    n = state.cutoff
-    return float(hermitian_eigenvalues(partial_transpose_mat(state.rho.mat, n, n))[0])
+    return float(_min_pt_eigenvalues(state.rho.mat[None], state.cutoff)[0])

@@ -35,12 +35,34 @@ def _as_complex(m) -> np.ndarray:
     return m
 
 
+def validate_density_stack(mats) -> np.ndarray:
+    """Check each matrix of a (m, D, D) stack is a density matrix: finite,
+    Hermitian, unit trace and positive semidefinite to the module-level
+    tolerances.  Returns the stack as complex; raises ValueError, with
+    DensityOperator's messages, if any member fails."""
+    m = np.asarray(mats, dtype=complex)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"expected a (m, D, D) stack, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN/Inf entries")
+    if len(m) == 0:
+        return m
+    if np.abs(m - m.conj().swapaxes(1, 2)).max() > HERMITICITY_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    tr = m.trace(axis1=1, axis2=2)
+    if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
+        raise ValueError("density matrix does not have unit trace")
+    if np.linalg.eigvalsh(m)[:, 0].min() < -PSD_TOL:
+        raise ValueError("density matrix is not positive semidefinite")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """A bipartite density matrix with dimension metadata.
 
-    Validation (Hermiticity, unit trace, positivity) runs on construction;
-    use the module-level tolerances.
+    Validation (validate_density_stack on a stack of one) runs on
+    construction.
     """
 
     mat: np.ndarray
@@ -48,7 +70,9 @@ class DensityOperator:
     dim_b: int
 
     def __post_init__(self):
-        m = _as_complex(self.mat)
+        m = np.asarray(self.mat, dtype=complex)
+        if m.ndim != 2:
+            raise ValueError(f"expected a matrix, got ndim={m.ndim}")
         object.__setattr__(self, "mat", m)
         d = self.dim_a * self.dim_b
         if self.dim_a < 1 or self.dim_b < 1:
@@ -57,12 +81,7 @@ class DensityOperator:
             raise ValueError(
                 f"matrix shape {m.shape} inconsistent with dims ({self.dim_a}, {self.dim_b})"
             )
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-            raise ValueError("density matrix does not have unit trace")
-        if np.linalg.eigvalsh(m)[0] < -PSD_TOL:
-            raise ValueError("density matrix is not positive semidefinite")
+        validate_density_stack(m[None])
 
     @property
     def dim(self) -> int:
@@ -195,15 +214,19 @@ def partial_trace_multi(mat: np.ndarray, dims, keep) -> np.ndarray:
 
 
 def partial_transpose_mat(mat: np.ndarray, dim_a: int, dim_b: int, side: str = "B") -> np.ndarray:
-    """Partial transposition of a bipartite matrix (default on subsystem B)."""
-    t = np.asarray(mat).reshape(dim_a, dim_b, dim_a, dim_b)
+    """Partial transposition of a bipartite matrix, or of each matrix of a
+    (..., D, D) stack (default on subsystem B)."""
+    mat = np.asarray(mat)
+    lead = mat.shape[:-2]
+    t = mat.reshape(lead + (dim_a, dim_b, dim_a, dim_b))
+    k = len(lead)
     if side == "B":
-        t = t.transpose(0, 3, 2, 1)
+        t = t.swapaxes(k + 1, k + 3)
     elif side == "A":
-        t = t.transpose(2, 1, 0, 3)
+        t = t.swapaxes(k, k + 2)
     else:
         raise ValueError("side must be 'A' or 'B'")
-    return t.reshape(dim_a * dim_b, dim_a * dim_b)
+    return t.reshape(lead + (dim_a * dim_b, dim_a * dim_b))
 
 
 def partial_transpose(rho: DensityOperator, side: str = "B") -> np.ndarray:
@@ -211,9 +234,14 @@ def partial_transpose(rho: DensityOperator, side: str = "B") -> np.ndarray:
 
 
 def hermitian_eigenvalues(m, tol: float = 1e-10) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.  Raises on non-Hermitian input."""
-    m = _as_complex(m)
-    if np.max(np.abs(m - m.conj().T)) > tol:
+    """Eigenvalues of a Hermitian matrix, ascending; of each matrix along the
+    last axis for a (..., D, D) stack.  Raises on non-Hermitian input."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN/Inf entries")
+    if m.size and np.abs(m - m.conj().swapaxes(-1, -2)).max() > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
     return np.linalg.eigvalsh(m)
 
@@ -231,7 +259,12 @@ def is_ppt(rho: DensityOperator, tol: float = PSD_TOL) -> bool:
 
 def negativity(rho: DensityOperator) -> float:
     """Sum of |negative eigenvalues| of the partial transpose."""
-    ev = hermitian_eigenvalues(partial_transpose(rho))
+    return negativity_from_spectrum(hermitian_eigenvalues(partial_transpose(rho)))
+
+
+def negativity_from_spectrum(spectrum) -> float:
+    """The negativity read off a partial-transpose spectrum already computed."""
+    ev = np.asarray(spectrum)
     return float(np.sum(np.abs(ev[ev < 0])))
 
 

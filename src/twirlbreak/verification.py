@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, gaussian, states, twirl
-from .linalg import frobenius_distance, negativity
+from .linalg import CONJUGATE_SUM_CACHE_BYTES, PSD_TOL, frobenius_distance, negativity
 
 
 @dataclass(frozen=True)
@@ -45,19 +45,25 @@ def _random_prob4(rng) -> channels.ProbabilityVector:
     return channels.ProbabilityVector(tuple(p))
 
 
+def _chunk_lengths(total: int, entries: int) -> list[int]:
+    """Split a sweep of `total` points, each holding `entries` complex numbers
+    in a stack, into consecutive chunks whose stacks fit in
+    CONJUGATE_SUM_CACHE_BYTES, so that memory does not grow with the sweep."""
+    step = max(1, CONJUGATE_SUM_CACHE_BYTES // (16 * entries))
+    return [min(step, total - s) for s in range(0, total, step)]
+
+
 # 1. EB threshold for local depolarizing channels
 def check_eb_threshold(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     verdicts_ok = True
-    for _ in range(200):
-        p = _random_prob4(rng)
-        ch = channels.local_depolarizing(p, "A")
-        ppt, spec = channels.is_entanglement_breaking(ch)
-        predicted = max(p.p) <= 0.5 + 1e-12
-        verdicts_ok &= ppt == predicted
-        expected = np.sort(0.5 - np.asarray(p.p))
-        worst = max(worst, float(np.max(np.abs(spec - expected))))
+    for m in _chunk_lengths(200, 4 * 4 * 4):
+        p = rng.dirichlet(np.ones(4), size=m)
+        spec = channels.choi_pt_spectra(channels.local_depolarizing_kraus(p, "A"))
+        predicted = np.max(p, axis=1) <= 0.5 + 1e-12
+        verdicts_ok &= bool(np.array_equal(spec[:, 0] >= -PSD_TOL, predicted))
+        worst = max(worst, float(np.max(np.abs(spec - np.sort(0.5 - p, axis=1)))))
     return [_result("eb-threshold", worst, 1e-10, cfg, verdicts_ok)]
 
 
@@ -226,13 +232,14 @@ def check_dephasing(cfg: VerifyConfig) -> list[CheckResult]:
     worst_pt = 0.0
     worst_rec = 0.0
     for n in (4, 6, 8):
-        for _ in range(100):
-            pure = gaussian.TruncatedFockState(states.random_pure(n, n, rng))
-            dephased = gaussian.dephase_truncated(pure, "A")
-            worst_pt = max(worst_pt, -gaussian.min_pt_eigenvalue(dephased))
-            comps = gaussian.separable_decomposition_dephased(pure)
-            rec = gaussian.reconstruct_decomposition(comps, n)
-            worst_rec = max(worst_rec, float(np.max(np.abs(rec - dephased.rho.mat))))
+        for m in _chunk_lengths(100, n**4):
+            # the draws of states.random_pure(n, n, rng), m at a time
+            z = rng.standard_normal((m, 2, n * n))
+            v = z[:, 0] + 1j * z[:, 1]
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            min_pt, rec_error = gaussian.dephasing_sweep(v, n)
+            worst_pt = max(worst_pt, float(np.max(-min_pt)))
+            worst_rec = max(worst_rec, float(np.max(rec_error)))
     return [
         _result("dephased-output-ppt", worst_pt, 1e-10, cfg),
         _result("dephased-separable-decomposition", worst_rec, 1e-12, cfg),

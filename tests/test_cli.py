@@ -349,6 +349,24 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "channel",
+        [{"kraus": []}, 7, {"pauli_p": 0.5}],
+        ids=["empty-kraus", "not-an-object", "scalar-pauli-p"],
+    )
+    def test_bad_channel_file_is_config_error(self, capsys, tmp_path, channel):
+        chan = _write(tmp_path, "chan.json", channel)
+        cfg = _write(tmp_path, "cfg.json", {"channel_file": chan})
+        code, _, err = _run(capsys, "eb-test", "--config", cfg)
+        assert code == 2
+        assert "config error" in err
+
+    def test_scalar_probability_vector(self, capsys, tmp_path):
+        cfg = _write(tmp_path, "cfg.json", {"p": 0.5, "gamma_grid": [0.5]})
+        code, _, err = _run(capsys, "pauli", "--config", cfg)
+        assert code == 2
+        assert "config error" in err
+
     def test_verify_failure_exit_one(self, capsys, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"tol": 1e-30})
         code, _, err = _run(capsys, "verify", "--config", cfg)

@@ -1,0 +1,214 @@
+"""The verify suite: its check list, and the stacked dephasing and EB-threshold
+sweeps against the per-point loops they replaced."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from twirlbreak import channels, gaussian, linalg, verification
+from twirlbreak.states import random_pure
+
+CHECK_NAMES = [
+    "eb-threshold",
+    *(
+        f"headline-{kind}(gamma={gamma})"
+        for gamma in (0.4, 0.6, 0.9)
+        for kind in ("single-neg", "double-invariance", "double-neg")
+    ),
+    "clifford-cardinality",
+    "clifford-partial-twirl-basis",
+    "clifford-span-IV",
+    *(
+        name
+        for d in (2, 3, 4)
+        for name in (
+            f"werner-exact-uu(d={d})",
+            f"isotropic-exact-uustar(d={d})",
+            f"werner-mc-uu(d={d})",
+            f"isotropic-mc-uustar(d={d})",
+            "single-transmission-product(d=2)" if d == 2 else f"single-transmission-product-mc(d={d})",
+        )
+    ),
+    "pt-conjugation-identity",
+    "partial-haar-exact(d=2)",
+    "partial-haar-mc(d=3)",
+    "epr-anticorrelated-invariance",
+    "epr-pt-symplectic-closed-form",
+    "correlated-family-dimension",
+    "correlated-family-membership",
+    "correlated-family-separable",
+    "dephased-output-ppt",
+    "dephased-separable-decomposition",
+    "pauli-env-classical",
+    "pauli-dilation-vs-kraus",
+    "twirl-env-classical",
+    "twirl-dilation-vs-kraus",
+]
+
+CUTOFFS = (4, 6, 8)
+POINTS = 100  # per cutoff
+CHANNELS = 200
+
+
+def test_check_names_and_order_are_pinned():
+    results = verification.run_all(verification.VerifyConfig())
+    assert len(CHECK_NAMES) == 42
+    assert [r.name for r in results] == CHECK_NAMES
+    for r in results:
+        assert r.passed == (r.residual <= r.tolerance), r.name
+
+
+# -- reference loops over the public per-object functions ----------------------
+
+def _dephasing_loop(seed):
+    """Per cutoff, the input states and, per point, the least PT eigenvalue
+    and the reconstruction error, one validated object at a time."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for n in CUTOFFS:
+        inputs, min_pt, rec_error = [], [], []
+        for _ in range(POINTS):
+            pure = gaussian.TruncatedFockState(random_pure(n, n, rng))
+            dephased = gaussian.dephase_truncated(pure, "A")
+            min_pt.append(gaussian.min_pt_eigenvalue(dephased))
+            comps = gaussian.separable_decomposition_dephased(pure)
+            rec = gaussian.reconstruct_decomposition(comps, n)
+            rec_error.append(float(np.max(np.abs(rec - dephased.rho.mat))))
+            inputs.append(pure.rho.mat)
+        out[n] = (np.array(inputs), np.array(min_pt), np.array(rec_error))
+    return out
+
+
+def _eb_loop(seed):
+    rng = np.random.default_rng(seed)
+    probs, verdicts, spectra = [], [], []
+    for _ in range(CHANNELS):
+        p = channels.ProbabilityVector(tuple(rng.dirichlet(np.ones(4))))
+        ppt, spec = channels.is_entanglement_breaking(channels.local_depolarizing(p, "A"))
+        probs.append(p.p)
+        verdicts.append(ppt)
+        spectra.append(spec)
+    return np.array(probs), np.array(verdicts), np.array(spectra)
+
+
+def _recorded(monkeypatch, module, name):
+    """Wrap module.name so that the arguments and result of every call are
+    kept, in order."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        out = original(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_dephasing_sweep_matches_per_point_loop(monkeypatch):
+    cfg = verification.VerifyConfig()
+    loop = _dephasing_loop(cfg.seed + 5)
+    calls = _recorded(monkeypatch, gaussian, "dephasing_sweep")
+    ppt, rec = verification.check_dephasing(cfg)
+    for n in CUTOFFS:
+        # the same states in the same order (the outputs are ~0 for any state)
+        v = np.concatenate([args[0] for args, _ in calls if args[1] == n])
+        assert np.max(np.abs(v[:, :, None] * v.conj()[:, None, :] - loop[n][0])) <= 1e-15
+        for i in (1, 2):
+            stacked = np.concatenate([out[i - 1] for args, out in calls if args[1] == n])
+            assert stacked.shape == loop[n][i].shape
+            assert np.max(np.abs(stacked - loop[n][i])) <= 1e-15
+    assert abs(ppt.residual - max(0.0, max(-np.min(loop[n][1]) for n in CUTOFFS))) <= 1e-15
+    assert abs(rec.residual - max(np.max(loop[n][2]) for n in CUTOFFS)) <= 1e-15
+
+
+def test_eb_sweep_matches_per_point_loop(monkeypatch):
+    cfg = verification.VerifyConfig()
+    probs, verdicts, spectra = _eb_loop(cfg.seed)
+    calls = _recorded(monkeypatch, channels, "choi_pt_spectra")
+    (result,) = verification.check_eb_threshold(cfg)
+    spec = np.concatenate([out for _, out in calls])
+    assert spec.shape == spectra.shape
+    assert np.max(np.abs(spec - spectra)) <= 1e-15
+    assert np.array_equal(spec[:, 0] >= -linalg.PSD_TOL, verdicts)
+    worst = np.max(np.abs(spectra - np.sort(0.5 - probs, axis=1)))
+    assert result.passed
+    assert abs(result.residual - worst) <= 1e-15
+    # the stacked draw is the loop's stream
+    p = np.random.default_rng(cfg.seed).dirichlet(np.ones(4), size=CHANNELS)
+    assert np.array_equal(p, probs)
+
+
+def _fixed_chunks(size):
+    def lengths(total, entries):
+        return [min(size, total - s) for s in range(0, total, size)]
+
+    return lengths
+
+
+def _sweep_outputs(monkeypatch, chunk_size):
+    cfg = verification.VerifyConfig()
+    with monkeypatch.context() as mp:
+        if chunk_size is not None:
+            mp.setattr(verification, "_chunk_lengths", _fixed_chunks(chunk_size))
+        dephasing = _recorded(mp, gaussian, "dephasing_sweep")
+        choi = _recorded(mp, channels, "choi_pt_spectra")
+        results = verification.check_eb_threshold(cfg) + verification.check_dephasing(cfg)
+    inputs = np.concatenate([np.abs(args[0]).ravel() for args, _ in dephasing])
+    per_point = [inputs] + [np.concatenate([out[i] for _, out in dephasing]) for i in (0, 1)]
+    return results, per_point, np.concatenate([out for _, out in choi])
+
+
+@pytest.mark.parametrize("chunk_size", [1, 3, 7])
+def test_sweeps_do_not_depend_on_chunk_size(monkeypatch, chunk_size):
+    results, per_point, spectra = _sweep_outputs(monkeypatch, None)
+    forced, forced_per_point, forced_spectra = _sweep_outputs(monkeypatch, chunk_size)
+    assert len(per_point[1]) == len(forced_per_point[1]) == len(CUTOFFS) * POINTS
+    assert len(spectra) == len(forced_spectra) == CHANNELS
+    for a, b in zip(per_point, forced_per_point):
+        assert np.max(np.abs(a - b)) <= 1e-15
+    assert np.max(np.abs(spectra - forced_spectra)) <= 1e-15
+    assert [r.name for r in results] == [r.name for r in forced]
+    assert [r.passed for r in results] == [r.passed for r in forced]
+    for r, f in zip(results, forced):
+        assert abs(r.residual - f.residual) <= 1e-15
+
+
+def _bad_members():
+    non_hermitian = np.eye(4, dtype=complex) / 4
+    non_hermitian[0, 1] = 0.1
+    wrong_trace = np.eye(4, dtype=complex)
+    not_psd = np.diag([1.5, -0.5, 0, 0]).astype(complex)
+    not_finite = np.eye(4, dtype=complex) / 4
+    not_finite[1, 1] = np.nan
+    return [non_hermitian, wrong_trace, not_psd, not_finite]
+
+
+@pytest.mark.parametrize("bad_index", range(4))
+def test_stacked_validator_rejects_one_bad_member(bad_index):
+    bad = _bad_members()[bad_index]
+    with pytest.raises(ValueError) as single:
+        linalg.DensityOperator(bad, 2, 2)
+    rng = np.random.default_rng(bad_index)
+    good = [random_pure(2, 2, rng).mat for _ in range(4)]
+    stack = np.stack(good[:2] + [bad] + good[2:])
+    assert np.array_equal(linalg.validate_density_stack(np.delete(stack, 2, axis=0)), np.stack(good))
+    with pytest.raises(ValueError) as stacked:
+        linalg.validate_density_stack(stack)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_dephasing_memory_is_bounded_by_chunk_budget():
+    # a chunk holds about seven (m, n^2, n^2) stacks at once (pure, dephased,
+    # partial transpose, eigenvectors, rebuilt, difference), each within the
+    # budget; an unchunked (100, 64, 64) stack alone takes 12.5 budgets
+    cfg = verification.VerifyConfig()
+    tracemalloc.start()
+    try:
+        verification.check_dephasing(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * linalg.CONJUGATE_SUM_CACHE_BYTES
