@@ -20,7 +20,7 @@ from .linalg import (
     permute_subsystems,
     validate_density_stack,
 )
-from .states import max_entangled
+from .states import max_entangled_mat
 from .twirl import partial_twirl_exact_mat
 
 COMPLETENESS_TOL = 1e-10
@@ -159,11 +159,10 @@ def local_depolarizing_kraus(probs, side: str = "A") -> np.ndarray:
     return np.sqrt(np.asarray(probs, dtype=float))[:, :, None, None] * lifted
 
 
-def choi_pt_spectra(operators) -> np.ndarray:
-    """Ascending partial-transpose spectra (m, d^2) of the Choi states of a
-    (m, K, d^2, d^2) stack of Kraus sets of E x I form (E on side A): each
-    channel applied to the maximally entangled state.  Every Choi state is
-    validated as a density matrix."""
+def choi_states(operators) -> np.ndarray:
+    """The Choi states (m, d^2, d^2) of a (m, K, d^2, d^2) stack of Kraus sets
+    of E x I form (E on side A): each channel applied to the maximally
+    entangled state.  Every Choi state is validated as a density matrix."""
     ops = np.asarray(operators, dtype=complex)
     d = int(round(np.sqrt(ops.shape[-1])))
     if d * d != ops.shape[-1]:
@@ -173,27 +172,44 @@ def choi_pt_spectra(operators) -> np.ndarray:
     lifted = np.einsum("mkac,bd->mkabcd", side_a, np.eye(d)).reshape(ops.shape)
     if np.max(np.abs(ops - lifted), initial=0.0) > 1e-10:
         raise ValueError("channel is not of the form E x I on side A")
-    phi = max_entangled(d).mat
-    choi = validate_density_stack(np.sum(ops @ phi @ ops.conj().swapaxes(-1, -2), axis=1))
+    phi = max_entangled_mat(d)
+    return validate_density_stack(np.sum(ops @ phi @ ops.conj().swapaxes(-1, -2), axis=1))
+
+
+def _pt_spectra(choi: np.ndarray) -> np.ndarray:
+    d = int(round(np.sqrt(choi.shape[-1])))
     return hermitian_eigenvalues(partial_transpose_mat(choi, d, d))
 
 
-def is_entanglement_breaking(ch: KrausChannel, tol: float = PSD_TOL):
+def choi_pt_spectra(operators) -> np.ndarray:
+    """Ascending partial-transpose spectra (m, d^2) of choi_states(operators)."""
+    return _pt_spectra(choi_states(operators))
+
+
+def choi_test(ch: KrausChannel, tol: float = PSD_TOL):
     """Choi test: apply the channel (of E x I form, acting on side A of a
     d x d space) to the maximally entangled state and check PPT.
 
-    Returns (ppt_verdict, witness_spectrum).  For d = 2 the PPT verdict
-    decides entanglement breaking exactly; for d >= 3 it is only the
+    Returns (choi_matrix, ppt_verdict, witness_spectrum).  For d = 2 the PPT
+    verdict decides entanglement breaking exactly; for d >= 3 it is only the
     necessary PPT/NPT statement.
     """
-    spec = choi_pt_spectra(ch.operators[None])[0]
-    return bool(spec[0] >= -tol), spec
+    choi = choi_states(ch.operators[None])[0]
+    spec = _pt_spectra(choi)
+    return choi, bool(spec[0] >= -tol), spec
 
 
-def is_product_form(rho: DensityOperator, tol: float = 1e-12) -> bool:
-    """Structural separability certificate: rho == I/d_A x Tr_A(rho)."""
-    target = partial_twirl_exact_mat(rho.mat, (rho.dim_a, rho.dim_b), "A")
-    return float(np.max(np.abs(rho.mat - target))) <= tol
+def is_entanglement_breaking(ch: KrausChannel, tol: float = PSD_TOL):
+    """(ppt_verdict, witness_spectrum) of choi_test(ch, tol)."""
+    _, ppt, spec = choi_test(ch, tol)
+    return ppt, spec
+
+
+def is_product_form(mat: np.ndarray, dims, tol: float = 1e-12) -> bool:
+    """Structural separability certificate: mat == I/d_A x Tr_A(mat) for a
+    state on a d_A x d_B space, dims = (d_A, d_B)."""
+    target = partial_twirl_exact_mat(mat, dims, "A")
+    return float(np.max(np.abs(mat - target))) <= tol
 
 
 def build_twirl_dilation(unitaries, probabilities=None, conjugate_second=False) -> DilatedChannel:

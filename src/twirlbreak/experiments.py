@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -79,11 +80,29 @@ def _probability_vector(cfg: ExperimentConfig) -> channels.ProbabilityVector:
         raise ConfigError(f"invalid probability vector: {exc}") from exc
 
 
+def _number(value, key: str, integer: bool = False, minimum: int | None = None):
+    """A config value as a float, or as an int when integer (then at least
+    minimum, if given).  Anything else, bools and strings included, and a
+    non-integral value for an integer key, is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
+    if not integer:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{key} is too large for a float") from None
+    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _grid(cfg: ExperimentConfig, key: str) -> list:
     g = cfg.require(key)
     if not isinstance(g, (list, tuple)) or not g:
         raise ConfigError(f"{key} must be a non-empty list")
-    return [float(x) for x in g]
+    return [_number(x, f"{key} entry") for x in g]
 
 
 def run_pauli_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -118,15 +137,13 @@ def run_pauli_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
-    d = int(cfg.require("d"))
-    if d < 2:
-        raise ConfigError("d must be >= 2")
+    d = _number(cfg.require("d"), "d", integer=True, minimum=2)
     mode = cfg.require("mode")
     if mode not in ("uu", "uustar"):
         raise ConfigError("mode must be 'uu' or 'uustar'")
     grid = _grid(cfg, "param_grid")
-    seed = int(cfg.get("seed", 20240611))
-    n_mc = int(cfg.get("mc_samples", 10_000))
+    seed = _number(cfg.get("seed", 20240611), "seed", integer=True, minimum=0)
+    n_mc = _number(cfg.get("mc_samples", 10_000), "mc_samples", integer=True, minimum=1)
     # one Haar stream per row, so a row does not depend on the rows before it
     streams = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []
@@ -177,8 +194,8 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     mus = _grid(cfg, "mu_grid")
-    cutoff = int(cfg.get("fock_cutoff", 8))
-    n_angles = int(cfg.get("n_angles", 32))
+    cutoff = _number(cfg.get("fock_cutoff", 8), "fock_cutoff", integer=True, minimum=1)
+    n_angles = _number(cfg.get("n_angles", 32), "n_angles", integer=True, minimum=1)
     angles = np.linspace(0, 2 * np.pi, n_angles, endpoint=False) + 0.123
     rows = []
     for mu in mus:
@@ -275,9 +292,9 @@ def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
     path = cfg.require("channel_file")
     ch = load_channel_file(path)
     d = int(round(np.sqrt(ch.dim)))
-    ppt, spec = channels.is_entanglement_breaking(ch)
-    out = channels.apply_kraus(ch, states.max_entangled(d))
-    product = channels.is_product_form(out)
+    # the PPT verdict and the product-form test read one Choi state
+    choi, ppt, spec = channels.choi_test(ch)
+    product = channels.is_product_form(choi, (d, d))
     if product:
         verdict = "EB (product form)"
     elif d == 2:
@@ -299,9 +316,9 @@ def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def run_verify(cfg: ExperimentConfig) -> dict:
     vcfg = verification.VerifyConfig(
-        seed=int(cfg.get("seed", 20240611)),
-        mc_samples=int(cfg.get("mc_samples", 10_000)),
-        tol_override=(float(cfg.params["tol"]) if "tol" in cfg.params else None),
+        seed=_number(cfg.get("seed", 20240611), "seed", integer=True, minimum=0),
+        mc_samples=_number(cfg.get("mc_samples", 10_000), "mc_samples", integer=True, minimum=1),
+        tol_override=(_number(cfg.params["tol"], "tol") if "tol" in cfg.params else None),
     )
     results = verification.run_all(vcfg)
     return {

@@ -122,8 +122,9 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
       one matrix product per chunk of terms; a chunk's weighted conjugates,
       their product and the running sum fit in that budget;
     - two-sided otherwise: per chunk of terms, the Kronecker products
-      K_k = sqrt(w_k) (A_k x B_k) are laid out once so that two matrix
-      products give Y_k = K_k op and then sum_k Y_k K_k^dag.  The products
+      K_k = sqrt(w_k) (A_k x B_k) are laid out once, with the term index
+      innermost, so that one batched product gives every Y_k = K_k op and a
+      second, single matrix product adds sum_k Y_k K_k^dag.  The products
       and Y each take CONJUGATE_SUM_CACHE_BYTES (or one term's D^2 entries,
       if more), in two buffers reused by every chunk.
     """
@@ -148,15 +149,17 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
     for s in range(0, k, step):
         chunk = slice(s, s + step)
         m = min(step, k - s)
-        # kt[i, j, n, i', j'] = sqrt(w_n) A_n[i, i'] B_n[j, j']: as a (D m, D)
-        # matrix it stacks the K_n vertically, as a (D, m D) one side by side
-        a_t = (root_w[chunk, None, None] * a[chunk]).transpose(1, 0, 2)
-        kt = kt_buf[: m * d * d].reshape(da, db, m, da, db)
-        np.multiply(a_t[:, None, :, :, None], b[chunk].transpose(1, 0, 2)[None, :, :, None, :], out=kt)
-        # y[(i, j, n), :] = (K_n op)[(i, j), :]: as (D, m D), the K_n op side by side
-        y = np.matmul(kt.reshape(d * m, d), op, out=y_buf[: m * d * d].reshape(d * m, d))
+        # kt[i, j, i', j', n] = sqrt(w_n) A_n[i, i'] B_n[j, j'], the term index
+        # innermost, so the broadcast multiply runs along the terms
+        a_t = np.ascontiguousarray((root_w[chunk, None, None] * a[chunk]).transpose(1, 2, 0))
+        b_t = np.ascontiguousarray(b[chunk].transpose(1, 2, 0))
+        kt = kt_buf[: m * d * d].reshape(da, db, da, db, m)
+        np.multiply(a_t[:, None, :, None, :], b_t[None, :, None, :, :], out=kt)
+        # y[r, c, n] = (K_n op)[r, c]: one (D, D) @ (D, m) product per row r
+        y = np.matmul(op.T, kt.reshape(d, d, m), out=y_buf[: m * d * d].reshape(d, d, m))
         np.conjugate(kt, out=kt)
-        out += y.reshape(d, m * d) @ kt.reshape(d, m * d).T
+        # out[r, t] = sum over (c, n) of y[r, c, n] conj(K_n[t, c])
+        out += y.reshape(d, d * m) @ kt.reshape(d, d * m).T
     return out
 
 

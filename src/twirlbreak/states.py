@@ -53,11 +53,18 @@ def singlet() -> DensityOperator:
 
 def max_entangled(d: int) -> DensityOperator:
     """Projector onto d^{-1/2} sum_k |k>|k>."""
+    return DensityOperator(max_entangled_mat(d), d, d)
+
+
+def max_entangled_mat(d: int) -> np.ndarray:
+    """The matrix of max_entangled(d), built without validation: its d^2
+    nonzero entries sit on the rows and columns (k, k)."""
     if d < 2:
         raise ValueError("d must be >= 2")
-    v = np.zeros(d * d, dtype=complex)
-    v[:: d + 1] = 1 / np.sqrt(d)
-    return DensityOperator(np.outer(v, v.conj()), d, d)
+    amp = 1 / np.sqrt(d)
+    m = np.zeros((d * d, d * d), dtype=complex)
+    m[:: d + 1, :: d + 1] = amp * amp
+    return m
 
 
 def werner_qubit(p: WernerParamQubit | float) -> DensityOperator:
@@ -89,7 +96,7 @@ def werner_multi(p: WernerParamMulti) -> DensityOperator:
 def isotropic(p: IsotropicParam) -> DensityOperator:
     """Isotropic state (1-gamma) I/d^2 + gamma |psi><psi|."""
     d, g = p.d, p.gamma
-    m = (1 - g) * np.eye(d * d) / (d * d) + g * max_entangled(d).mat
+    m = (1 - g) * np.eye(d * d) / (d * d) + g * max_entangled_mat(d)
     return DensityOperator(m, d, d)
 
 

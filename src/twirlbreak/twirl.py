@@ -8,6 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    CONJUGATE_SUM_CACHE_BYTES,
     DensityOperator,
     as_unitary_stack,
     conjugate_sum,
@@ -15,7 +16,7 @@ from .linalg import (
     partial_trace_multi,
     partial_transpose_mat,
 )
-from .states import flip_operator, max_entangled, random_density
+from .states import flip_operator, max_entangled_mat, random_density
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -100,7 +101,8 @@ def partial_twirl(rho: DensityOperator, side: str, uset: UnitarySet) -> DensityO
 def twirl_uu_exact_mat(op: np.ndarray, d: int) -> np.ndarray:
     v = flip_operator(d)
     t = np.trace(op)
-    f = np.trace(v @ op)
+    # Tr(V op) = sum_ij op[(i, j), (j, i)]
+    f = np.einsum("ijji->", np.reshape(op, (d, d, d, d)))
     # a*d^2 + b*d = t ; a*d + b*d^2 = f
     det = d * d * d * d - d * d
     a = (d * d * t - d * f) / det
@@ -109,9 +111,10 @@ def twirl_uu_exact_mat(op: np.ndarray, d: int) -> np.ndarray:
 
 
 def twirl_uustar_exact_mat(op: np.ndarray, d: int) -> np.ndarray:
-    psi = max_entangled(d).mat
+    psi = max_entangled_mat(d)
     t = np.trace(op)
-    q = np.trace(psi @ op)
+    # <psi|op|psi> = (1/d) sum_kl op[(k, k), (l, l)]
+    q = np.sum(np.asarray(op)[:: d + 1, :: d + 1]) / d
     # a*d^2 + b = t ; a + b = q
     a = (t - q) / (d * d - 1)
     b = q - a
@@ -150,10 +153,13 @@ class HaarSampler:
 
     Each sample is the Q factor of a complex Ginibre matrix Z = QR whose R
     has a positive real diagonal, which makes Q Haar-distributed.  Q comes
-    from column-by-column Gram-Schmidt, done twice (CGS2), in place on the
-    Gaussian draws.  The stream is defined batch-wise: sample() is
-    sample_batch(1), and sample_batch(3) then sample_batch(4) equals
-    sample_batch(7).  A fixed seed reproduces an identical sequence.
+    from column-by-column Gram-Schmidt, done twice (CGS2), on one copy of
+    the Gaussian draws laid out as q[col, row, sample]: every step is an
+    elementwise product or a sum over the rows, running along the samples.
+    The stream is defined batch-wise and every sample is computed in the
+    same order whatever the batch: sample() is sample_batch(1), and
+    sample_batch(3) then sample_batch(4) equals sample_batch(7) bit for
+    bit.  A fixed seed reproduces an identical sequence.
     """
 
     seed: int | np.random.SeedSequence
@@ -166,44 +172,56 @@ class HaarSampler:
     def sample_batch(self, n: int) -> np.ndarray:
         # interleaved (re, im) draws keep the stream independent of the batch
         # split; the Ginibre scale 1/sqrt(2) drops out of Q
-        q = self._rng.standard_normal((n, self.d, self.d, 2)).view(complex)[..., 0]
+        z = self._rng.standard_normal((n, self.d, self.d, 2)).view(complex)[..., 0]
+        q = np.ascontiguousarray(z.transpose(2, 1, 0))
         for j in range(self.d):
-            v, prev = q[:, :, j : j + 1], q[:, :, :j]
+            v, prev = q[j], q[:j]
             # a second pass removes what rounding left of the first projection
-            for _ in range(2):
-                # prev^dag v, formed as (v^dag prev)^dag so only v is conjugated
-                v -= prev @ (v.mT.conj() @ prev).mT.conj()
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return q
+            for _ in range(2 if j else 0):
+                v -= np.sum(prev * _row_sum(prev.conj() * v)[:, None, :], axis=0)
+            v /= np.sqrt(_row_sum(v.real**2 + v.imag**2))
+        return q.transpose(2, 1, 0)
 
     def sample(self) -> np.ndarray:
         return self.sample_batch(1)[0]
 
 
+def _row_sum(p: np.ndarray) -> np.ndarray:
+    """Sum over the row axis (-2) of a [..., row, sample] array, one row at a
+    time: np.sum would switch to pairwise summation for a single sample."""
+    total = p[..., 0, :].copy()
+    for r in range(1, p.shape[-2]):
+        total += p[..., r, :]
+    return total
+
+
 def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -> np.ndarray:
     """Empirical twirl of a raw operator over n Haar samples.
 
-    Samples are pre-generated serially from the seeded sampler, so results
-    do not depend on how the averaging is scheduled.  The U x U* twirl is
-    taken as PT o (U x U twirl) o PT, so no conjugate copy of the samples
-    is made.
+    The samples are drawn and summed in chunks of CONJUGATE_SUM_CACHE_BYTES,
+    so memory does not grow with n; the sampler's stream does not depend on
+    the batch split, so neither do the samples.  The U x U* twirl is taken
+    as PT o (U x U twirl) o PT, so no conjugate copy of the samples is made.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    da, db = dims
-    us = s.sample_batch(n)
-    if mode == "uu":
-        a, b = us, us
-    elif mode == "uustar":
-        inner = conjugate_sum(partial_transpose_mat(op, da, db), us, us, 1.0 / n)
-        return partial_transpose_mat(inner, da, db)
-    elif mode == "partial-A":
-        a, b = us, np.eye(db)[None]
-    elif mode == "partial-B":
-        a, b = np.eye(da)[None], us
-    else:
+    if mode not in ("uu", "uustar", "partial-A", "partial-B"):
         raise ValueError(f"unknown mode {mode!r}")
-    return conjugate_sum(op, a, b, 1.0 / n)
+    da, db = dims
+    if mode == "uustar":
+        op = partial_transpose_mat(op, da, db)
+    step = max(1, CONJUGATE_SUM_CACHE_BYTES // (16 * s.d * s.d))
+    out = np.zeros((da * db, da * db), dtype=complex)
+    for start in range(0, n, step):
+        us = s.sample_batch(min(step, n - start))
+        if mode == "partial-A":
+            a, b = us, np.eye(db)[None]
+        elif mode == "partial-B":
+            a, b = np.eye(da)[None], us
+        else:
+            a, b = us, us
+        out += conjugate_sum(op, a, b, 1.0 / n)
+    return partial_transpose_mat(out, da, db) if mode == "uustar" else out
 
 
 def mc_twirl(rho: DensityOperator, mode: str, n: int, s: HaarSampler) -> DensityOperator:

@@ -1,14 +1,23 @@
 """The benchmark's per-layer metrics name public callables of twirlbreak; the
-benchmark's tracer finds no value for a metric whose callable has gone.
-This catches a rename or removal without running the benchmark itself."""
+benchmark's tracer finds no value for a metric whose callable has gone, and
+its argument counters read parameters by name.  This catches a rename or
+removal without running the benchmark itself."""
 
 import importlib
+import importlib.util
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
-SPEC = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+# the parameters that perfbench/tracer.py's ARG_COUNTERS read, by span name
+COUNTER_ARGUMENTS = {
+    "twirl.mc_twirl_operator": ("n", "dims"),
+    "twirl.HaarSampler.sample_batch": ("n",),
+}
 METRIC_SUFFIXES = (".calls", ".s", ".self_s", ".peak_mb", ".bytes_computed", ".samples", ".accepted_ratio")
 
 
@@ -23,13 +32,33 @@ def _traced_paths():
     return sorted(paths)
 
 
-@pytest.mark.parametrize("path", _traced_paths())
-def test_traced_name_is_public_callable(path):
+def _resolve(path):
     module, *attrs = path.split(".")
     obj = importlib.import_module(f"twirlbreak.{module}")
     for attr in attrs:
-        assert not attr.startswith("_"), f"{path} is private"
         obj = getattr(obj, attr)
+    return obj
+
+
+@pytest.mark.parametrize("path", _traced_paths())
+def test_traced_name_is_public_callable(path):
+    module, *attrs = path.split(".")
+    assert not any(attr.startswith("_") for attr in attrs), f"{path} is private"
+    obj = _resolve(path)
     assert callable(obj)
     # the tracer wraps a callable under the module that defines it
     assert obj.__module__ == f"twirlbreak.{module}"
+
+
+def test_counter_arguments_cover_the_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert set(tracer.ARG_COUNTERS) == set(COUNTER_ARGUMENTS)
+
+
+@pytest.mark.parametrize("path", sorted(COUNTER_ARGUMENTS))
+def test_counter_arguments_are_parameters(path):
+    params = inspect.signature(_resolve(path)).parameters
+    for name in COUNTER_ARGUMENTS[path]:
+        assert name in params, f"{path} has no parameter {name!r}"

@@ -109,12 +109,12 @@ class TestLocalDepolarizing:
             out = apply_kraus(ch, rho)
             marginal = partial_trace_multi(rho.mat, [2, 2], keep=[1])
             assert frobenius_distance(out.mat, kron(np.eye(2) / 2, marginal)) < 1e-12
-            assert is_product_form(out)
+            assert is_product_form(out.mat, (2, 2))
 
     def test_partial_depolarizing_not_product_form(self):
         # a non-uniform Pauli mixture keeps correlations between the sides
         out = apply_kraus(local_depolarizing(EB_BOUNDARY, "A"), werner_qubit(0.9))
-        assert not is_product_form(out)
+        assert not is_product_form(out.mat, (2, 2))
 
     def test_side_b(self):
         ch = local_depolarizing(UNIFORM, "B")

@@ -367,6 +367,43 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "scenario, payload",
+        [
+            ("pauli", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": ["x"]}),
+            ("qudit-twirl", {"d": "x", "mode": "uu", "param_grid": [0.5]}),
+            ("qudit-twirl", {"d": 3.7, "mode": "uu", "param_grid": [0.5]}),
+            ("qudit-twirl", {"d": True, "mode": "uu", "param_grid": [0.5]}),
+            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [None]}),
+            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "seed": "x"}),
+            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "seed": -1}),
+            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "mc_samples": 0}),
+            ("bosonic", {"mu_grid": [1.0], "fock_cutoff": "x"}),
+            ("bosonic", {"mu_grid": [1.0], "n_angles": 2.5}),
+            ("verify", {"tol": "x"}),
+            ("verify", {"tol": 10**400}),
+            ("verify", {"seed": 1.5}),
+            ("verify", {"mc_samples": False}),
+        ],
+        ids=[
+            "grid-entry", "d-string", "d-non-integral", "d-bool", "grid-null", "seed-string",
+            "seed-negative", "mc-samples-zero", "fock-cutoff-string", "n-angles-non-integral",
+            "tol-string", "tol-too-large", "verify-seed-non-integral", "mc-samples-bool",
+        ],
+    )
+    def test_wrong_value_type_is_config_error(self, capsys, tmp_path, scenario, payload):
+        cfg = _write(tmp_path, "cfg.json", payload)
+        code, out, err = _run(capsys, scenario, "--config", cfg)
+        assert code == 2
+        assert "config error" in err
+        assert out == ""
+
+    def test_integral_float_is_an_integer(self, capsys, tmp_path):
+        cfg = _write(tmp_path, "cfg.json", {"d": 2.0, "mode": "uu", "param_grid": [0.5], "mc_samples": 100})
+        code, out, _ = _run(capsys, "qudit-twirl", "--config", cfg)
+        assert code == 0
+        assert json.loads(out)["rows"][0]["params"]["d"] == 2
+
     def test_verify_failure_exit_one(self, capsys, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"tol": 1e-30})
         code, _, err = _run(capsys, "verify", "--config", cfg)

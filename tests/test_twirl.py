@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twirlbreak import linalg
+from twirlbreak import linalg, twirl
 from twirlbreak.channels import PAULIS
 from twirlbreak.linalg import frobenius_distance, kron, partial_trace_multi
 from twirlbreak.states import (
@@ -178,6 +178,14 @@ class TestHaarSampler:
         split = np.concatenate([s.sample_batch(3), s.sample_batch(4)])
         assert np.array_equal(split, HaarSampler(26, 3).sample_batch(7))
 
+    @pytest.mark.parametrize("d", [4, 8])
+    def test_batch_split_single_samples(self, d):
+        # a batch of one sample runs its row sums in the same order as a
+        # larger batch, so the stream stays bitwise identical
+        s = HaarSampler(27, d)
+        split = np.concatenate([s.sample()[None], s.sample_batch(5), s.sample()[None]])
+        assert np.array_equal(split, HaarSampler(27, d).sample_batch(7))
+
     def test_second_moment(self):
         # Haar average of U |0><0| U^dag approaches I/2
         n = 100_000
@@ -244,14 +252,13 @@ class TestMCTwirl:
         assert dists[0] > dists[1] > dists[2]
 
     def test_peak_memory_flat_in_n(self):
-        # the Kronecker products (two-sided, "uu") and the superoperator terms
-        # (one-sided, "partial-A") are taken in chunks of bounded size, and
-        # the sampler works in place, so only the O(n d^2) stack of samples
+        # the samples are drawn and summed in chunks of bounded size, the
+        # two-sided route holds two cache-sized buffers and the one-sided
+        # route a d^4-entry superoperator, so nothing, the samples included,
         # grows with n
         d = 8
         rho = random_density(d, d, np.random.default_rng(23))
-        sample_stack_growth = (4000 - 1000) * d * d * 16
-        for mode in ("partial-A", "uu"):
+        for mode in ("uu", "uustar", "partial-A", "partial-B"):
             peaks = {}
             for n in (1000, 4000):
                 tracemalloc.start()
@@ -260,13 +267,33 @@ class TestMCTwirl:
                     peaks[n] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert peaks[4000] - peaks[1000] < 4 * sample_stack_growth, mode
+            assert peaks[4000] - peaks[1000] < linalg.CONJUGATE_SUM_CACHE_BYTES, mode
+
+    @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A", "partial-B"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_streamed_matches_one_shot(self, monkeypatch, mode, d):
+        # a budget of 7 samples a chunk splits n = 50 into 7 full chunks and
+        # one of a single sample
+        n = 50
+        op = random_density(d, d, np.random.default_rng(29)).mat
+        us = HaarSampler(30, d).sample_batch(n)
+        eye = np.eye(d)[None]
+        a, b = {"uu": (us, us), "uustar": (us, us.conj()), "partial-A": (us, eye), "partial-B": (eye, us)}[mode]
+        want = linalg.conjugate_sum(op, a, b, 1.0 / n)
+        monkeypatch.setattr(twirl, "CONJUGATE_SUM_CACHE_BYTES", 7 * 16 * d * d)
+        sampler, drawn = HaarSampler(30, d), []
+        draw = sampler.sample_batch
+        monkeypatch.setattr(sampler, "sample_batch", lambda m: drawn.append(m) or draw(m))
+        got = mc_twirl_operator(op, mode, n, sampler, (d, d))
+        assert drawn == [7] * 7 + [1]
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_two_sided_working_set(self):
         # the two-sided route holds two cache-sized buffers, not chunks of
         # Kronecker products that scale with a large memory budget, and
-        # "uustar" makes no conjugate copy of the samples: apart from the one
-        # sample stack the peak stays within a few CONJUGATE_SUM_CACHE_BYTES
+        # "uustar" makes no conjugate copy of the samples: apart from room for
+        # one n-sample stack the peak stays within a few
+        # CONJUGATE_SUM_CACHE_BYTES
         d, n = 8, 1000
         rho = random_density(d, d, np.random.default_rng(25))
         for mode in ("uu", "uustar"):
