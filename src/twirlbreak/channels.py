@@ -40,6 +40,8 @@ class ProbabilityVector:
     def __post_init__(self):
         p = tuple(float(x) for x in self.p)
         object.__setattr__(self, "p", p)
+        if not np.isfinite(p).all():
+            raise ValueError("probabilities must be finite")
         if any(x < 0 for x in p):
             raise ValueError("probabilities must be nonnegative")
         if abs(sum(p) - 1.0) > 1e-12:

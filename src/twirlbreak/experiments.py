@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import sys
 from dataclasses import dataclass, field
@@ -81,18 +82,22 @@ def _probability_vector(cfg: ExperimentConfig) -> channels.ProbabilityVector:
 
 
 def _number(value, key: str, integer: bool = False, minimum: int | None = None):
-    """A config value as a float, or as an int when integer (then at least
-    minimum, if given).  Anything else, bools and strings included, and a
-    non-integral value for an integer key, is a ConfigError."""
+    """A finite config value as a float, or as an int when integer (then at
+    least minimum, if given).  Anything else, bools, strings, NaN and +-inf
+    included, and a non-integral value for an integer key, is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be {'an integer' if integer else 'a number'}, got {value!r}")
-    if not integer:
+    if not integer or not isinstance(value, numbers.Integral):
         try:
-            return float(value)
+            number = float(value)
         except OverflowError:
             raise ConfigError(f"{key} is too large for a float") from None
-    if not isinstance(value, numbers.Integral) and not float(value).is_integer():
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if not math.isfinite(number):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+        if not integer:
+            return number
+        if not number.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{key} must be >= {minimum}, got {value!r}")
     return int(value)
@@ -315,10 +320,13 @@ def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_verify(cfg: ExperimentConfig) -> dict:
+    tol = _number(cfg.params["tol"], "tol") if "tol" in cfg.params else None
+    if tol is not None and tol <= 0:
+        raise ConfigError(f"tol must be > 0, got {tol!r}")
     vcfg = verification.VerifyConfig(
         seed=_number(cfg.get("seed", 20240611), "seed", integer=True, minimum=0),
         mc_samples=_number(cfg.get("mc_samples", 10_000), "mc_samples", integer=True, minimum=1),
-        tol_override=(_number(cfg.params["tol"], "tol") if "tol" in cfg.params else None),
+        tol_override=tol,
     )
     results = verification.run_all(vcfg)
     return {
@@ -341,6 +349,8 @@ def _fmt_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise ValueError(f"cannot serialize the non-finite number {v!r}: JSON has none")
         # 17 significant digits round-trips IEEE doubles
         return format(float(v), ".17g")
     if isinstance(v, str):

@@ -7,11 +7,15 @@ transposition acts on subsystem B by default (j <-> l swap).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 HERMITICITY_TOL = 1e-12
+# the looser Hermiticity gate of hermitian_eigenvalues, for operators that
+# need not be states (partial transposes and the like)
+SPECTRUM_HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 UNITARITY_TOL = 1e-10
@@ -43,18 +47,75 @@ def validate_density_stack(mats) -> np.ndarray:
     m = np.asarray(mats, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected a (m, D, D) stack, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN/Inf entries")
     if len(m) == 0:
         return m
-    if np.abs(m - m.conj().swapaxes(1, 2)).max() > HERMITICITY_TOL:
+    spectra, residual = _block_spectra(m)
+    if residual > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
     tr = m.trace(axis1=1, axis2=2)
     if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
         raise ValueError("density matrix does not have unit trace")
-    if np.linalg.eigvalsh(m)[:, 0].min() < -PSD_TOL:
+    if spectra[:, 0].min() < -PSD_TOL:
         raise ValueError("density matrix is not positive semidefinite")
     return m
+
+
+def _block_spectra(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending spectra (m, D) and Hermiticity residual max|M - M^dag| of a
+    complex (m, D, D) stack; raises ValueError if it is not finite.
+
+    Both are computed per connected component of the stack's nonzero pattern
+    (the entries nonzero in any member, made symmetric): every entry outside
+    the components is zero in both triangles, so the stack is a direct sum of
+    its component blocks up to one permutation of the indices.  Blocks of one
+    size are solved in one batched eigvalsh; a single component is the
+    eigvalsh of the stack itself."""
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN/Inf entries")
+    if m.size == 0:
+        return np.linalg.eigvalsh(m), 0.0
+    pattern = (m != 0).any(axis=0)
+    pattern |= pattern.T
+    groups = _components_by_size(pattern)
+    if m.shape[1] in groups:
+        return np.linalg.eigvalsh(m), float(np.abs(m - m.conj().swapaxes(1, 2)).max())
+    spectra = np.empty(m.shape[:2])
+    residual, filled = 0.0, 0
+    for idx in groups.values():
+        blocks = m[:, idx[:, :, None], idx[:, None, :]]
+        residual = max(residual, np.abs(blocks - blocks.conj().swapaxes(2, 3)).max())
+        spectra[:, filled : filled + idx.size] = np.linalg.eigvalsh(blocks).reshape(len(m), -1)
+        filled += idx.size
+    spectra.sort(axis=1)
+    return spectra, float(residual)
+
+
+def _components_by_size(pattern: np.ndarray) -> dict:
+    """The connected components of a symmetric boolean (D, D) pattern, found by
+    a breadth-first search that reads one row per member: {size: (c, size)
+    array of the components' ascending indices}.  A full pattern is one
+    component without a search."""
+    if pattern.all():
+        return {len(pattern): np.arange(len(pattern))[None]}
+    linked = np.count_nonzero(pattern, axis=1) > pattern.diagonal()  # rows with an off-diagonal entry
+    unseen = linked.copy()
+    comps = {}
+    for start in np.flatnonzero(linked).tolist():
+        if not unseen[start]:
+            continue
+        unseen[start] = False
+        comp = [start]
+        for i in comp:  # grows while it is read
+            new = np.flatnonzero(pattern[i] & unseen)
+            unseen[new] = False
+            comp.extend(new.tolist())
+        comp.sort()
+        comps.setdefault(len(comp), []).append(comp)
+    groups = {size: np.array(c) for size, c in comps.items()}
+    singles = np.flatnonzero(~linked)
+    if len(singles):
+        groups[1] = singles[:, None]
+    return groups
 
 
 @dataclass(frozen=True)
@@ -236,17 +297,17 @@ def partial_transpose(rho: DensityOperator, side: str = "B") -> np.ndarray:
     return partial_transpose_mat(rho.mat, rho.dim_a, rho.dim_b, side=side)
 
 
-def hermitian_eigenvalues(m, tol: float = 1e-10) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending; of each matrix along the
-    last axis for a (..., D, D) stack.  Raises on non-Hermitian input."""
+    last axis for a (..., D, D) stack.  Raises on input that is not Hermitian
+    within SPECTRUM_HERMITICITY_TOL."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN/Inf entries")
-    if m.size and np.abs(m - m.conj().swapaxes(-1, -2)).max() > tol:
+    spectra, residual = _block_spectra(m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:]))
+    if residual > SPECTRUM_HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return np.linalg.eigvalsh(m)
+    return spectra.reshape(m.shape[:-1])
 
 
 def is_ppt(rho: DensityOperator, tol: float = PSD_TOL) -> bool:

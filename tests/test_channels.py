@@ -43,6 +43,12 @@ class TestProbabilityVector:
         with pytest.raises(ValueError):
             ProbabilityVector((0.5, 0.5, 0.5, 0.5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, bad):
+        # a NaN entry makes the sum test compare NaN, which is never > tol
+        with pytest.raises(ValueError, match="finite"):
+            ProbabilityVector((bad, 0.5, 0.25, 0.25))
+
 
 class TestKrausChannel:
     def test_completeness_enforced(self):

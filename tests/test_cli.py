@@ -2,17 +2,24 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twirlbreak
 from twirlbreak import gaussian, twirl
 from twirlbreak.cli import main
+from twirlbreak.experiments import dumps_document
 from twirlbreak.linalg import DensityOperator, frobenius_distance, negativity
 from twirlbreak.states import IsotropicParam, WernerParamMulti, isotropic, werner_multi
 from twirlbreak.twirl import HaarSampler, mc_twirl
 
 CONFIG_DIR = "configs"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, *argv):
@@ -62,6 +69,24 @@ class TestScenarios:
             # cutoff grows with squeezing so the truncation tail stays small
             assert r["params"]["fock_cutoff"] >= 8
         assert mu_rows[-1]["params"]["fock_cutoff"] > 8
+
+    def test_bosonic_scenario_does_not_import_numpy_ma(self):
+        # numpy.ma (pulled in lazily by np.unique, among others) costs about
+        # 1 MiB of resident memory that the scenario has no use for
+        code = (
+            "import contextlib, io, sys\n"
+            "from twirlbreak.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['bosonic', '--config', 'configs/bosonic.json']) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(twirlbreak.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_bosonic_rows_match_closed_forms(self, capsys):
         code, out, _ = _run(capsys, "bosonic", "--config", f"{CONFIG_DIR}/bosonic.json")
@@ -120,6 +145,11 @@ class TestScenarios:
 
 
 class TestOutputs:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -np.inf])
+    def test_document_rejects_non_finite_number(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            dumps_document({"tolerance": bad})
+
     def test_out_file_deterministic(self, capsys, tmp_path):
         a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         for path in (a, b):
@@ -394,6 +424,28 @@ class TestExitCodes:
     def test_wrong_value_type_is_config_error(self, capsys, tmp_path, scenario, payload):
         cfg = _write(tmp_path, "cfg.json", payload)
         code, out, err = _run(capsys, scenario, "--config", cfg)
+        assert code == 2
+        assert "config error" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "scenario, payload, flags",
+        [
+            ("verify", {}, ["--tol", "inf"]),
+            ("verify", {}, ["--tol", "nan"]),
+            ("verify", {}, ["--tol", "-1"]),
+            ("bosonic", {"mu_grid": [float("nan")]}, []),
+            ("pauli", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": [float("nan")]}, []),
+            ("pauli", {"p": [float("nan"), 0.5, 0.25, 0.25], "gamma_grid": [0.5]}, []),
+        ],
+        ids=["tol-inf", "tol-nan", "tol-negative", "mu-grid-nan", "gamma-grid-nan", "p-nan"],
+    )
+    def test_non_finite_or_nonpositive_value_is_config_error(
+        self, capsys, tmp_path, scenario, payload, flags
+    ):
+        # json.dumps writes NaN as the non-standard literal json.load reads back
+        cfg = _write(tmp_path, "cfg.json", payload)
+        code, out, err = _run(capsys, scenario, "--config", cfg, *flags)
         assert code == 2
         assert "config error" in err
         assert out == ""

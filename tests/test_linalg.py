@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from twirlbreak.linalg import (
     partial_trace_multi,
     partial_transpose,
 )
-from twirlbreak.states import max_entangled, random_density, singlet
+from twirlbreak.states import max_entangled, max_entangled_mat, random_density, singlet
 from twirlbreak.twirl import HaarSampler
 
 I2 = np.eye(2)
@@ -285,3 +287,93 @@ class TestConjugateSum:
     def test_rejects_inconsistent_input(self, op, a, b, w):
         with pytest.raises(ValueError):
             conjugate_sum(op, a, b, w)
+
+
+class TestBlockSpectra:
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_solve(self, sizes, m, seed):
+        # a stack of m random Hermitian matrices, block diagonal with the given
+        # block sizes under one random permutation; one block is a dense matrix
+        rng = np.random.default_rng(seed)
+        d = sum(sizes)
+        stack = np.zeros((m, d, d), dtype=complex)
+        start = 0
+        for s in sizes:
+            g = rng.standard_normal((m, s, s)) + 1j * rng.standard_normal((m, s, s))
+            stack[:, start : start + s, start : start + s] = g + g.conj().swapaxes(1, 2)
+            start += s
+        perm = rng.permutation(d)
+        stack = stack[:, perm][:, :, perm]
+        spectra, residual = linalg._block_spectra(stack)
+        norm = np.linalg.norm(stack, 2, axis=(1, 2)).max()
+        assert np.abs(spectra - np.linalg.eigvalsh(stack)).max() <= 1e-12 * norm
+        assert residual == 0.0
+        # the residual inside the blocks is the dense max|M - M^dag|
+        skewed = stack + rng.standard_normal((m, d, d)) * (stack != 0)
+        _, residual = linalg._block_spectra(skewed)
+        assert residual == np.abs(skewed - skewed.conj().swapaxes(1, 2)).max()
+
+    def test_members_are_solved_on_the_union_pattern(self):
+        # member 0 links indices 0-1, member 1 links 1-2: neither pattern alone
+        # holds the block {0, 1, 2} that the stack's spectra need
+        stack = np.zeros((2, 6, 6), dtype=complex)
+        stack[:, range(6), range(6)] = np.arange(1, 7)
+        stack[0, 0, 1] = stack[0, 1, 0] = 0.5
+        stack[1, 1, 2], stack[1, 2, 1] = -0.5j, 0.5j
+        pattern = (stack != 0).any(axis=0)
+        groups = linalg._components_by_size(pattern)
+        assert np.array_equal(groups[3], [[0, 1, 2]])
+        assert np.array_equal(groups[1], [[3], [4], [5]])
+        want = np.linalg.eigvalsh(stack)
+        assert np.abs(hermitian_eigenvalues(stack) - want).max() < 1e-14
+
+    @pytest.mark.parametrize("entry", [(0, 4), (4, 0)])
+    def test_one_sided_link_between_blocks_is_not_hermitian(self, entry):
+        # two separate 3x3 blocks of a state and one entry in one triangle
+        # linking them; the pattern read from rows 0 on misses (4, 0) unless
+        # it is made symmetric
+        rng = np.random.default_rng(3)
+        rho = np.zeros((6, 6), dtype=complex)
+        rho[:3, :3] = random_density(1, 3, rng).mat / 2
+        rho[3:, 3:] = random_density(1, 3, rng).mat / 2
+        DensityOperator(rho, 2, 3)
+        rho[entry] = 0.1
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityOperator(rho, 2, 3)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            hermitian_eigenvalues(rho)
+
+    def test_nan_member_is_reported_before_the_pattern_is_read(self, monkeypatch):
+        def unread(pattern):
+            raise AssertionError("pattern read before the finiteness check")
+
+        monkeypatch.setattr(linalg, "_components_by_size", unread)
+        stack = np.stack([np.eye(4) / 4] * 3).astype(complex)
+        stack[1, 0, 3] = np.nan
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            linalg.validate_density_stack(stack)
+        with pytest.raises(ValueError, match="NaN/Inf"):
+            hermitian_eigenvalues(stack)
+
+    def test_dense_input_gives_the_dense_solve_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        rho = random_density(3, 3, rng).mat
+        assert np.array_equal(hermitian_eigenvalues(rho), np.linalg.eigvalsh(rho))
+
+    def test_validation_peak_memory_is_below_one_copy(self):
+        # D = 361: the maximally entangled projector is one 19-block and 342
+        # zero 1x1 blocks; the dense checks alone held about two D^2 copies
+        phi = max_entangled_mat(19)[None]
+        linalg.validate_density_stack(phi)
+        tracemalloc.start()
+        try:
+            linalg.validate_density_stack(phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < phi.nbytes
