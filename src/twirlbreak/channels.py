@@ -240,20 +240,20 @@ def apply_dilation(dc: DilatedChannel, rho: DensityOperator) -> DensityOperator:
     return DensityOperator(out, rho.dim_a, rho.dim_b)
 
 
-def apply_dilation_dense(dc: DilatedChannel, rho: DensityOperator) -> DensityOperator:
-    """Reference for apply_dilation at small K: embed rho with the environment,
-    conjugate by the dense control unitary, trace out the environment."""
+def apply_dilation_dense(dc: DilatedChannel, op: np.ndarray) -> np.ndarray:
+    """Reference for apply_dilation at small K on any (D, D) operator, states or
+    not: embed op with the environment, conjugate by the dense control unitary,
+    trace out the environment."""
     da, db = dc.system_dims
-    if (rho.dim_a, rho.dim_b) != (da, db):
-        raise ValueError("state dimensions do not match the dilation")
+    if np.shape(op) != (da * db, da * db):
+        raise ValueError("operator dimensions do not match the dilation")
     k = dc.env_dim
     u = dc.control_unitary
-    # env x rho lives on (E1, E2, A, B); reorder to (E1, A, E2, B)
-    total = kron(dc.env_state.mat, rho.mat)
+    # env x op lives on (E1, E2, A, B); reorder to (E1, A, E2, B)
+    total = kron(dc.env_state.mat, op)
     total = permute_subsystems(total, [k, k, da, db], [0, 2, 1, 3])
     total = u @ total @ u.conj().T
-    out = partial_trace_multi(total, [k, da, k, db], keep=[1, 3])
-    return DensityOperator(out, da, db)
+    return partial_trace_multi(total, [k, da, k, db], keep=[1, 3])
 
 
 def env_is_classical(state: DensityOperator, tol: float = 1e-12) -> bool:

@@ -8,7 +8,7 @@ import json
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ class ExperimentConfig:
 
     scenario: str
     params: dict = field(default_factory=dict)
+    _read: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     @classmethod
     def from_file(cls, scenario: str, path: str) -> "ExperimentConfig":
@@ -46,12 +47,21 @@ class ExperimentConfig:
         return cls(scenario=scenario, params=raw)
 
     def get(self, key, default=None):
+        self._read.add(key)
         return self.params.get(key, default)
 
     def require(self, key):
+        self._read.add(key)
         if key not in self.params:
             raise ConfigError(f"config key {key!r} is required for scenario {self.scenario!r}")
         return self.params[key]
+
+    def reject_unread(self) -> None:
+        """Raise on a key that no get or require call has read; runners call
+        it once they have read their keys, before any computation."""
+        unread = [key for key in self.params if key not in self._read]
+        if unread:
+            raise ConfigError(f"unknown config key(s) {', '.join(map(repr, unread))} for scenario {self.scenario!r}")
 
 
 @dataclass
@@ -115,6 +125,7 @@ def run_pauli_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     if len(p) != 4:
         raise ConfigError("pauli scenario needs a 4-entry probability vector")
     gammas = _grid(cfg, "gamma_grid")
+    cfg.reject_unread()
     if max(p.p) > 0.5 + 1e-12:
         print(
             f"warning: max p_k = {max(p.p)} > 1/2, single transmission is NOT entanglement-breaking",
@@ -149,6 +160,7 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     grid = _grid(cfg, "param_grid")
     seed = _number(cfg.get("seed", 20240611), "seed", integer=True, minimum=0)
     n_mc = _number(cfg.get("mc_samples", 10_000), "mc_samples", integer=True, minimum=1)
+    cfg.reject_unread()
     # one Haar stream per row, so a row does not depend on the rows before it
     streams = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []
@@ -200,14 +212,13 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
 def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     mus = _grid(cfg, "mu_grid")
     cutoff = _number(cfg.get("fock_cutoff", 8), "fock_cutoff", integer=True, minimum=1)
-    n_angles = _number(cfg.get("n_angles", 32), "n_angles", integer=True, minimum=1)
-    angles = np.linspace(0, 2 * np.pi, n_angles, endpoint=False) + 0.123
+    cfg.reject_unread()
     rows = []
     for mu in mus:
         if mu < 1:
             raise ConfigError("mu must be >= 1")
         cm = gaussian.epr_cm(mu)
-        residual = gaussian.rotation_residual(cm, angles, -1.0)
+        residual = gaussian.rotation_residual(cm, gaussian.ROTATION_ANGLES, -1.0)
         nu_min, _ = gaussian.pt_symplectic_eigenvalues(cm)
         # Gaussian negativity (Vidal & Werner, PRA 65, 032314, 2002)
         double_neg = max(0.0, (1.0 / nu_min - 1.0) / 2)
@@ -295,6 +306,7 @@ def load_channel_file(path: str) -> channels.KrausChannel:
 
 def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
     path = cfg.require("channel_file")
+    cfg.reject_unread()
     ch = load_channel_file(path)
     d = int(round(np.sqrt(ch.dim)))
     # the PPT verdict and the product-form test read one Choi state
@@ -320,7 +332,7 @@ def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_verify(cfg: ExperimentConfig) -> dict:
-    tol = _number(cfg.params["tol"], "tol") if "tol" in cfg.params else None
+    tol = _number(cfg.require("tol"), "tol") if "tol" in cfg.params else None
     if tol is not None and tol <= 0:
         raise ConfigError(f"tol must be > 0, got {tol!r}")
     vcfg = verification.VerifyConfig(
@@ -328,6 +340,7 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         mc_samples=_number(cfg.get("mc_samples", 10_000), "mc_samples", integer=True, minimum=1),
         tol_override=tol,
     )
+    cfg.reject_unread()
     results = verification.run_all(vcfg)
     return {
         "scenario": "verify",
@@ -368,17 +381,7 @@ def rows_to_document(rows: list[ResultRow], scenario: str, config_params: dict) 
     return {
         "scenario": scenario,
         "config": config_params,
-        "rows": [
-            {
-                "scenario": r.scenario,
-                "params": r.params,
-                "single_transmission_negativity": r.single_transmission_negativity,
-                "double_transmission_negativity": r.double_transmission_negativity,
-                "invariance_residual": r.invariance_residual,
-                "eb_verdict": r.eb_verdict,
-            }
-            for r in rows
-        ],
+        "rows": [asdict(r) for r in rows],
     }
 
 
@@ -386,21 +389,19 @@ def dumps_document(doc: dict) -> str:
     return _fmt_value(doc) + "\n"
 
 
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""  # the scenario does not measure this field
+    if isinstance(v, str):
+        return v
+    if isinstance(v, dict):
+        return json.dumps(v, default=float)
+    return format(v, ".17g")
+
+
 def write_csv(rows: list[ResultRow], path: str) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(
-            [
-                "scenario",
-                "params",
-                "single_transmission_negativity",
-                "double_transmission_negativity",
-                "invariance_residual",
-                "eb_verdict",
-            ]
-        )
+        w.writerow([f.name for f in fields(ResultRow)])
         for r in rows:
-            measured = (r.single_transmission_negativity, r.double_transmission_negativity, r.invariance_residual)
-            # an empty cell where the scenario measures nothing
-            cells = ["" if v is None else format(v, ".17g") for v in measured]
-            w.writerow([r.scenario, json.dumps(r.params, default=float), *cells, r.eb_verdict])
+            w.writerow([_csv_cell(v) for v in asdict(r).values()])

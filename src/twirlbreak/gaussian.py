@@ -14,6 +14,9 @@ import numpy as np
 from .linalg import DensityOperator, hermitian_eigenvalues, partial_transpose_mat, validate_density_stack
 
 BONA_FIDE_TOL = 1e-10
+# the angles on which the bosonic scenario and verify read rotation residuals:
+# 32 equally spaced, offset so that none is the identity rotation
+ROTATION_ANGLES = np.linspace(0, 2 * np.pi, 32, endpoint=False) + 0.123
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.kron(np.eye(2), _OMEGA_1)  # omega + omega, one per mode

@@ -16,7 +16,7 @@ from .linalg import (
     partial_trace_multi,
     partial_transpose_mat,
 )
-from .states import flip_operator, max_entangled_mat, random_density
+from .states import flip_operator, max_entangled_mat
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -76,8 +76,14 @@ def twirl_operator(op: np.ndarray, uset: UnitarySet, conjugate_second: bool = Fa
     return conjugate_sum(op, us, us.conj() if conjugate_second else us, 1.0 / len(us))
 
 
+def _check_side(side: str) -> None:
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+
+
 def partial_twirl_operator(op: np.ndarray, uset: UnitarySet, side: str, dims) -> np.ndarray:
     """(1/K) sum_k (U_k x I) op (U_k x I)^dag (or I x U_k for side B)."""
+    _check_side(side)
     da, db = dims
     us = uset.unitaries
     a, b = (us, np.eye(db)[None]) if side == "A" else (np.eye(da)[None], us)
@@ -85,6 +91,7 @@ def partial_twirl_operator(op: np.ndarray, uset: UnitarySet, side: str, dims) ->
 
 
 def partial_twirl(rho: DensityOperator, side: str, uset: UnitarySet) -> DensityOperator:
+    _check_side(side)
     d = rho.dim_a if side == "A" else rho.dim_b
     if d != uset.unitaries.shape[1]:
         raise ValueError("unitary set dimension does not match the chosen side")
@@ -137,6 +144,7 @@ def twirl_exact(rho: DensityOperator, mode: str) -> DensityOperator:
 
 def partial_twirl_exact_mat(op: np.ndarray, dims, side: str = "A") -> np.ndarray:
     """Partial Haar average: I/d x Tr over the averaged side."""
+    _check_side(side)
     da, db = dims
     if side == "A":
         red = partial_trace_multi(op, [da, db], keep=[1])
@@ -228,22 +236,6 @@ def mc_twirl(rho: DensityOperator, mode: str, n: int, s: HaarSampler) -> Density
     """Empirical twirl over n Haar samples; statistical error O(1/sqrt(n))."""
     out = mc_twirl_operator(rho.mat, mode, n, s, (rho.dim_a, rho.dim_b))
     return DensityOperator(out, rho.dim_a, rho.dim_b)
-
-
-def design_residuals(uset: UnitarySet, rng: np.random.Generator) -> tuple[float, float]:
-    """Residuals of two consequences of 2-design-ness, both zero for a 2-design:
-    the max-abs deviation of the side-A partial twirl from I/d x Tr_A over all
-    matrix units, and the worst distance of the U x U twirl of five random
-    states from span{I, V}."""
-    d = uset.unitaries.shape[1]
-    units = np.eye(d**4).reshape(d**4, d * d, d * d)  # every matrix unit E_ij
-    basis_residual = max(
-        float(np.max(np.abs(partial_twirl_operator(e, uset, "A", (d, d)) - partial_twirl_exact_mat(e, (d, d), "A"))))
-        for e in units
-    )
-    twirled = [twirl_operator(random_density(d, d, rng).mat, uset) for _ in range(5)]
-    span_residual = max(float(np.linalg.norm(t - twirl_uu_exact_mat(t, d))) for t in twirled)
-    return basis_residual, span_residual
 
 
 def pt_conjugated_twirl(op: np.ndarray, uset: UnitarySet, d: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, gaussian, states, twirl
-from .linalg import CONJUGATE_SUM_CACHE_BYTES, PSD_TOL, frobenius_distance, negativity
+from .linalg import CONJUGATE_SUM_CACHE_BYTES, PSD_TOL, conjugate_sum, frobenius_distance, negativity
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,15 @@ def _fixed(name: str, residual: float, tol: float = 0.0) -> CheckResult:
     return CheckResult(name, residual <= tol, float(residual), tol)
 
 
-def _random_prob4(rng) -> channels.ProbabilityVector:
-    p = rng.dirichlet(np.ones(4))
-    return channels.ProbabilityVector(tuple(p))
+def _map_distance(d: int, f, *others) -> float:
+    """Largest ||f(E) - g(E)||_F over the d^2 matrix units E of d x d
+    operators and over every g in others: zero exactly when each linear map g
+    equals f.  The units are applied one at a time."""
+    worst = 0.0
+    for e in np.eye(d * d).reshape(d * d, d, d):
+        want = f(e)
+        worst = max([worst, *(frobenius_distance(want, g(e)) for g in others)])
+    return worst
 
 
 def _chunk_lengths(total: int, entries: int) -> list[int]:
@@ -97,10 +103,15 @@ def check_headline_effect(cfg: VerifyConfig) -> list[CheckResult]:
     return out
 
 
-# 3. Clifford set is a valid unitary 2-design
+# 3. Clifford set is a valid unitary 2-design: its twirls are the Haar ones
 def check_2design(cfg: VerifyConfig) -> list[CheckResult]:
     cl = twirl.clifford_group_qubit()
-    basis_residual, span_residual = twirl.design_residuals(cl, np.random.default_rng(cfg.seed + 1))
+    basis_residual = _map_distance(
+        4,
+        lambda e: twirl.partial_twirl_exact_mat(e, (2, 2), "A"),
+        lambda e: twirl.partial_twirl_operator(e, cl, "A", (2, 2)),
+    )
+    span_residual = _map_distance(4, lambda e: twirl.twirl_uu_exact_mat(e, 2), lambda e: twirl.twirl_operator(e, cl))
     return [
         _fixed("clifford-cardinality", abs(len(cl) - 24)),
         _result("clifford-partial-twirl-basis", basis_residual, 1e-12, cfg),
@@ -164,29 +175,24 @@ def check_qudit_invariance(cfg: VerifyConfig) -> list[CheckResult]:
 # 5. The two twirl types are conjugate under partial transposition
 def check_pt_conjugation(cfg: VerifyConfig) -> list[CheckResult]:
     cl = twirl.clifford_group_qubit()
-    rng = np.random.default_rng(cfg.seed + 2)
-    worst = 0.0
-    for _ in range(50):
-        h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = h + h.conj().T
-        h = h + (1.0 - np.trace(h).real) / 4 * np.eye(4)  # unit trace, generally non-PSD
-        direct = twirl.twirl_operator(h, cl, conjugate_second=True)
-        conjugated = twirl.pt_conjugated_twirl(h, cl, 2)
-        worst = max(worst, float(np.linalg.norm(direct - conjugated)))
-    return [_result("pt-conjugation-identity", worst, 1e-11, cfg)]
+    residual = _map_distance(
+        4,
+        lambda e: twirl.twirl_operator(e, cl, conjugate_second=True),
+        lambda e: twirl.pt_conjugated_twirl(e, cl, 2),
+    )
+    return [_result("pt-conjugation-identity", residual, 1e-11, cfg)]
 
 
-# 6. Partial Haar average of arbitrary linear operators
+# 6. Partial Haar average of arbitrary linear operators (side B; check 3 reads A)
 def check_partial_haar(cfg: VerifyConfig) -> list[CheckResult]:
     cl = twirl.clifford_group_qubit()
+    residual = _map_distance(
+        4,
+        lambda e: twirl.partial_twirl_exact_mat(e, (2, 2), "B"),
+        lambda e: twirl.partial_twirl_operator(e, cl, "B", (2, 2)),
+    )
+    out = [_result("partial-haar-exact(d=2)", residual, 1e-11, cfg)]
     rng = np.random.default_rng(cfg.seed + 3)
-    worst = 0.0
-    for _ in range(50):
-        t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        got = twirl.partial_twirl_operator(t, cl, "A", (2, 2))
-        want = twirl.partial_twirl_exact_mat(t, (2, 2), "A")
-        worst = max(worst, float(np.linalg.norm(got - want)))
-    out = [_result("partial-haar-exact(d=2)", worst, 1e-11, cfg)]
     sampler = twirl.HaarSampler(cfg.seed + 4, 3)
     worst = 0.0
     for _ in range(5):
@@ -201,11 +207,10 @@ def check_partial_haar(cfg: VerifyConfig) -> list[CheckResult]:
 
 # 7. EPR invariance under anti-correlated rotations; PT symplectic spectrum
 def check_bosonic_invariance(cfg: VerifyConfig) -> list[CheckResult]:
-    angles = np.linspace(0, 2 * np.pi, 32, endpoint=False) + 0.123
     worst_inv = worst_nu = 0.0
     for mu in (1.0, 1.5, 2.0, 5.0):
         cm = gaussian.epr_cm(mu)
-        worst_inv = max(worst_inv, gaussian.rotation_residual(cm, angles, -1.0))
+        worst_inv = max(worst_inv, gaussian.rotation_residual(cm, gaussian.ROTATION_ANGLES, -1.0))
         nu_min, _ = gaussian.pt_symplectic_eigenvalues(cm)
         worst_nu = max(worst_nu, abs(nu_min - (mu - np.sqrt(mu * mu - 1))))
     return [
@@ -248,35 +253,32 @@ def check_dephasing(cfg: VerifyConfig) -> list[CheckResult]:
 
 # 10. Dilations: classical environments reproducing the Kraus action.  The
 # dense route (embed, conjugate by the control unitary, trace out) is the
-# independent reference for the kernel behind apply_dilation.
+# reference for the direct map and for the kernel behind apply_dilation, which
+# are not compared with each other: for the twirl both run conjugate_sum.
 def check_dilations(cfg: VerifyConfig) -> list[CheckResult]:
-    rng = np.random.default_rng(cfg.seed + 6)
-    p = _random_prob4(rng)
+    p = channels.ProbabilityVector(tuple(np.random.default_rng(cfg.seed + 6).dirichlet(np.ones(4))))
     kraus = channels.correlated_pauli(p)
     # generic twirl dilation with a small Haar-sampled unitary set
     uset = twirl.UnitarySet(twirl.HaarSampler(cfg.seed + 7, 2).sample_batch(6))
     cases = (
-        ("pauli", channels.build_pauli_dilation(p), lambda rho: channels.apply_kraus(kraus, rho).mat),
+        ("pauli", channels.build_pauli_dilation(p), lambda e: sum(k @ e @ k.conj().T for k in kraus.operators)),
         (
             "twirl",
             channels.build_twirl_dilation(uset.unitaries, conjugate_second=True),
-            lambda rho: twirl.twirl_operator(rho.mat, uset, conjugate_second=True),
+            lambda e: twirl.twirl_operator(e, uset, conjugate_second=True),
         ),
     )
     out = []
     for name, dil, direct in cases:
         classical = channels.env_is_classical(dil.env_state)
         out.append(_fixed(f"{name}-env-classical", 0.0 if classical else 1.0))
-        worst = 0.0
-        for _ in range(50):
-            rho = states.random_density(2, 2, rng)
-            dense = channels.apply_dilation_dense(dil, rho).mat
-            worst = max(
-                worst,
-                frobenius_distance(dense, direct(rho)),
-                frobenius_distance(dense, channels.apply_dilation(dil, rho).mat),
-            )
-        out.append(_result(f"{name}-dilation-vs-kraus", worst, 1e-11, cfg))
+        residual = _map_distance(
+            4,
+            lambda e: channels.apply_dilation_dense(dil, e),
+            direct,
+            lambda e: conjugate_sum(e, dil.u_blocks, dil.v_blocks, dil.probabilities.p),
+        )
+        out.append(_result(f"{name}-dilation-vs-kraus", residual, 1e-11, cfg))
     return out
 
 

@@ -20,6 +20,7 @@ from twirlbreak.channels import (
     local_depolarizing,
 )
 from twirlbreak.linalg import (
+    conjugate_sum,
     frobenius_distance,
     hermitian_eigenvalues,
     kron,
@@ -187,21 +188,21 @@ class TestDilation:
         rho = random_density(2, 2, np.random.default_rng(6))
         assert frobenius_distance(apply_dilation(dc, rho).mat, rho.mat) < 1e-12
 
-    def test_agreement_with_kraus_50_random(self):
-        rng = np.random.default_rng(7)
+    def test_agreement_with_kraus_on_matrix_units(self):
+        # linear maps that agree on the 16 matrix units are equal; the Kraus
+        # sum is written out, and the kernel call is the one apply_dilation runs
         p = ProbabilityVector((0.5, 0.2, 0.2, 0.1))
         dc = build_pauli_dilation(p)
         ch = correlated_pauli(p)
-        worst = 0.0
-        for _ in range(50):
-            rho = random_density(2, 2, rng)
-            want = apply_kraus(ch, rho).mat
-            worst = max(
-                worst,
-                frobenius_distance(apply_dilation(dc, rho).mat, want),
-                frobenius_distance(apply_dilation_dense(dc, rho).mat, want),
-            )
-        assert worst < 1e-11
+        for e in np.eye(16).reshape(16, 4, 4):
+            want = sum(k @ e @ k.conj().T for k in ch.operators)
+            assert frobenius_distance(apply_dilation_dense(dc, e), want) < 1e-11
+            kernel = conjugate_sum(e, dc.u_blocks, dc.v_blocks, dc.probabilities.p)
+            assert frobenius_distance(kernel, want) < 1e-11
+
+    def test_dense_reference_rejects_wrong_dimensions(self):
+        with pytest.raises(ValueError, match="dimensions"):
+            apply_dilation_dense(build_pauli_dilation(UNIFORM), np.eye(8))
 
     def test_depolarizing_dilation_agreement(self):
         # dilation with V_k = I realizes the one-sided channel
@@ -213,7 +214,7 @@ class TestDilation:
             rho = random_density(2, 2, rng)
             want = apply_kraus(ch, rho).mat
             assert frobenius_distance(apply_dilation(dc, rho).mat, want) < 1e-11
-            assert frobenius_distance(apply_dilation_dense(dc, rho).mat, want) < 1e-11
+            assert frobenius_distance(apply_dilation_dense(dc, rho.mat), want) < 1e-11
 
     def test_clifford_twirl_dilation(self):
         # full 24-element design dilation; the Clifford group is a unitary

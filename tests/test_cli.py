@@ -409,7 +409,6 @@ class TestExitCodes:
             ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "seed": -1}),
             ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "mc_samples": 0}),
             ("bosonic", {"mu_grid": [1.0], "fock_cutoff": "x"}),
-            ("bosonic", {"mu_grid": [1.0], "n_angles": 2.5}),
             ("verify", {"tol": "x"}),
             ("verify", {"tol": 10**400}),
             ("verify", {"seed": 1.5}),
@@ -417,7 +416,7 @@ class TestExitCodes:
         ],
         ids=[
             "grid-entry", "d-string", "d-non-integral", "d-bool", "grid-null", "seed-string",
-            "seed-negative", "mc-samples-zero", "fock-cutoff-string", "n-angles-non-integral",
+            "seed-negative", "mc-samples-zero", "fock-cutoff-string",
             "tol-string", "tol-too-large", "verify-seed-non-integral", "mc-samples-bool",
         ],
     )
@@ -426,6 +425,27 @@ class TestExitCodes:
         code, out, err = _run(capsys, scenario, "--config", cfg)
         assert code == 2
         assert "config error" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "scenario, payload",
+        [
+            ("qudit-twirl", {"d": 2, "mode": "uu", "param_grid": [0.5], "mc_sample": 50, "sed": 5}),
+            ("bosonic", {"mu_grid": [1.0], "fock_cutof": 4}),
+            ("bosonic", {"mu_grid": [1.0], "n_angles": 32}),
+            ("pauli", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": [0.5], "seed": 1}),
+            # rejected before the (missing) channel file is read
+            ("eb-test", {"channel_file": "/nonexistent/chan.json", "mc_samples": 10}),
+            ("verify", {"fock_cutoff": 8}),
+        ],
+        ids=["typos-mc-samples-seed", "typo-fock-cutoff", "stale-n-angles", "pauli-seed", "eb-test-key", "verify-key"],
+    )
+    def test_unknown_key_is_config_error(self, capsys, tmp_path, scenario, payload):
+        # a key the scenario does not read would otherwise be echoed as if applied
+        cfg = _write(tmp_path, "cfg.json", payload)
+        code, out, err = _run(capsys, scenario, "--config", cfg)
+        assert code == 2
+        assert "config error: unknown config key" in err
         assert out == ""
 
     @pytest.mark.parametrize(

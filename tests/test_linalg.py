@@ -241,8 +241,8 @@ class TestConjugateSum:
         assert frobenius_distance(out, want) < 1e-11
         # the dense classical-environment dilation is affordable at small K
         if k <= 6:
-            dense = apply_dilation_dense(DilatedChannel(ProbabilityVector(tuple(w)), a, b), rho)
-            assert frobenius_distance(out, dense.mat) < 1e-11
+            dense = apply_dilation_dense(DilatedChannel(ProbabilityVector(tuple(w)), a, b), rho.mat)
+            assert frobenius_distance(out, dense) < 1e-11
 
     def test_chunks_match_one_chunk(self, monkeypatch):
         rng = np.random.default_rng(30)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twirlbreak import linalg, twirl
+from twirlbreak import linalg, twirl, verification
 from twirlbreak.channels import PAULIS
 from twirlbreak.linalg import frobenius_distance, kron, partial_trace_multi
 from twirlbreak.states import (
@@ -20,7 +20,6 @@ from twirlbreak.twirl import (
     HaarSampler,
     UnitarySet,
     clifford_group_qubit,
-    design_residuals,
     mc_twirl,
     mc_twirl_operator,
     partial_twirl,
@@ -142,6 +141,18 @@ class TestPartialTwirl:
             got = partial_twirl_operator(t, clifford, "A", (2, 2))
             want = partial_twirl_exact_mat(t, (2, 2), "A")
             assert np.linalg.norm(got - want) < 1e-11
+
+    @pytest.mark.parametrize("side", ["a", "C"])
+    @pytest.mark.parametrize("fn", ["partial_twirl", "partial_twirl_operator", "partial_twirl_exact_mat"])
+    def test_invalid_side_raises(self, clifford, fn, side):
+        rho = random_density(2, 2, np.random.default_rng(11))
+        calls = {
+            "partial_twirl": lambda: partial_twirl(rho, side, clifford),
+            "partial_twirl_operator": lambda: partial_twirl_operator(rho.mat, clifford, side, (2, 2)),
+            "partial_twirl_exact_mat": lambda: partial_twirl_exact_mat(rho.mat, (2, 2), side),
+        }
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            calls[fn]()
 
 
 def _qr_reference(x: np.ndarray) -> np.ndarray:
@@ -312,17 +323,30 @@ class TestMCTwirl:
         assert np.array_equal(a.mat, b.mat)
 
 
-def _is_design(uset):
-    basis, span = design_residuals(uset, np.random.default_rng(20240317))
-    return basis <= 1e-12 and span <= 1e-11
+def _design_gates(monkeypatch, uset):
+    """Verdicts of verify's two 2-design gates with uset in place of the
+    Clifford group."""
+    monkeypatch.setattr(twirl, "clifford_group_qubit", lambda: uset)
+    results = verification.check_2design(verification.VerifyConfig())
+    return {r.name: r.passed for r in results if r.name != "clifford-cardinality"}
 
 
 class TestVerify2Design:
-    def test_clifford_is_design(self, clifford):
-        assert _is_design(clifford)
+    def test_clifford_is_design(self, clifford, monkeypatch):
+        assert _design_gates(monkeypatch, clifford) == {
+            "clifford-partial-twirl-basis": True,
+            "clifford-span-IV": True,
+        }
 
-    def test_pauli_set_is_not(self):
-        assert not _is_design(UnitarySet(PAULIS))
+    def test_pauli_set_is_not(self, monkeypatch):
+        # a unitary 1-design: its partial twirl is exact, its U x U twirl is not
+        assert _design_gates(monkeypatch, UnitarySet(PAULIS)) == {
+            "clifford-partial-twirl-basis": True,
+            "clifford-span-IV": False,
+        }
 
-    def test_identity_set_is_not(self):
-        assert not _is_design(UnitarySet([np.eye(2)]))
+    def test_identity_set_is_not(self, monkeypatch):
+        assert _design_gates(monkeypatch, UnitarySet([np.eye(2)])) == {
+            "clifford-partial-twirl-basis": False,
+            "clifford-span-IV": False,
+        }

@@ -59,6 +59,28 @@ def test_check_names_and_order_are_pinned():
         assert r.passed == (r.residual <= r.tolerance), r.name
 
 
+def test_map_distance_reads_every_matrix_unit():
+    # the transpose differs from the identity map only on the off-diagonal
+    # units, each by sqrt(2); a map equal to f reads exactly 0
+    assert verification._map_distance(3, lambda e: e, lambda e: e.copy()) == 0.0
+    assert verification._map_distance(3, lambda e: e, lambda e: e, lambda e: e.T) == np.sqrt(2)
+    assert verification._map_distance(2, lambda e: e, lambda e: e * (1 - (e[1, 0] == 1))) == 1.0
+
+
+def test_clifford_basis_residuals_do_not_depend_on_the_seed():
+    # the four Clifford gates read the matrix units and draw nothing
+    names = ("clifford-partial-twirl-basis", "clifford-span-IV", "pt-conjugation-identity", "partial-haar-exact(d=2)")
+
+    def residuals(seed):
+        cfg = verification.VerifyConfig(seed=seed, mc_samples=100)
+        checks = (verification.check_2design, verification.check_pt_conjugation, verification.check_partial_haar)
+        return {r.name: r.residual for check in checks for r in check(cfg) if r.name in names}
+
+    first = residuals(20240611)
+    assert list(first) == list(names)
+    assert residuals(913) == first
+
+
 # -- reference loops over the public per-object functions ----------------------
 
 def _dephasing_loop(seed):
