@@ -64,7 +64,8 @@ def test_map_distance_reads_every_matrix_unit():
     # units, each by sqrt(2); a map equal to f reads exactly 0
     assert verification._map_distance(3, lambda e: e, lambda e: e.copy()) == 0.0
     assert verification._map_distance(3, lambda e: e, lambda e: e, lambda e: e.T) == np.sqrt(2)
-    assert verification._map_distance(2, lambda e: e, lambda e: e * (1 - (e[1, 0] == 1))) == 1.0
+    # a map that differs on one unit only (E_10 -> 0) reads that unit's distance
+    assert verification._map_distance(2, lambda e: e, lambda e: 0 * e if e[1, 0] else e) == 1.0
 
 
 def test_clifford_basis_residuals_do_not_depend_on_the_seed():
