@@ -11,7 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, hermitian_eigenvalues, partial_transpose_mat, validate_density_stack
+from .linalg import (
+    DensityOperator,
+    eigh_density_stack,
+    hermitian_eigenvalues,
+    partial_transpose_mat,
+    validate_density_stack,
+)
 
 BONA_FIDE_TOL = 1e-10
 # the angles on which the bosonic scenario and verify read rotation residuals:
@@ -22,9 +28,35 @@ _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.kron(np.eye(2), _OMEGA_1)  # omega + omega, one per mode
 
 
+def _det2(x: np.ndarray) -> np.ndarray:
+    """Determinants of 2x2 matrices x[:2, :2, ...] (matrix axes first),
+    written out: exact where LU is not, e.g. det(mu I) = mu^2."""
+    return x[0, 0] * x[1, 1] - x[0, 1] * x[1, 0]
+
+
 def _is_bona_fide(m: np.ndarray) -> np.ndarray:
-    """V + i Omega >= 0, to BONA_FIDE_TOL, for each CM of a (..., 4, 4) stack."""
-    return np.linalg.eigvalsh(m + 1j * OMEGA)[..., 0] >= -BONA_FIDE_TOL
+    """V + i Omega >= 0 for each CM of a (..., 4, 4) stack, in closed form:
+    V > 0, Delta >= 2 and det V - Delta + 1 >= 0, the last two to
+    BONA_FIDE_TOL, with Delta = det A + det B + 2 det C.  As Delta =
+    nu_-^2 + nu_+^2 and det V = nu_-^2 nu_+^2, these say nu_-^2 + nu_+^2 >= 2
+    and (nu_-^2 - 1)(nu_+^2 - 1) >= 0, that is nu_- >= 1 (Serafini,
+    Illuminati & De Siena, J. Phys. B 37, L21, 2004).  V > 0 is read from
+    A > 0 and the Schur complement S = B - C^T A^-1 C > 0, taken as
+    det A S = det A B - C^T adj(A) C, so that det V = det A det S needs no
+    division where A is singular."""
+    # v[i, j]: entry (i, j) of every CM, contiguous for the elementwise work
+    v = np.ascontiguousarray(np.moveaxis(m, (-2, -1), (0, 1)))
+    a, b, c = v[:2, :2], v[2:, 2:], v[:2, 2:]
+    det_a = _det2(a)
+    # the rows of adj(A) C, adj(A) = [[a_11, -a_01], [-a_10, a_00]]
+    y = a[1, 1] * c[0] - a[0, 1] * c[1], a[0, 0] * c[1] - a[1, 0] * c[0]
+    scaled_s = det_a * b - (c[0][:, None] * y[0] + c[1][:, None] * y[1])
+    det_scaled_s = _det2(scaled_s)
+    positive = (a[0, 0] > 0) & (det_a > 0) & (scaled_s[0, 0] > 0) & (det_scaled_s > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        det_v = det_scaled_s / det_a
+    delta = det_a + _det2(b) + 2 * _det2(c)
+    return positive & (delta >= 2 - BONA_FIDE_TOL) & (det_v - delta + 1 >= -BONA_FIDE_TOL)
 
 
 @dataclass(frozen=True)
@@ -113,8 +145,7 @@ def _symplectic_pair(m: np.ndarray, sign: float):
     0 for vacuum and EPR states; nu_-^2 = det V / nu_+^2 avoids cancellation."""
     a, b, c = m[..., :2, :2], m[..., 2:, 2:], m[..., :2, 2:]
     x = np.stack([a, b, c, a @ _OMEGA_1 @ c + sign * c @ _OMEGA_1 @ b])
-    # explicit 2x2 determinants: exact where LU is not, e.g. det(mu I) = mu^2
-    det_a, det_b, det_c, det_w = x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0]
+    det_a, det_b, det_c, det_w = _det2(np.moveaxis(x, (-2, -1), (0, 1)))
     delta = det_a + det_b + 2 * sign * det_c
     disc = (det_a - det_b) ** 2 + 4 * sign * det_w
     nu_plus_sq = (delta + np.sqrt(np.maximum(disc, 0.0))) / 2
@@ -245,14 +276,15 @@ def _min_pt_eigenvalues(mats: np.ndarray, n: int) -> np.ndarray:
     return hermitian_eigenvalues(partial_transpose_mat(mats, n, n))[:, 0]
 
 
-def _decompose(pure: np.ndarray, n: int):
+def _decompose(pure: np.ndarray, vectors: np.ndarray, n: int):
     """Weights d_k (m, n) and unit kets xi(k) (m, n, n) of the dephased output
-    of each pure state of a stack, its state vector recovered by eigh; a
-    component of weight <= 1e-14 gets a zero ket."""
+    of each pure state of a stack, its state vector read as the top column of
+    its eigenvectors (m, n^2, n^2) from eigh; a component of weight <= 1e-14
+    gets a zero ket."""
     purity = np.einsum("mij,mji->m", pure, pure).real
     if np.any(purity < 1.0 - 1e-10):
         raise ValueError("input must be pure; spectrally decompose mixed states first")
-    c = np.linalg.eigh(pure)[1][:, :, -1].reshape(-1, n, n)
+    c = vectors[:, :, -1].reshape(-1, n, n)
     weights = np.sum(np.abs(c) ** 2, axis=2)
     kept = weights > 1e-14
     xi = np.divide(c, np.sqrt(weights)[:, :, None], out=np.zeros_like(c), where=kept[:, :, None])
@@ -270,14 +302,15 @@ def _separable_sum(weights: np.ndarray, kets_a: np.ndarray, kets_b: np.ndarray) 
 def dephasing_sweep(vectors, n: int):
     """Uniform side-A dephasing of a (m, n^2) stack of unit two-mode state
     vectors, cutoff n per mode.  Each input and each dephased output is
-    validated as a density matrix.  Returns, per state, the least eigenvalue
-    of the output's partial transpose and the largest entry error of the
-    output rebuilt from its separable decomposition (which recovers the
-    state vector from the density matrix)."""
+    validated as a density matrix; one eigh of the input stack serves both
+    its validation and the recovery of its state vector.  Returns, per state,
+    the least eigenvalue of the output's partial transpose and the largest
+    entry error of the output rebuilt from its separable decomposition
+    (which recovers the state vector from the density matrix)."""
     v = np.asarray(vectors, dtype=complex)
-    pure = validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
+    pure, _, eigenvectors = eigh_density_stack(v[:, :, None] * v.conj()[:, None, :])
     dephased = validate_density_stack(_dephase(pure, n, "A"))
-    weights, xi = _decompose(pure, n)
+    weights, xi = _decompose(pure, eigenvectors, n)
     kets = np.broadcast_to(np.eye(n), xi.shape)
     rec = _separable_sum(weights, kets, xi)
     return _min_pt_eigenvalues(dephased, n), np.max(np.abs(rec - dephased), axis=(1, 2))
@@ -293,7 +326,8 @@ def dephase_truncated(state: TruncatedFockState, side: str = "A") -> TruncatedFo
 def separable_decomposition_dephased(state: TruncatedFockState):
     """Explicit separable decomposition of the side-A dephased output of a
     pure input: components (d_k, |k>, |xi(k)>) with d_k = sum_j |c_kj|^2."""
-    weights, xi = _decompose(state.rho.mat[None], state.cutoff)
+    pure = state.rho.mat[None]
+    weights, xi = _decompose(pure, np.linalg.eigh(pure)[1], state.cutoff)
     kets = np.eye(state.cutoff, dtype=complex)
     return [(float(weights[0, k]), kets[k], xi[0, k]) for k in np.flatnonzero(weights[0])]
 

@@ -34,9 +34,18 @@ def _as_complex(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains NaN/Inf entries")
+    _require_finite(m)
     return m
+
+
+def _require_finite(m: np.ndarray) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN/Inf entries")
+
+
+def _hermiticity_residual(m: np.ndarray) -> float:
+    """max|M - M^dag| over a stack of matrices (the last two axes)."""
+    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
 
 
 def validate_density_stack(mats) -> np.ndarray:
@@ -44,12 +53,36 @@ def validate_density_stack(mats) -> np.ndarray:
     Hermitian, unit trace and positive semidefinite to the module-level
     tolerances.  Returns the stack as complex; raises ValueError, with
     DensityOperator's messages, if any member fails."""
+    return _check_density_stack(mats, _block_spectra)[0]
+
+
+def eigh_density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """validate_density_stack's checks, in its order and with its messages,
+    on one dense eigh per member.  Returns the stack as complex, its
+    ascending spectra (m, D) and their unit eigenvectors, as the columns of
+    a (m, D, D) stack."""
+    m, (spectra, _, vectors) = _check_density_stack(mats, _dense_eigh)
+    return m, spectra, vectors
+
+
+def _dense_eigh(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    spectra, vectors = np.linalg.eigh(m)
+    return spectra, _hermiticity_residual(m), vectors
+
+
+def _check_density_stack(mats, solve):
+    """The density-matrix checks of a (m, D, D) stack, in this order: finite,
+    Hermitian, unit trace, positive semidefinite.  solve(stack) returns
+    (ascending spectra (m, D), Hermiticity residual, *anything else); the
+    stack as complex and solve's result are returned."""
     m = np.asarray(mats, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected a (m, D, D) stack, got shape {m.shape}")
+    _require_finite(m)
+    solved = solve(m)
     if len(m) == 0:
-        return m
-    spectra, residual = _block_spectra(m)
+        return m, solved
+    spectra, residual = solved[:2]
     if residual > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
     tr = m.trace(axis1=1, axis2=2)
@@ -57,37 +90,42 @@ def validate_density_stack(mats) -> np.ndarray:
         raise ValueError("density matrix does not have unit trace")
     if spectra[:, 0].min() < -PSD_TOL:
         raise ValueError("density matrix is not positive semidefinite")
-    return m
+    return m, solved
 
 
 def _block_spectra(m: np.ndarray) -> tuple[np.ndarray, float]:
     """Ascending spectra (m, D) and Hermiticity residual max|M - M^dag| of a
-    complex (m, D, D) stack; raises ValueError if it is not finite.
+    finite complex (m, D, D) stack.
 
     Both are computed per connected component of the stack's nonzero pattern
     (the entries nonzero in any member, made symmetric): every entry outside
     the components is zero in both triangles, so the stack is a direct sum of
     its component blocks up to one permutation of the indices.  Blocks of one
-    size are solved in one batched eigvalsh; a single component is the
+    size are solved in one batched eigvalsh, except 1x1 blocks, whose
+    eigenvalue is their real diagonal entry (what eigvalsh returns, bit for
+    bit) and whose residual is 2|Im m_ii|; a single component is the
     eigvalsh of the stack itself."""
-    if not np.isfinite(m).all():
-        raise ValueError("matrix contains NaN/Inf entries")
     if m.size == 0:
         return np.linalg.eigvalsh(m), 0.0
     pattern = (m != 0).any(axis=0)
     pattern |= pattern.T
     groups = _components_by_size(pattern)
     if m.shape[1] in groups:
-        return np.linalg.eigvalsh(m), float(np.abs(m - m.conj().swapaxes(1, 2)).max())
+        return np.linalg.eigvalsh(m), _hermiticity_residual(m)
     spectra = np.empty(m.shape[:2])
     residual, filled = 0.0, 0
-    for idx in groups.values():
-        blocks = m[:, idx[:, :, None], idx[:, None, :]]
-        residual = max(residual, np.abs(blocks - blocks.conj().swapaxes(2, 3)).max())
-        spectra[:, filled : filled + idx.size] = np.linalg.eigvalsh(blocks).reshape(len(m), -1)
+    for size, idx in groups.items():
+        if size == 1:
+            diag = m[:, idx[:, 0], idx[:, 0]]
+            residual = max(residual, 2 * float(np.abs(diag.imag).max()))
+            spectra[:, filled : filled + idx.size] = diag.real
+        else:
+            blocks = m[:, idx[:, :, None], idx[:, None, :]]
+            residual = max(residual, _hermiticity_residual(blocks))
+            spectra[:, filled : filled + idx.size] = np.linalg.eigvalsh(blocks).reshape(len(m), -1)
         filled += idx.size
     spectra.sort(axis=1)
-    return spectra, float(residual)
+    return spectra, residual
 
 
 def _components_by_size(pattern: np.ndarray) -> dict:
@@ -304,6 +342,7 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    _require_finite(m)
     spectra, residual = _block_spectra(m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:]))
     if residual > SPECTRUM_HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")

@@ -50,9 +50,17 @@ def _fingerprint(u: np.ndarray) -> tuple:
     return tuple(r.ravel().tolist())
 
 
+# the Clifford group, built on the first call to clifford_group_qubit
+_CLIFFORD_QUBIT: UnitarySet | None = None
+
+
 def clifford_group_qubit() -> UnitarySet:
     """The 24-element single-qubit Clifford group modulo global phase,
-    generated by breadth-first closure over {H, S}."""
+    generated by breadth-first closure over {H, S}.  Built once per process:
+    every call returns the same set, its stack read-only."""
+    global _CLIFFORD_QUBIT
+    if _CLIFFORD_QUBIT is not None:
+        return _CLIFFORD_QUBIT
     gens = [HADAMARD, PHASE]
     seen = {}
     frontier = [_phase_canonical(np.eye(2, dtype=complex))]
@@ -67,7 +75,10 @@ def clifford_group_qubit() -> UnitarySet:
                     seen[fp] = v
                     nxt.append(v)
         frontier = nxt
-    return UnitarySet(list(seen.values()))
+    group = UnitarySet(list(seen.values()))
+    group.unitaries.setflags(write=False)
+    _CLIFFORD_QUBIT = group
+    return group
 
 
 def twirl_operator(op: np.ndarray, uset: UnitarySet, conjugate_second: bool = False) -> np.ndarray:

@@ -33,6 +33,7 @@ def _traced_paths():
 
 
 def _resolve(path):
+    """The object at path, a dotted name under twirlbreak."""
     module, *attrs = path.split(".")
     obj = importlib.import_module(f"twirlbreak.{module}")
     for attr in attrs:
@@ -46,6 +47,12 @@ def test_traced_name_is_public_callable(path):
     assert not any(attr.startswith("_") for attr in attrs), f"{path} is private"
     obj = _resolve(path)
     assert callable(obj)
+    # the tracer wraps plain functions (also under classmethod and
+    # staticmethod) and classes; a cache or other wrapper object in their
+    # place would go untraced and its metrics would vanish
+    raw = inspect.getattr_static(_resolve(path.rpartition(".")[0]), attrs[-1])
+    raw = raw.__func__ if isinstance(raw, (classmethod, staticmethod)) else raw
+    assert inspect.isfunction(raw) or inspect.isclass(raw), f"{path} is neither a function nor a class"
     # the tracer wraps a callable under the module that defines it
     assert obj.__module__ == f"twirlbreak.{module}"
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from twirlbreak.gaussian import (
+    BONA_FIDE_TOL,
     OMEGA,
     CovarianceMatrix,
     QuasiNormalParams,
@@ -24,6 +25,7 @@ from twirlbreak.gaussian import (
     symplectic_eigenvalues,
     truncated_tmsv,
 )
+from twirlbreak import gaussian
 from twirlbreak.linalg import DensityOperator
 from twirlbreak.states import random_density, random_pure
 
@@ -183,6 +185,33 @@ class TestSeparability:
                     continue
                 assert abs(gamma) <= np.sqrt(alpha * alpha - 1) + 1e-12
                 assert is_separable_two_mode(cm)
+
+
+def _bona_fide_reference(m):
+    """V + i Omega >= 0 read off its least eigenvalue, to BONA_FIDE_TOL."""
+    return np.linalg.eigvalsh(m + 1j * OMEGA)[..., 0] >= -BONA_FIDE_TOL
+
+
+class TestBonaFideClosedForm:
+    @pytest.mark.parametrize("n, count", [(6, 320), (10, 2776)])
+    def test_matches_eigenvalue_criterion_on_sweep_grids(self, n, count):
+        diag, coupling = np.linspace(1.0, 3.0, n), np.linspace(-1.5, 1.5, n)
+        m = gaussian._quasi_normal_stack(*np.meshgrid(diag, diag, coupling, coupling, indexing="ij"))
+        mask = gaussian._is_bona_fide(m)
+        assert np.array_equal(mask, _bona_fide_reference(m))
+        assert np.count_nonzero(mask) == count
+
+    def test_matches_eigenvalue_criterion_at_the_boundary(self):
+        # EPR states are pure (nu_- = nu_+ = 1, on the boundary); scaled by
+        # s < 1 they fail Delta >= 2 alone; negated, or with the signs of one
+        # mode's block of the vacuum flipped, they fail V > 0 alone
+        pure = [epr_cm(mu).m for mu in (1.0, 1.5, 2.0, 5.0)]
+        scaled = [s * v for v in pure for s in (0.5, 0.9, 0.99, 0.999)]
+        indefinite = [-v for v in pure] + [np.diag([-1.0, -1.0, 1.0, 1.0]), np.diag([1.0, 1.0, -1.0, -1.0])]
+        stack = np.stack(pure + scaled + indefinite)
+        mask = gaussian._is_bona_fide(stack)
+        assert np.array_equal(mask, _bona_fide_reference(stack))
+        assert mask.tolist() == [True] * len(pure) + [False] * (len(scaled) + len(indefinite))
 
 
 class TestQuasiNormalCm:

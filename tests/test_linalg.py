@@ -365,6 +365,29 @@ class TestBlockSpectra:
         rho = random_density(3, 3, rng).mat
         assert np.array_equal(hermitian_eigenvalues(rho), np.linalg.eigvalsh(rho))
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singleton_components_give_eigvalsh_bit_for_bit(self, seed):
+        # a 3x3 block, a 2x2 block and four 1x1 components under one random
+        # permutation, with imaginary parts on the diagonal: each component's
+        # eigenvalues are eigvalsh of its block (for a 1x1 block, its real
+        # diagonal) and the residual is the dense max|M - M^dag|
+        rng = np.random.default_rng(seed)
+        m, d = 3, 9
+        stack = np.zeros((m, d, d), dtype=complex)
+        components = [[0, 1, 2], [3, 4], [5], [6], [7], [8]]
+        for idx in components:
+            g = rng.standard_normal((m, len(idx), len(idx))) + 1j * rng.standard_normal((m, len(idx), len(idx)))
+            stack[:, idx[0] : idx[-1] + 1, idx[0] : idx[-1] + 1] = g + g.conj().swapaxes(1, 2)
+        stack[:, range(d), range(d)] += 1e-13j * rng.standard_normal((m, d))
+        perm = rng.permutation(d)
+        stack = stack[:, perm][:, :, perm]
+        blocks = [np.flatnonzero(np.isin(perm, idx)) for idx in components]
+        want = np.sort(np.concatenate([np.linalg.eigvalsh(stack[:, b][:, :, b]) for b in blocks], axis=1), axis=1)
+        spectra, residual = linalg._block_spectra(stack)
+        assert np.array_equal(spectra, want)
+        assert residual == np.abs(stack - stack.conj().swapaxes(1, 2)).max()
+        assert residual > 0
+
     def test_validation_peak_memory_is_below_one_copy(self):
         # D = 361: the maximally entangled projector is one 19-block and 342
         # zero 1x1 blocks; the dense checks alone held about two D^2 copies

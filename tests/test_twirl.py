@@ -55,6 +55,11 @@ class TestCliffordGroup:
         for u in clifford.unitaries:
             assert _contains_up_to_phase(clifford, u.conj().T)
 
+    def test_built_once_and_read_only(self, clifford):
+        assert clifford_group_qubit() is clifford
+        with pytest.raises(ValueError):
+            clifford.unitaries[0, 0, 0] = 0
+
     def test_all_unitary(self, clifford):
         for u in clifford.unitaries:
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12

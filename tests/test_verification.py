@@ -209,6 +209,12 @@ def _bad_members():
     return [non_hermitian, wrong_trace, not_psd, not_finite]
 
 
+STACK_VALIDATORS = {
+    "blockwise": linalg.validate_density_stack,
+    "eigh": lambda mats: linalg.eigh_density_stack(mats)[0],
+}
+
+
 @pytest.mark.parametrize("bad_index", range(4))
 def test_stacked_validator_rejects_one_bad_member(bad_index):
     bad = _bad_members()[bad_index]
@@ -217,10 +223,59 @@ def test_stacked_validator_rejects_one_bad_member(bad_index):
     rng = np.random.default_rng(bad_index)
     good = [random_pure(2, 2, rng).mat for _ in range(4)]
     stack = np.stack(good[:2] + [bad] + good[2:])
-    assert np.array_equal(linalg.validate_density_stack(np.delete(stack, 2, axis=0)), np.stack(good))
-    with pytest.raises(ValueError) as stacked:
-        linalg.validate_density_stack(stack)
-    assert str(stacked.value) == str(single.value)
+    for validate in STACK_VALIDATORS.values():
+        assert np.array_equal(validate(np.delete(stack, 2, axis=0)), np.stack(good))
+        with pytest.raises(ValueError) as stacked:
+            validate(stack)
+        assert str(stacked.value) == str(single.value)
+
+
+@pytest.mark.parametrize("validator", sorted(STACK_VALIDATORS))
+def test_stacked_validators_report_the_first_failed_check(validator):
+    # the checks run in the order finite, Hermitian, unit trace, PSD; a
+    # member that fails several is reported by the first
+    non_hermitian, _, not_psd, not_finite = _bad_members()
+    cases = [
+        (not_finite + 4 * non_hermitian, "NaN/Inf"),
+        (non_hermitian + 2 * not_psd, "not Hermitian"),
+        (2 * not_psd, "unit trace"),
+        (not_psd, "positive semidefinite"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=message):
+            STACK_VALIDATORS[validator](bad[None])
+
+
+def test_dephasing_sweep_solves_each_input_stack_once(monkeypatch):
+    # one eigh of the dense (m, n^2, n^2) input stack serves its validation
+    # and its state vectors; the dephased output's solves are per n x n block
+    n, m = 4, 5
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+
+        def wrapper(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            solves.append((_name, np.shape(a)))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    z = np.random.default_rng(8).standard_normal((m, 2, n * n))
+    v = z[:, 0] + 1j * z[:, 1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    gaussian.dephasing_sweep(v, n)
+    assert [(name, shape) for name, shape in solves if shape[-1] == n * n] == [("eigh", (m, n * n, n * n))]
+    assert {name for name, _ in solves} == {"eigh", "eigvalsh"}
+
+
+def test_dephasing_sweep_validates_its_input():
+    n = 3
+    v = np.full((2, n * n), 1 / n, dtype=complex)
+    gaussian.dephasing_sweep(v, n)
+    v[1, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN/Inf"):
+        gaussian.dephasing_sweep(v, n)
+    v[1, 2] = 2 / n
+    with pytest.raises(ValueError, match="unit trace"):
+        gaussian.dephasing_sweep(v, n)
 
 
 def test_dephasing_memory_is_bounded_by_chunk_budget():
