@@ -11,9 +11,6 @@ from .linalg import (
     partial_transpose,
 )
 from .states import (
-    IsotropicParam,
-    WernerParamMulti,
-    WernerParamQubit,
     flip_operator,
     isotropic,
     max_entangled,
@@ -38,12 +35,10 @@ from .twirl import (
     UnitarySet,
     clifford_group_qubit,
     mc_twirl,
-    partial_twirl,
     twirl_exact,
 )
 from .gaussian import (
     CovarianceMatrix,
-    QuasiNormalParams,
     TruncatedFockState,
     dephase_truncated,
     epr_cm,

@@ -11,6 +11,7 @@ import numpy as np
 from .linalg import (
     PSD_TOL,
     DensityOperator,
+    _check_side,
     as_unitary_stack,
     conjugate_sum,
     hermitian_eigenvalues,
@@ -151,13 +152,9 @@ def local_depolarizing(p: ProbabilityVector, side: str = "A") -> KrausChannel:
 def local_depolarizing_kraus(probs, side: str = "A") -> np.ndarray:
     """Kraus sets {sqrt(p_k) P_k x I} (side A) or {sqrt(p_k) I x P_k} (side B),
     one per row of a (m, 4) array of Pauli probabilities: a (m, 4, 4, 4) stack."""
+    _check_side(side)
     eye = np.eye(2)
-    if side == "A":
-        lifted = np.stack([kron(pauli, eye) for pauli in PAULIS])
-    elif side == "B":
-        lifted = np.stack([kron(eye, pauli) for pauli in PAULIS])
-    else:
-        raise ValueError("side must be 'A' or 'B'")
+    lifted = np.stack([kron(pauli, eye) if side == "A" else kron(eye, pauli) for pauli in PAULIS])
     return np.sqrt(np.asarray(probs, dtype=float))[:, :, None, None] * lifted
 
 

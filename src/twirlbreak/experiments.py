@@ -136,7 +136,10 @@ def run_pauli_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     eb, _ = channels.is_entanglement_breaking(single)
     rows = []
     for gamma in gammas:
-        rho = states.werner_qubit(gamma)
+        try:
+            rho = states.werner_qubit(gamma)
+        except ValueError as exc:
+            raise ConfigError(f"invalid family parameter {gamma}: {exc}") from exc
         out_single = channels.apply_kraus(single, rho)
         out_double = channels.apply_kraus(double, rho)
         rows.append(
@@ -167,9 +170,9 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     for value, stream in zip(grid, streams):
         try:
             if mode == "uu":
-                rho = states.werner_multi(states.WernerParamMulti(d, value))
+                rho = states.werner_multi(d, value)
             else:
-                rho = states.isotropic(states.IsotropicParam(d, value))
+                rho = states.isotropic(d, value)
         except ValueError as exc:
             raise ConfigError(f"invalid family parameter {value}: {exc}") from exc
         double = twirl.twirl_exact(rho, mode)
@@ -179,7 +182,7 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         product = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
         if d == 2:
             # exact 2-design route, cross-checked against the analytic product form
-            single_out = twirl.partial_twirl(rho, "A", twirl.clifford_group_qubit()).mat
+            single_out = twirl.partial_twirl_operator(rho.mat, twirl.clifford_group_qubit(), "A", (2, 2))
         else:
             single_out = product
         single_residual = frobenius_distance(single_out, product)
@@ -306,6 +309,8 @@ def load_channel_file(path: str) -> channels.KrausChannel:
 
 def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
     path = cfg.require("channel_file")
+    if not isinstance(path, str):
+        raise ConfigError(f"channel_file must be a string path, got {path!r}")
     cfg.reject_unread()
     ch = load_channel_file(path)
     d = int(round(np.sqrt(ch.dim)))

@@ -13,6 +13,7 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
+    _check_side,
     eigh_density_stack,
     hermitian_eigenvalues,
     partial_transpose_mat,
@@ -76,20 +77,6 @@ class CovarianceMatrix:
             raise ValueError("matrix violates the bona-fide condition V + i Omega >= 0")
 
 
-@dataclass(frozen=True)
-class QuasiNormalParams:
-    """Parameters of the rotation-invariant quasi-normal CM form."""
-
-    alpha: float
-    beta: float
-    omega: float
-    phi: float
-
-    def __post_init__(self):
-        if self.alpha < 1 or self.beta < 1:
-            raise ValueError("alpha and beta must be >= 1")
-
-
 def rotation_matrix(theta) -> np.ndarray:
     """[[cos, sin], [-sin, cos]]; a (..., 2, 2) stack for an array of angles."""
     c, s = np.cos(theta), np.sin(theta)
@@ -131,9 +118,11 @@ def _quasi_normal_stack(alpha, beta, omega, phi) -> np.ndarray:
     return np.stack([np.stack(row, -1) for row in rows], -2)
 
 
-def quasi_normal_cm(p: QuasiNormalParams) -> CovarianceMatrix:
+def quasi_normal_cm(alpha: float, beta: float, omega: float, phi: float) -> CovarianceMatrix:
     """Blocks A = alpha I, B = beta I, C = [[omega, phi], [-phi, omega]]."""
-    return CovarianceMatrix(_quasi_normal_stack(p.alpha, p.beta, p.omega, p.phi))
+    if alpha < 1 or beta < 1:
+        raise ValueError("alpha and beta must be >= 1")
+    return CovarianceMatrix(_quasi_normal_stack(alpha, beta, omega, phi))
 
 
 def _symplectic_pair(m: np.ndarray, sign: float):
@@ -187,7 +176,6 @@ def _from_params(x: np.ndarray) -> np.ndarray:
 class InvariantFamily:
     """Null-space description of the CMs fixed by a family of rotations."""
 
-    mode: str               # "correlated" | "anticorrelated"
     basis: tuple            # symmetric 4x4 matrices spanning the family
     dimension: int
     projector: np.ndarray   # orthogonal projector onto the span, on the 10 free entries
@@ -212,7 +200,7 @@ def solve_invariant_cm(mode: str) -> InvariantFamily:
     # one row per (angle, entry), one column per unit matrix
     _, sv, vt = np.linalg.svd(r.swapaxes(1, 2).reshape(-1, 10))
     null = vt[sv < 1e-10]
-    return InvariantFamily(mode, tuple(_from_params(null)), len(null), null.T @ null)
+    return InvariantFamily(tuple(_from_params(null)), len(null), null.T @ null)
 
 
 def quasi_normal_sweep(family: InvariantFamily, n_per_axis: int) -> tuple[int, float, float]:
@@ -264,8 +252,7 @@ def truncated_tmsv(lam: float, n: int, tail_tol: float = 1e-3) -> TruncatedFockS
 def _dephase(mats: np.ndarray, n: int, side: str) -> np.ndarray:
     """Zero every element with k != k' on the dephased side of each matrix of
     a (m, n^2, n^2) stack."""
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
+    _check_side(side)
     same = np.eye(n, dtype=bool)  # k == k'
     mask = same[:, None, :, None] if side == "A" else same[None, :, None, :]
     return np.where(mask, mats.reshape(-1, n, n, n, n), 0.0).reshape(-1, n * n, n * n)

@@ -315,19 +315,20 @@ def partial_trace_multi(mat: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
+def _check_side(side: str) -> None:
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
+
+
 def partial_transpose_mat(mat: np.ndarray, dim_a: int, dim_b: int, side: str = "B") -> np.ndarray:
     """Partial transposition of a bipartite matrix, or of each matrix of a
     (..., D, D) stack (default on subsystem B)."""
+    _check_side(side)
     mat = np.asarray(mat)
     lead = mat.shape[:-2]
     t = mat.reshape(lead + (dim_a, dim_b, dim_a, dim_b))
     k = len(lead)
-    if side == "B":
-        t = t.swapaxes(k + 1, k + 3)
-    elif side == "A":
-        t = t.swapaxes(k, k + 2)
-    else:
-        raise ValueError("side must be 'A' or 'B'")
+    t = t.swapaxes(k + 1, k + 3) if side == "B" else t.swapaxes(k, k + 2)
     return t.reshape(lead + (dim_a * dim_b, dim_a * dim_b))
 
 

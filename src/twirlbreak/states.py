@@ -2,45 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import DensityOperator
-
-
-@dataclass(frozen=True)
-class WernerParamQubit:
-    gamma: float
-
-    def __post_init__(self):
-        if not -1.0 / 3.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma={self.gamma} outside [-1/3, 1]")
-
-
-@dataclass(frozen=True)
-class WernerParamMulti:
-    d: int
-    mu: float
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if not -1.0 <= self.mu <= 1.0:
-            raise ValueError(f"mu={self.mu} outside [-1, 1]")
-
-
-@dataclass(frozen=True)
-class IsotropicParam:
-    d: int
-    gamma: float
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        lo = -1.0 / (self.d**2 - 1)
-        if not lo <= self.gamma <= 1.0:
-            raise ValueError(f"gamma={self.gamma} outside [{lo}, 1]")
 
 
 def singlet() -> DensityOperator:
@@ -67,11 +31,11 @@ def max_entangled_mat(d: int) -> np.ndarray:
     return m
 
 
-def werner_qubit(p: WernerParamQubit | float) -> DensityOperator:
-    """Qubit Werner state (1-gamma) I/4 + gamma |-><-|."""
-    if not isinstance(p, WernerParamQubit):
-        p = WernerParamQubit(float(p))
-    m = (1 - p.gamma) * np.eye(4) / 4 + p.gamma * singlet().mat
+def werner_qubit(gamma: float) -> DensityOperator:
+    """Qubit Werner state (1-gamma) I/4 + gamma |-><-|, gamma in [-1/3, 1]."""
+    if not -1.0 / 3.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma={gamma} outside [-1/3, 1]")
+    m = (1 - gamma) * np.eye(4) / 4 + gamma * singlet().mat
     return DensityOperator(m, 2, 2)
 
 
@@ -86,17 +50,25 @@ def flip_operator(d: int) -> np.ndarray:
     return v
 
 
-def werner_multi(p: WernerParamMulti) -> DensityOperator:
-    """d x d Werner state (I + mu V) / (d^2 + d mu)."""
-    d, mu = p.d, p.mu
+def werner_multi(d: int, mu: float) -> DensityOperator:
+    """d x d Werner state (I + mu V) / (d^2 + d mu), mu in [-1, 1]."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if not -1.0 <= mu <= 1.0:
+        raise ValueError(f"mu={mu} outside [-1, 1]")
     m = (np.eye(d * d) + mu * flip_operator(d)) / (d * d + d * mu)
     return DensityOperator(m, d, d)
 
 
-def isotropic(p: IsotropicParam) -> DensityOperator:
-    """Isotropic state (1-gamma) I/d^2 + gamma |psi><psi|."""
-    d, g = p.d, p.gamma
-    m = (1 - g) * np.eye(d * d) / (d * d) + g * max_entangled_mat(d)
+def isotropic(d: int, gamma: float) -> DensityOperator:
+    """Isotropic state (1-gamma) I/d^2 + gamma |psi><psi|, gamma in
+    [-1/(d^2-1), 1]."""
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    lo = -1.0 / (d**2 - 1)
+    if not lo <= gamma <= 1.0:
+        raise ValueError(f"gamma={gamma} outside [{lo}, 1]")
+    m = (1 - gamma) * np.eye(d * d) / (d * d) + gamma * max_entangled_mat(d)
     return DensityOperator(m, d, d)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from .linalg import (
     CONJUGATE_SUM_CACHE_BYTES,
     DensityOperator,
+    _check_side,
     as_unitary_stack,
     conjugate_sum,
     kron,
@@ -87,11 +88,6 @@ def twirl_operator(op: np.ndarray, uset: UnitarySet, conjugate_second: bool = Fa
     return conjugate_sum(op, us, us.conj() if conjugate_second else us, 1.0 / len(us))
 
 
-def _check_side(side: str) -> None:
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
-
-
 def partial_twirl_operator(op: np.ndarray, uset: UnitarySet, side: str, dims) -> np.ndarray:
     """(1/K) sum_k (U_k x I) op (U_k x I)^dag (or I x U_k for side B)."""
     _check_side(side)
@@ -99,15 +95,6 @@ def partial_twirl_operator(op: np.ndarray, uset: UnitarySet, side: str, dims) ->
     us = uset.unitaries
     a, b = (us, np.eye(db)[None]) if side == "A" else (np.eye(da)[None], us)
     return conjugate_sum(op, a, b, 1.0 / len(us))
-
-
-def partial_twirl(rho: DensityOperator, side: str, uset: UnitarySet) -> DensityOperator:
-    _check_side(side)
-    d = rho.dim_a if side == "A" else rho.dim_b
-    if d != uset.unitaries.shape[1]:
-        raise ValueError("unitary set dimension does not match the chosen side")
-    out = partial_twirl_operator(rho.mat, uset, side, (rho.dim_a, rho.dim_b))
-    return DensityOperator(out, rho.dim_a, rho.dim_b)
 
 
 # -- analytic Haar twirls for any dimension -----------------------------------
@@ -176,9 +163,9 @@ class HaarSampler:
     the Gaussian draws laid out as q[col, row, sample]: every step is an
     elementwise product or a sum over the rows, running along the samples.
     The stream is defined batch-wise and every sample is computed in the
-    same order whatever the batch: sample() is sample_batch(1), and
-    sample_batch(3) then sample_batch(4) equals sample_batch(7) bit for
-    bit.  A fixed seed reproduces an identical sequence.
+    same order whatever the batch: sample_batch(3) then sample_batch(4)
+    equals sample_batch(7) bit for bit.  A fixed seed reproduces an
+    identical sequence.
     """
 
     seed: int | np.random.SeedSequence
@@ -200,9 +187,6 @@ class HaarSampler:
                 v -= np.sum(prev * _row_sum(prev.conj() * v)[:, None, :], axis=0)
             v /= np.sqrt(_row_sum(v.real**2 + v.imag**2))
         return q.transpose(2, 1, 0)
-
-    def sample(self) -> np.ndarray:
-        return self.sample_batch(1)[0]
 
 
 def _row_sum(p: np.ndarray) -> np.ndarray:

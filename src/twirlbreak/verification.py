@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, gaussian, states, twirl
-from .linalg import CONJUGATE_SUM_CACHE_BYTES, PSD_TOL, conjugate_sum, frobenius_distance, negativity
+from .linalg import CONJUGATE_SUM_CACHE_BYTES, PSD_TOL, DensityOperator, conjugate_sum, frobenius_distance, negativity
 
 
 @dataclass(frozen=True)
@@ -123,8 +123,8 @@ def check_2design(cfg: VerifyConfig) -> list[CheckResult]:
 def check_qudit_invariance(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
     for d in (2, 3, 4):
-        werner = states.werner_multi(states.WernerParamMulti(d, -0.9))
-        iso = states.isotropic(states.IsotropicParam(d, 0.8))
+        werner = states.werner_multi(d, -0.9)
+        iso = states.isotropic(d, 0.8)
         out.append(
             _result(
                 f"werner-exact-uu(d={d})",
@@ -155,7 +155,8 @@ def check_qudit_invariance(cfg: VerifyConfig) -> list[CheckResult]:
         rho = states.random_density(d, d, rng)
         target = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
         if d == 2:
-            got = twirl.partial_twirl(rho, "A", twirl.clifford_group_qubit()).mat
+            got = twirl.partial_twirl_operator(rho.mat, twirl.clifford_group_qubit(), "A", (2, 2))
+            got = DensityOperator(got, 2, 2).mat
             out.append(
                 _result("single-transmission-product(d=2)", frobenius_distance(got, target), 1e-11, cfg)
             )

@@ -18,6 +18,7 @@ from twirlbreak.channels import (
     is_entanglement_breaking,
     is_product_form,
     local_depolarizing,
+    local_depolarizing_kraus,
 )
 from twirlbreak.linalg import (
     conjugate_sum,
@@ -129,6 +130,11 @@ class TestLocalDepolarizing:
         out = apply_kraus(ch, rho)
         marginal = partial_trace_multi(rho.mat, [2, 2], keep=[0])
         assert frobenius_distance(out.mat, kron(marginal, np.eye(2) / 2)) < 1e-12
+
+    @pytest.mark.parametrize("side", ["a", "C"])
+    def test_invalid_side_raises(self, side):
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            local_depolarizing_kraus(np.array([UNIFORM.p]), side)
 
 
 class TestEntanglementBreaking:

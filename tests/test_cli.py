@@ -15,7 +15,7 @@ from twirlbreak import gaussian, twirl
 from twirlbreak.cli import main
 from twirlbreak.experiments import dumps_document
 from twirlbreak.linalg import DensityOperator, frobenius_distance, negativity
-from twirlbreak.states import IsotropicParam, WernerParamMulti, isotropic, werner_multi
+from twirlbreak.states import isotropic, werner_multi
 from twirlbreak.twirl import HaarSampler, mc_twirl
 
 CONFIG_DIR = "configs"
@@ -110,13 +110,13 @@ class TestScenarios:
         code, out, _ = _run(capsys, "qudit-twirl", "--config", f"{CONFIG_DIR}/{config}.json")
         assert code == 0
         doc = json.loads(out)
-        cfg = json.load(open(f"{CONFIG_DIR}/{config}.json"))
+        cfg = json.loads(Path(f"{CONFIG_DIR}/{config}.json").read_text())
         assert len(doc["rows"]) == len(cfg["param_grid"])
         for row, value in zip(doc["rows"], cfg["param_grid"]):
             if cfg["mode"] == "uu":
-                rho = werner_multi(WernerParamMulti(3, value))
+                rho = werner_multi(3, value)
             else:
-                rho = isotropic(IsotropicParam(3, value))
+                rho = isotropic(3, value)
             single = DensityOperator(twirl.partial_twirl_exact_mat(rho.mat, (3, 3), "A"), 3, 3)
             assert row["single_transmission_negativity"] == negativity(single)
 
@@ -164,7 +164,7 @@ class TestOutputs:
                 path,
             )
             assert code == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_seed_changes_mc_residual(self, capsys, tmp_path):
         outs = []
@@ -180,7 +180,7 @@ class TestOutputs:
                 "--out",
                 path,
             )
-            outs.append(json.load(open(path)))
+            outs.append(json.loads(Path(path).read_text()))
         a = outs[0]["rows"][0]["params"]["mc_residual"]
         b = outs[1]["rows"][0]["params"]["mc_residual"]
         assert a != b
@@ -196,7 +196,7 @@ class TestOutputs:
             rows.append([r["params"]["mc_residual"] for r in json.loads(out)["rows"]])
         full, truncated = rows
         assert truncated == full[:2]
-        rho = werner_multi(WernerParamMulti(2, grid[3]))
+        rho = werner_multi(2, grid[3])
         alone = mc_twirl(rho, "uu", 200, HaarSampler(np.random.SeedSequence(5).spawn(4)[3], 2))
         assert full[3] == frobenius_distance(alone.mat, rho.mat)
 
@@ -224,7 +224,7 @@ class TestOutputs:
             path,
         )
         assert code == 0
-        assert json.load(open(path))["config"]["mc_samples"] == 200
+        assert json.loads(Path(path).read_text())["config"]["mc_samples"] == 200
 
 
 class TestUnmeasuredFields:
@@ -390,6 +390,22 @@ class TestExitCodes:
         code, _, err = _run(capsys, "eb-test", "--config", cfg)
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize("path", [0, True, ["a"]], ids=["zero", "true", "list"])
+    def test_non_string_channel_file_is_config_error(self, capsys, tmp_path, path):
+        # an int would be taken as a file descriptor (True as fd 1) and closed
+        cfg = _write(tmp_path, "cfg.json", {"channel_file": path})
+        code, out, err = _run(capsys, "eb-test", "--config", cfg)
+        assert code == 2
+        assert "config error: channel_file must be a string path" in err
+        assert out == ""
+
+    def test_pauli_gamma_out_of_range_is_config_error(self, capsys, tmp_path):
+        cfg = _write(tmp_path, "cfg.json", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": [0.5, 2.0]})
+        code, out, err = _run(capsys, "pauli", "--config", cfg)
+        assert code == 2
+        assert "config error: invalid family parameter 2.0: gamma=2.0 outside [-1/3, 1]" in err
+        assert out == ""
 
     def test_scalar_probability_vector(self, capsys, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"p": 0.5, "gamma_grid": [0.5]})

@@ -8,7 +8,6 @@ from twirlbreak.gaussian import (
     BONA_FIDE_TOL,
     OMEGA,
     CovarianceMatrix,
-    QuasiNormalParams,
     TruncatedFockState,
     dephase_truncated,
     epr_cm,
@@ -74,7 +73,7 @@ class TestApplyRotations:
 
 class TestRotationResidual:
     def test_matches_per_angle_rotations(self):
-        cm = quasi_normal_cm(QuasiNormalParams(2.0, 1.5, 0.4, 0.3))
+        cm = quasi_normal_cm(2.0, 1.5, 0.4, 0.3)
         for sign in (1.0, -1.0):
             want = max(np.max(np.abs(rotate(cm.m, th, sign * th) - cm.m)) for th in ANGLES)
             assert abs(rotation_residual(cm, ANGLES, sign) - want) < 1e-15
@@ -127,9 +126,7 @@ class TestPtSymplecticEigenvalues:
         assert np.allclose(pt_symplectic_eigenvalues(CovarianceMatrix(np.eye(4))), (1.0, 1.0))
 
     def test_quasi_normal_always_ppt(self):
-        nu_min, _ = pt_symplectic_eigenvalues(
-            quasi_normal_cm(QuasiNormalParams(2.0, 2.0, 1.0, 0.0))
-        )
+        nu_min, _ = pt_symplectic_eigenvalues(quasi_normal_cm(2.0, 2.0, 1.0, 0.0))
         assert nu_min >= 1.0 - 1e-10
 
 
@@ -150,7 +147,7 @@ class TestSeparability:
                 for omega in np.linspace(-1.5, 1.5, 5):
                     for phi in np.linspace(-1.5, 1.5, 5):
                         try:
-                            cm = quasi_normal_cm(QuasiNormalParams(alpha, beta, omega, phi))
+                            cm = quasi_normal_cm(alpha, beta, omega, phi)
                         except ValueError:
                             continue
                         count += 1
@@ -216,32 +213,36 @@ class TestBonaFideClosedForm:
 
 class TestQuasiNormalCm:
     def test_correlated_invariance(self):
-        cm = quasi_normal_cm(QuasiNormalParams(2.0, 1.5, 0.4, 0.3))
+        cm = quasi_normal_cm(2.0, 1.5, 0.4, 0.3)
         assert rotation_residual(cm, ANGLES, 1.0) < 1e-12
 
     def test_zero_coupling_is_thermal_product(self):
-        cm = quasi_normal_cm(QuasiNormalParams(2.0, 3.0, 0.0, 0.0))
+        cm = quasi_normal_cm(2.0, 3.0, 0.0, 0.0)
         assert np.allclose(cm.m, np.diag([2.0, 2.0, 3.0, 3.0]))
 
     def test_local_rotation_reduces_coupling_block(self):
-        p = QuasiNormalParams(2.0, 2.0, 0.6, 0.8)
-        cm = quasi_normal_cm(p)
-        gamma = np.sqrt(p.omega**2 + p.phi**2)
+        omega, phi = 0.6, 0.8
+        cm = quasi_normal_cm(2.0, 2.0, omega, phi)
+        gamma = np.sqrt(omega**2 + phi**2)
         # rotate mode B to diagonalize the coupling block
-        phi_angle = np.arctan2(p.phi, p.omega)
+        phi_angle = np.arctan2(phi, omega)
         rotated = rotate(cm.m, 0.0, phi_angle)
         assert np.allclose(rotated[:2, 2:], gamma * np.eye(2), atol=1e-12)
 
     def test_rejects_non_bona_fide(self):
         with pytest.raises(ValueError):
-            quasi_normal_cm(QuasiNormalParams(1.0, 1.0, 1.0, 1.0))
+            quasi_normal_cm(1.0, 1.0, 1.0, 1.0)
+
+    def test_rejects_alpha_below_one(self):
+        with pytest.raises(ValueError, match="alpha and beta must be >= 1"):
+            quasi_normal_cm(0.99, 1.5, 0, 0)
 
 
 class TestSolveInvariantCm:
     def test_correlated_dimension_and_membership(self):
         fam = solve_invariant_cm("correlated")
         assert fam.dimension == 4
-        cm = quasi_normal_cm(QuasiNormalParams(2.0, 1.5, 0.4, 0.3))
+        cm = quasi_normal_cm(2.0, 1.5, 0.4, 0.3)
         assert fam.residual(cm.m) < 1e-12
         assert fam.residual(np.eye(4)) < 1e-12
 
@@ -264,7 +265,7 @@ class TestSolveInvariantCm:
 
     def test_residual_of_a_stack(self):
         fam = solve_invariant_cm("correlated")
-        stack = np.stack([epr_cm(2.0).m, np.eye(4), quasi_normal_cm(QuasiNormalParams(2.0, 1.5, 0.4, 0.3)).m])
+        stack = np.stack([epr_cm(2.0).m, np.eye(4), quasi_normal_cm(2.0, 1.5, 0.4, 0.3).m])
         got = fam.residual(stack)
         assert got.shape == (3,)
         assert np.array_equal(got, [fam.residual(m) for m in stack])
@@ -294,6 +295,11 @@ class TestDephaseTruncated:
         state = truncated_tmsv(0.4, 6)
         out = dephase_truncated(state, "B")
         assert abs(np.trace(out.rho.mat).real - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("side", ["a", "C"])
+    def test_invalid_side_raises(self, side):
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            dephase_truncated(truncated_tmsv(0.4, 4), side)
 
     def test_random_pure_always_ppt(self):
         rng = np.random.default_rng(1)

@@ -92,6 +92,13 @@ class TestPartialTranspose:
         via_b = partial_transpose_mat(rho.mat.T, 2, 2, side="B")
         assert np.allclose(partial_transpose_mat(rho.mat, 2, 2, side="A"), via_b)
 
+    @pytest.mark.parametrize("side", ["a", "C"])
+    def test_invalid_side_raises(self, side):
+        from twirlbreak.linalg import partial_transpose_mat
+
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            partial_transpose_mat(np.eye(4), 2, 2, side=side)
+
 
 class TestEigenvalues:
     def test_identity(self):

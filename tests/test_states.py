@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,9 +7,6 @@ from hypothesis import strategies as st
 
 from twirlbreak.linalg import frobenius_distance, kron, negativity
 from twirlbreak.states import (
-    IsotropicParam,
-    WernerParamMulti,
-    WernerParamQubit,
     flip_operator,
     isotropic,
     isotropic_entangled,
@@ -73,10 +72,19 @@ class TestWernerQubit:
         assert frobenius_distance(werner_qubit(1.0).mat, singlet().mat) < 1e-15
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            WernerParamQubit(-0.5)
-        with pytest.raises(ValueError):
-            WernerParamQubit(1.1)
+        with pytest.raises(ValueError, match=r"outside \[-1/3, 1\]"):
+            werner_qubit(-0.5)
+        with pytest.raises(ValueError, match=r"outside \[-1/3, 1\]"):
+            werner_qubit(1.1)
+
+    @pytest.mark.parametrize("gamma", [-1 / 3, 1.0])
+    def test_range_ends_accepted(self, gamma):
+        assert werner_qubit(gamma).dim_a == 2
+
+    @pytest.mark.parametrize("gamma", [np.nextafter(-1 / 3, -np.inf), np.nextafter(1.0, np.inf)])
+    def test_just_outside_range_rejected(self, gamma):
+        with pytest.raises(ValueError, match=re.escape(f"gamma={gamma} outside [-1/3, 1]")):
+            werner_qubit(gamma)
 
     def test_entanglement_threshold(self):
         for gamma in np.linspace(-1 / 3, 1, 50):
@@ -113,51 +121,80 @@ class TestFlipOperator:
 
 class TestWernerMulti:
     def test_mu_zero(self):
-        assert np.allclose(werner_multi(WernerParamMulti(3, 0.0)).mat, np.eye(9) / 9)
+        assert np.allclose(werner_multi(3, 0.0).mat, np.eye(9) / 9)
 
     def test_qubit_reduction(self):
         for mu in (-1.0, -0.5, 0.3, 1.0):
             gamma = -mu / (2 + mu)
-            a = werner_multi(WernerParamMulti(2, mu)).mat
+            a = werner_multi(2, mu).mat
             b = werner_qubit(gamma).mat
             assert frobenius_distance(a, b) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_entanglement_threshold(self, d):
         for mu in np.linspace(-1, 1, 21):
-            entangled = negativity(werner_multi(WernerParamMulti(d, mu))) > 1e-10
+            entangled = negativity(werner_multi(d, mu)) > 1e-10
             assert entangled == werner_multi_entangled(d, mu)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            WernerParamMulti(3, -1.2)
+        with pytest.raises(ValueError, match=re.escape("mu=-1.2 outside [-1, 1]")):
+            werner_multi(3, -1.2)
+
+    @pytest.mark.parametrize("mu", [-1.0, 1.0])
+    def test_range_ends_accepted(self, mu):
+        assert werner_multi(3, mu).dim_a == 3
+
+    @pytest.mark.parametrize("mu", [np.nextafter(-1.0, -np.inf), np.nextafter(1.0, np.inf)])
+    def test_just_outside_range_rejected(self, mu):
+        with pytest.raises(ValueError, match=re.escape(f"mu={mu} outside [-1, 1]")):
+            werner_multi(3, mu)
+
+    def test_d1_rejected(self):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            werner_multi(1, 0.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_uu_invariance(self, d):
         s = HaarSampler(4, d)
-        rho = werner_multi(WernerParamMulti(d, -0.8)).mat
+        rho = werner_multi(d, -0.8).mat
         for u in s.sample_batch(20):
             assert frobenius_distance(conj_pair(u, rho), rho) < 1e-12
 
 
 class TestIsotropic:
     def test_gamma_zero_and_one(self):
-        assert np.allclose(isotropic(IsotropicParam(3, 0.0)).mat, np.eye(9) / 9)
-        assert frobenius_distance(isotropic(IsotropicParam(3, 1.0)).mat, max_entangled(3).mat) < 1e-15
+        assert np.allclose(isotropic(3, 0.0).mat, np.eye(9) / 9)
+        assert frobenius_distance(isotropic(3, 1.0).mat, max_entangled(3).mat) < 1e-15
 
     def test_d3_threshold(self):
         for gamma in np.linspace(-1 / 8, 1, 30):
-            entangled = negativity(isotropic(IsotropicParam(3, gamma))) > 1e-10
+            entangled = negativity(isotropic(3, gamma)) > 1e-10
             assert entangled == isotropic_entangled(3, gamma)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            IsotropicParam(3, -0.2)
+        with pytest.raises(ValueError, match=re.escape(f"gamma=-0.2 outside [{-1 / 8}, 1]")):
+            isotropic(3, -0.2)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_range_ends_accepted(self, d):
+        for gamma in (-1 / (d * d - 1), 1.0):
+            assert isotropic(d, gamma).dim_a == d
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_just_outside_range_rejected(self, d):
+        lo = -1 / (d * d - 1)
+        for gamma in (np.nextafter(lo, -np.inf), np.nextafter(1.0, np.inf)):
+            with pytest.raises(ValueError, match=re.escape(f"gamma={gamma} outside [{lo}, 1]")):
+                isotropic(d, gamma)
+
+    def test_d1_rejected(self):
+        with pytest.raises(ValueError, match="d must be >= 2"):
+            isotropic(1, 0.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_uustar_invariance(self, d):
         s = HaarSampler(5, d)
-        rho = isotropic(IsotropicParam(d, 0.8)).mat
+        rho = isotropic(d, 0.8).mat
         for u in s.sample_batch(20):
             assert frobenius_distance(conj_pair(u, rho, star=True), rho) < 1e-12
 
