@@ -14,7 +14,6 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     _check_side,
-    eigh_density_stack,
     hermitian_eigenvalues,
     partial_transpose_mat,
     validate_density_stack,
@@ -263,15 +262,18 @@ def _min_pt_eigenvalues(mats: np.ndarray, n: int) -> np.ndarray:
     return hermitian_eigenvalues(partial_transpose_mat(mats, n, n))[:, 0]
 
 
-def _decompose(pure: np.ndarray, vectors: np.ndarray, n: int):
+def _decompose(pure: np.ndarray, n: int):
     """Weights d_k (m, n) and unit kets xi(k) (m, n, n) of the dephased output
-    of each pure state of a stack, its state vector read as the top column of
-    its eigenvectors (m, n^2, n^2) from eigh; a component of weight <= 1e-14
-    gets a zero ket."""
+    of each pure state of a validated (m, n^2, n^2) stack; a component of
+    weight <= 1e-14 gets a zero ket.  As Tr rho^2 >= 1 - 1e-10 makes rho =
+    v v^dag, v is read up to a phase as rho's column j at its largest
+    diagonal entry, over sqrt(rho_jj)."""
     purity = np.einsum("mij,mji->m", pure, pure).real
     if np.any(purity < 1.0 - 1e-10):
         raise ValueError("input must be pure; spectrally decompose mixed states first")
-    c = vectors[:, :, -1].reshape(-1, n, n)
+    j = np.argmax(pure.diagonal(axis1=1, axis2=2).real, axis=1)[:, None, None]
+    column = np.take_along_axis(pure, j, axis=2)
+    c = (column / np.sqrt(np.take_along_axis(column, j, axis=1).real)).reshape(-1, n, n)
     weights = np.sum(np.abs(c) ** 2, axis=2)
     kept = weights > 1e-14
     xi = np.divide(c, np.sqrt(weights)[:, :, None], out=np.zeros_like(c), where=kept[:, :, None])
@@ -289,15 +291,14 @@ def _separable_sum(weights: np.ndarray, kets_a: np.ndarray, kets_b: np.ndarray) 
 def dephasing_sweep(vectors, n: int):
     """Uniform side-A dephasing of a (m, n^2) stack of unit two-mode state
     vectors, cutoff n per mode.  Each input and each dephased output is
-    validated as a density matrix; one eigh of the input stack serves both
-    its validation and the recovery of its state vector.  Returns, per state,
-    the least eigenvalue of the output's partial transpose and the largest
-    entry error of the output rebuilt from its separable decomposition
-    (which recovers the state vector from the density matrix)."""
+    validated as a density matrix.  Returns, per state, the least eigenvalue
+    of the output's partial transpose and the largest entry error of the
+    output rebuilt from its separable decomposition (which recovers the
+    state vector from the density matrix)."""
     v = np.asarray(vectors, dtype=complex)
-    pure, _, eigenvectors = eigh_density_stack(v[:, :, None] * v.conj()[:, None, :])
+    pure = validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
     dephased = validate_density_stack(_dephase(pure, n, "A"))
-    weights, xi = _decompose(pure, eigenvectors, n)
+    weights, xi = _decompose(pure, n)
     kets = np.broadcast_to(np.eye(n), xi.shape)
     rec = _separable_sum(weights, kets, xi)
     return _min_pt_eigenvalues(dephased, n), np.max(np.abs(rec - dephased), axis=(1, 2))
@@ -313,8 +314,7 @@ def dephase_truncated(state: TruncatedFockState, side: str = "A") -> TruncatedFo
 def separable_decomposition_dephased(state: TruncatedFockState):
     """Explicit separable decomposition of the side-A dephased output of a
     pure input: components (d_k, |k>, |xi(k)>) with d_k = sum_j |c_kj|^2."""
-    pure = state.rho.mat[None]
-    weights, xi = _decompose(pure, np.linalg.eigh(pure)[1], state.cutoff)
+    weights, xi = _decompose(state.rho.mat[None], state.cutoff)
     kets = np.eye(state.cutoff, dtype=complex)
     return [(float(weights[0, k]), kets[k], xi[0, k]) for k in np.flatnonzero(weights[0])]
 

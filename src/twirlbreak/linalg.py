@@ -51,81 +51,77 @@ def _hermiticity_residual(m: np.ndarray) -> float:
 def validate_density_stack(mats) -> np.ndarray:
     """Check each matrix of a (m, D, D) stack is a density matrix: finite,
     Hermitian, unit trace and positive semidefinite to the module-level
-    tolerances.  Returns the stack as complex; raises ValueError, with
-    DensityOperator's messages, if any member fails."""
-    return _check_density_stack(mats, _block_spectra)[0]
-
-
-def eigh_density_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """validate_density_stack's checks, in its order and with its messages,
-    on one dense eigh per member.  Returns the stack as complex, its
-    ascending spectra (m, D) and their unit eigenvectors, as the columns of
-    a (m, D, D) stack."""
-    m, (spectra, _, vectors) = _check_density_stack(mats, _dense_eigh)
-    return m, spectra, vectors
-
-
-def _dense_eigh(m: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    spectra, vectors = np.linalg.eigh(m)
-    return spectra, _hermiticity_residual(m), vectors
-
-
-def _check_density_stack(mats, solve):
-    """The density-matrix checks of a (m, D, D) stack, in this order: finite,
-    Hermitian, unit trace, positive semidefinite.  solve(stack) returns
-    (ascending spectra (m, D), Hermiticity residual, *anything else); the
-    stack as complex and solve's result are returned."""
+    tolerances, in that order, positivity by the certificate of _blocks_psd.
+    Returns the stack as complex; raises ValueError, with DensityOperator's
+    messages, if any member fails."""
     m = np.asarray(mats, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected a (m, D, D) stack, got shape {m.shape}")
     _require_finite(m)
-    solved = solve(m)
     if len(m) == 0:
-        return m, solved
-    spectra, residual = solved[:2]
+        return m
+    blocks, residual = _component_blocks(m)
     if residual > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
     tr = m.trace(axis1=1, axis2=2)
     if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
         raise ValueError("density matrix does not have unit trace")
-    if spectra[:, 0].min() < -PSD_TOL:
+    if not _blocks_psd(blocks, PSD_TOL):
         raise ValueError("density matrix is not positive semidefinite")
-    return m, solved
+    return m
 
 
-def _block_spectra(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascending spectra (m, D) and Hermiticity residual max|M - M^dag| of a
-    finite complex (m, D, D) stack.
-
-    Both are computed per connected component of the stack's nonzero pattern
-    (the entries nonzero in any member, made symmetric): every entry outside
-    the components is zero in both triangles, so the stack is a direct sum of
-    its component blocks up to one permutation of the indices.  Blocks of one
-    size are solved in one batched eigvalsh, except 1x1 blocks, whose
-    eigenvalue is their real diagonal entry (what eigvalsh returns, bit for
-    bit) and whose residual is 2|Im m_ii|; a single component is the
-    eigvalsh of the stack itself."""
-    if m.size == 0:
-        return np.linalg.eigvalsh(m), 0.0
+def _component_blocks(m: np.ndarray) -> tuple[list, float]:
+    """The blocks of a finite complex (m, D, D) stack, one array per size, and
+    its Hermiticity residual max|M - M^dag|.  The blocks are the connected
+    components of the stack's nonzero pattern (entries nonzero in any member,
+    made symmetric), so the stack is their direct sum up to one permutation.
+    A single component is the stack itself, (m, D, D); c components of size
+    1 are their diagonal entries (m, c), of size s > 1 a gather (m, c, s, s)."""
     pattern = (m != 0).any(axis=0)
     pattern |= pattern.T
     groups = _components_by_size(pattern)
     if m.shape[1] in groups:
-        return np.linalg.eigvalsh(m), _hermiticity_residual(m)
-    spectra = np.empty(m.shape[:2])
-    residual, filled = 0.0, 0
+        return [m], _hermiticity_residual(m)
+    blocks, residual = [], 0.0
     for size, idx in groups.items():
         if size == 1:
-            diag = m[:, idx[:, 0], idx[:, 0]]
-            residual = max(residual, 2 * float(np.abs(diag.imag).max()))
-            spectra[:, filled : filled + idx.size] = diag.real
+            block = m[:, idx[:, 0], idx[:, 0]]
+            residual = max(residual, 2 * float(np.abs(block.imag).max()))
         else:
-            blocks = m[:, idx[:, :, None], idx[:, None, :]]
-            residual = max(residual, _hermiticity_residual(blocks))
-            spectra[:, filled : filled + idx.size] = np.linalg.eigvalsh(blocks).reshape(len(m), -1)
-        filled += idx.size
-    spectra.sort(axis=1)
-    return spectra, residual
+            block = m[:, idx[:, :, None], idx[:, None, :]]
+            residual = max(residual, _hermiticity_residual(block))
+        blocks.append(block)
+    return blocks, residual
+
+
+def _blocks_psd(blocks: list, tol: float) -> bool:
+    """Whether every block from _component_blocks has least eigenvalue >= -tol,
+    that is block + tol I >= 0: read off the real diagonal of 1x1 blocks, and
+    certified for the others by one batched Cholesky factorisation of block +
+    tol I per array, which succeeds with the backward error eigvalsh has."""
+    try:
+        for b in blocks:
+            if b.ndim > 2:
+                np.linalg.cholesky(b + tol * np.eye(b.shape[-1]))
+            elif b.real.min() < -tol:
+                return False
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _block_spectra(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending spectra (m, D) and Hermiticity residual of a finite complex
+    (m, D, D) stack: one batched eigvalsh per array of _component_blocks, a
+    1x1 block's eigenvalue read as its real diagonal (eigvalsh's, bit for bit)."""
+    if m.size == 0:
+        return np.linalg.eigvalsh(m), 0.0
+    blocks, residual = _component_blocks(m)
+    if blocks[0].ndim == 3:  # a single component: the stack itself
+        return np.linalg.eigvalsh(m), residual
+    spectra = [b.real if b.ndim == 2 else np.linalg.eigvalsh(b).reshape(len(m), -1) for b in blocks]
+    return np.sort(np.concatenate(spectra, axis=1), axis=1), residual
 
 
 def _components_by_size(pattern: np.ndarray) -> dict:
@@ -351,14 +347,18 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def is_ppt(rho: DensityOperator, tol: float = PSD_TOL) -> bool:
-    """Peres-Horodecki test: positivity of the partial transpose.
+    """Peres-Horodecki test: the partial transpose, finite and Hermitian
+    within SPECTRUM_HERMITICITY_TOL, has least eigenvalue >= -tol (_blocks_psd).
 
     Decides separability exactly for 2x2 and 2x3 systems; elsewhere PPT is
     only a necessary condition.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return bool(hermitian_eigenvalues(partial_transpose(rho))[0] >= -tol)
+    blocks, residual = _component_blocks(_as_complex(partial_transpose(rho))[None])
+    if residual > SPECTRUM_HERMITICITY_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return _blocks_psd(blocks, tol)
 
 
 def negativity(rho: DensityOperator) -> float:

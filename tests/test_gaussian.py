@@ -362,6 +362,15 @@ class TestSeparableDecomposition:
         with pytest.raises(ValueError, match="pure"):
             separable_decomposition_dephased(state)
 
+    def test_rejects_rank_two_input(self):
+        # unit trace and positive, so only the purity gate tells it from v v^dag
+        n = 3
+        rho = np.zeros((n * n, n * n), dtype=complex)
+        rho[0, 0], rho[n + 1, n + 1] = 0.9, 0.1
+        state = TruncatedFockState(DensityOperator(rho, n, n))
+        with pytest.raises(ValueError, match="input must be pure"):
+            separable_decomposition_dephased(state)
+
 
 class TestTruncatedTmsv:
     def test_tail_guard(self):

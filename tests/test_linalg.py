@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twirlbreak import linalg
@@ -17,6 +17,7 @@ from twirlbreak.linalg import (
     negativity,
     partial_trace_multi,
     partial_transpose,
+    partial_transpose_mat,
 )
 from twirlbreak.states import max_entangled, max_entangled_mat, random_density, singlet
 from twirlbreak.twirl import HaarSampler
@@ -407,3 +408,117 @@ class TestBlockSpectra:
         finally:
             tracemalloc.stop()
         assert peak < phi.nbytes
+
+
+# least eigenvalues placed on either side of -PSD_TOL, and on 0
+PSD_SHIFTS = [-1.5, -0.7, -0.2, 0.0]
+
+
+def _hermitian_with_spectrum(ev, rng):
+    """An exactly Hermitian matrix with eigenvalues ev in a random basis; a
+    1x1 one is ev itself."""
+    s = len(ev)
+    if s == 1:
+        return np.array([[ev[0]]], dtype=complex)
+    q, _ = np.linalg.qr(rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)))
+    b = (q * ev) @ q.conj().T
+    return (b + b.conj().T) / 2
+
+
+class TestPsdCertificate:
+    @given(
+        st.lists(st.integers(1, 8), min_size=2, max_size=8),
+        st.booleans(),
+        st.integers(1, 3),
+        st.sampled_from(PSD_SHIFTS),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_validation_gives_the_eigvalsh_verdict(self, sizes, dense, m, shift, seed):
+        # unit-trace Hermitian stacks, block diagonal with the given block
+        # sizes (or one dense block) under one random permutation, about a
+        # third of their eigenvalues 0; one member's least eigenvalue is
+        # shift * PSD_TOL
+        rng = np.random.default_rng(seed)
+        sizes = [sum(sizes)] if dense else sizes
+        d = sum(sizes)
+        stack = np.zeros((m, d, d), dtype=complex)
+        target = shift * linalg.PSD_TOL
+        for k in range(m):
+            ev = rng.uniform(0.1, 1, d) * (rng.uniform(size=d) > 1 / 3)
+            ev[0] = 1.0
+            if k == 0:
+                j = rng.integers(1, d)
+                ev[j] = 0.0
+                ev *= (1 - target) / ev.sum()
+                ev[j] = target
+            else:
+                ev /= ev.sum()
+            rng.shuffle(ev)
+            start = 0
+            for s in sizes:
+                stack[k, start : start + s, start : start + s] = _hermitian_with_spectrum(ev[start : start + s], rng)
+                start += s
+        perm = rng.permutation(d)
+        stack = stack[:, perm][:, :, perm]
+        least = np.linalg.eigvalsh(stack)[:, 0].min()
+        assert abs(least - target) < 1e-13
+        if least >= -linalg.PSD_TOL:
+            assert np.array_equal(linalg.validate_density_stack(stack), stack)
+        else:
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                linalg.validate_density_stack(stack)
+
+    @given(
+        st.integers(2, 8),
+        st.integers(2, 8),
+        st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+        st.sampled_from(PSD_SHIFTS),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_is_ppt_gives_the_eigvalsh_verdict(self, d_a, d_b, density, shift, seed):
+        # rho = (1 - t) I/D + t |psi><psi|, with psi's coefficient matrix
+        # supported on a random pattern of the given density (and on two
+        # entries in distinct rows and columns, so psi is entangled): the
+        # partial transpose has the least eigenvalue (1 - t)/D + t mu, mu
+        # that of |psi><psi|, and t places it at shift * PSD_TOL.  Sparse
+        # patterns give 2x2 and 1x1 blocks, dense ones one block
+        rng = np.random.default_rng(seed)
+        d = d_a * d_b
+        support = rng.uniform(size=(d_a, d_b)) < density
+        rows, cols = rng.permutation(d_a)[:2], rng.permutation(d_b)[:2]
+        support[rows, cols] = True
+        psi = (rng.standard_normal((d_a, d_b)) + 1j * rng.standard_normal((d_a, d_b))) * support
+        psi = psi.ravel() / np.linalg.norm(psi)
+        pure = np.outer(psi, psi.conj())
+        mu = np.linalg.eigvalsh(partial_transpose_mat(pure, d_a, d_b))[0]
+        target = shift * linalg.PSD_TOL
+        assume(mu < target - 1e-6)
+        t = (1 / d - target) / (1 / d - mu)
+        rho = DensityOperator((1 - t) * np.eye(d) / d + t * pure, d_a, d_b)
+        least = np.linalg.eigvalsh(partial_transpose(rho))[0]
+        assert abs(least - target) < 1e-13
+        assert is_ppt(rho) == (least >= -linalg.PSD_TOL)
+
+    def test_validation_and_is_ppt_solve_no_spectrum(self, monkeypatch):
+        # a dense state, one with a 3x3 block and six 1x1 blocks, and a
+        # diagonal one; and one just outside the PSD tolerance
+        rho_dense = random_density(3, 3, np.random.default_rng(5)).mat
+        rho_blocks = max_entangled_mat(3)
+        rho_diagonal = np.eye(9, dtype=complex) / 9
+        not_psd = np.diag([1 + 2e-10] + [0] * 7 + [-2e-10]).astype(complex)
+        states = (rho_dense, rho_blocks, rho_diagonal)
+        ppt = [np.linalg.eigvalsh(partial_transpose_mat(rho, 3, 3))[0] >= -linalg.PSD_TOL for rho in states]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigen-solve in a positivity check")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for rho, want in zip(states, ppt):
+            assert np.array_equal(linalg.validate_density_stack(np.stack([rho, rho])), [rho, rho])
+            assert is_ppt(DensityOperator(rho, 3, 3)) == want
+        for stack in (not_psd[None], np.stack([rho_dense, not_psd]), np.stack([rho_blocks, not_psd])):
+            with pytest.raises(ValueError, match="positive semidefinite"):
+                linalg.validate_density_stack(stack)

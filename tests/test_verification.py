@@ -211,7 +211,6 @@ def _bad_members():
 
 STACK_VALIDATORS = {
     "blockwise": linalg.validate_density_stack,
-    "eigh": lambda mats: linalg.eigh_density_stack(mats)[0],
 }
 
 
@@ -246,24 +245,66 @@ def test_stacked_validators_report_the_first_failed_check(validator):
             STACK_VALIDATORS[validator](bad[None])
 
 
+def _random_vectors(m, n, seed):
+    z = np.random.default_rng(seed).standard_normal((m, 2, n * n))
+    v = z[:, 0] + 1j * z[:, 1]
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
 def test_dephasing_sweep_solves_each_input_stack_once(monkeypatch):
-    # one eigh of the dense (m, n^2, n^2) input stack serves its validation
-    # and its state vectors; the dephased output's solves are per n x n block
+    # one Cholesky of the dense (m, n^2, n^2) input stack certifies it; the
+    # state vectors are read from it without an eigen-solve, and the dephased
+    # output's factorisations and spectra are per n x n block
     n, m = 4, 5
     solves = []
-    for name in ("eigh", "eigvalsh"):
+    for name in ("cholesky", "eigh", "eigvalsh"):
 
         def wrapper(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
             solves.append((_name, np.shape(a)))
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, wrapper)
-    z = np.random.default_rng(8).standard_normal((m, 2, n * n))
-    v = z[:, 0] + 1j * z[:, 1]
+    gaussian.dephasing_sweep(_random_vectors(m, n, 8), n)
+    assert [(name, shape) for name, shape in solves if shape[-1] == n * n] == [("cholesky", (m, n * n, n * n))]
+    assert {name for name, _ in solves} == {"cholesky", "eigvalsh"}
+
+
+def test_dephasing_sweep_solves_no_spectrum_but_the_partial_transposes(monkeypatch):
+    # the input and output validation and the state-vector read call no
+    # eigen-solve; only the reported partial-transpose spectra do
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigen-solve outside the partial-transpose spectra")
+
+    spectra = []
+
+    def pt_spectra(mats, n):
+        spectra.append(mats.shape)
+        return np.zeros(len(mats))
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(gaussian, "_min_pt_eigenvalues", pt_spectra)
+    n, m = 4, 3
+    _, rec_error = gaussian.dephasing_sweep(_random_vectors(m, n, 9), n)
+    assert spectra == [(m, n * n, n * n)]
+    assert rec_error.max() < 1e-15
+
+
+def test_dephasing_sweep_reads_each_state_vector_up_to_a_phase():
+    # the rebuilt output does not depend on the global phase of the input,
+    # nor on where its largest amplitude sits; v[:, 0] = 0 here, so a read of
+    # column 0 would divide by zero
+    n, m = 4, 4
+    v = _random_vectors(m, n, 10)
+    v[:, 0] = 0
+    v[:, 2 * n + 1] *= 6
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    gaussian.dephasing_sweep(v, n)
-    assert [(name, shape) for name, shape in solves if shape[-1] == n * n] == [("eigh", (m, n * n, n * n))]
-    assert {name for name, _ in solves} == {"eigh", "eigvalsh"}
+    assert np.all(np.argmax(np.abs(v), axis=1) == 2 * n + 1)
+    phases = np.exp(1j * np.array([0.0, 0.7, 2.9, -1.3]))
+    _, rec_error = gaussian.dephasing_sweep(v, n)
+    _, rec_error_phased = gaussian.dephasing_sweep(phases[:, None] * v, n)
+    assert rec_error.max() < 1e-15
+    assert rec_error_phased.max() < 1e-15
 
 
 def test_dephasing_sweep_validates_its_input():
