@@ -5,10 +5,10 @@ Usage (each subcommand takes only the flags it reads):
     twirlbreak qudit-twirl --config <path> [--out <path>] [--csv <path>] [--seed N] [--mc-samples N]
     twirlbreak bosonic     --config <path> [--out <path>] [--csv <path>] [--fock-cutoff N]
     twirlbreak eb-test     --config <path> [--out <path>] [--csv <path>]
-    twirlbreak verify      --config <path> [--out <path>] [--seed N] [--mc-samples N] [--tol X]
+    twirlbreak verify      --config <path> [--out <path>] [--seed N] [--mc-samples N]
 
---seed, --mc-samples, --tol and --fock-cutoff override the config key of
-the same name (seed, mc_samples, tol, fock_cutoff).
+--seed, --mc-samples and --fock-cutoff override the config key of the same
+name (seed, mc_samples, fock_cutoff).
 
 Exit codes: 0 success, 1 verification failure, 2 config/parse error.
 """
@@ -37,7 +37,7 @@ _SUBCOMMANDS = {
     "qudit-twirl": (run_qudit_scenario, ("--csv", "--seed", "--mc-samples")),
     "bosonic": (run_bosonic_scenario, ("--csv", "--fock-cutoff")),
     "eb-test": (run_eb_test, ("--csv",)),
-    "verify": (run_verify, ("--seed", "--mc-samples", "--tol")),
+    "verify": (run_verify, ("--seed", "--mc-samples")),
 }
 
 # flag -> (type, help); every flag but --csv overrides its config key
@@ -45,7 +45,6 @@ _FLAGS = {
     "--csv": (str, "also write a flat CSV of result rows"),
     "--seed": (int, "override the config seed"),
     "--mc-samples": (int, "override the Monte-Carlo sample count"),
-    "--tol": (float, "override the numeric verification tolerances"),
     "--fock-cutoff": (int, "override the Fock-space cutoff"),
 }
 

@@ -179,13 +179,8 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         residual = frobenius_distance(double.mat, rho.mat)
         mc = twirl.mc_twirl(rho, mode, n_mc, twirl.HaarSampler(stream, d))
         mc_residual = frobenius_distance(mc.mat, rho.mat)
-        product = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
-        if d == 2:
-            # exact 2-design route, cross-checked against the analytic product form
-            single_out = twirl.partial_twirl_operator(rho.mat, twirl.clifford_group_qubit(), "A", (2, 2))
-        else:
-            single_out = product
-        single_residual = frobenius_distance(single_out, product)
+        # single transmission leaves the product form I/d x Tr_A rho, for every d
+        single_out = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
         single_neg = negativity(DensityOperator(single_out, d, d))
         neg_double = negativity(double)
         if d <= 2:
@@ -200,7 +195,6 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                     "mode": mode,
                     "param": value,
                     "mc_residual": mc_residual,
-                    "single_product_residual": single_residual,
                     "single_verdict": "separable (product form)",
                 },
                 single_transmission_negativity=single_neg,
@@ -212,14 +206,34 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
+# the largest Fock cutoff n a bosonic row may use: the dense two-mode state
+# holds n^4 complex entries, ~41 MB a copy at n = 40 (mu up to about 11)
+MAX_FOCK_CUTOFF = 40
+
+
+def _fock_cutoff(mu: float, cutoff: int) -> int:
+    """The Fock cutoff for the squeezed state at mu: cutoff, enlarged until
+    the truncation tail lam^(2n), lam^2 = (mu - 1)/(mu + 1), is below 1e-3.
+    One above MAX_FOCK_CUTOFF is a ConfigError."""
+    need = float(cutoff)
+    if mu > 1:
+        # log1p keeps log(lam^2) < 0 where lam itself rounds to 1
+        need = max(need, np.ceil(np.log(1e-3) / np.log1p(-2 / (mu + 1))) + 1)
+    if need > MAX_FOCK_CUTOFF:
+        raise ConfigError(f"mu = {mu} needs Fock cutoff {need:g}, above the cap of {MAX_FOCK_CUTOFF}")
+    return int(need)
+
+
 def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     mus = _grid(cfg, "mu_grid")
     cutoff = _number(cfg.get("fock_cutoff", 8), "fock_cutoff", integer=True, minimum=1)
     cfg.reject_unread()
+    if min(mus) < 1:
+        raise ConfigError("mu must be >= 1")
+    # every row's cutoff is checked before any state is built
+    cutoffs = [_fock_cutoff(mu, cutoff) for mu in mus]
     rows = []
-    for mu in mus:
-        if mu < 1:
-            raise ConfigError("mu must be >= 1")
+    for mu, n_fock in zip(mus, cutoffs):
         cm = gaussian.epr_cm(mu)
         residual = gaussian.rotation_residual(cm, gaussian.ROTATION_ANGLES, -1.0)
         nu_min, _ = gaussian.pt_symplectic_eigenvalues(cm)
@@ -227,10 +241,6 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         double_neg = max(0.0, (1.0 / nu_min - 1.0) / 2)
         # single transmission: uniform dephasing of the truncated squeezed state
         lam = np.sqrt((mu - 1) / (mu + 1))
-        n_fock = cutoff
-        if lam > 0:
-            # enlarge the cutoff until the truncation tail guard is satisfied
-            n_fock = max(cutoff, int(np.ceil(np.log(1e-3) / np.log(lam * lam))) + 1)
         tmsv = gaussian.truncated_tmsv(lam, n_fock)
         dephased = gaussian.dephase_truncated(tmsv, "A")
         # one solve gives both the least PT eigenvalue and the negativity
@@ -337,13 +347,9 @@ def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_verify(cfg: ExperimentConfig) -> dict:
-    tol = _number(cfg.require("tol"), "tol") if "tol" in cfg.params else None
-    if tol is not None and tol <= 0:
-        raise ConfigError(f"tol must be > 0, got {tol!r}")
     vcfg = verification.VerifyConfig(
         seed=_number(cfg.get("seed", 20240611), "seed", integer=True, minimum=0),
         mc_samples=_number(cfg.get("mc_samples", 10_000), "mc_samples", integer=True, minimum=1),
-        tol_override=tol,
     )
     cfg.reject_unread()
     results = verification.run_all(vcfg)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, gaussian, states, twirl
-from .linalg import CONJUGATE_SUM_CACHE_BYTES, PSD_TOL, DensityOperator, conjugate_sum, frobenius_distance, negativity
+from .linalg import CONJUGATE_SUM_CACHE_BYTES, PSD_TOL, conjugate_sum, frobenius_distance, negativity
 
 
 @dataclass(frozen=True)
@@ -23,21 +23,16 @@ class CheckResult:
 class VerifyConfig:
     seed: int = 20240611
     mc_samples: int = 10_000
-    tol_override: float | None = None
 
     @property
     def mc_tol(self) -> float:
         return 5.0 / np.sqrt(self.mc_samples)
 
 
-def _result(name: str, residual: float, tol: float, cfg: VerifyConfig, extra_ok: bool = True) -> CheckResult:
-    tol = cfg.tol_override if cfg.tol_override is not None else tol
-    return CheckResult(name, extra_ok and residual <= tol, float(residual), float(tol))
-
-
-def _fixed(name: str, residual: float, tol: float = 0.0) -> CheckResult:
-    """A check whose tolerance is part of its definition: tol_override does not move it."""
-    return CheckResult(name, residual <= tol, float(residual), tol)
+def _result(name: str, residual: float, tol: float, ok: bool = True) -> CheckResult:
+    """A check at the tolerance fixed where it is defined; ok carries any
+    verdict it makes besides residual <= tol."""
+    return CheckResult(name, ok and residual <= tol, float(residual), float(tol))
 
 
 def _map_distance(d: int, f, *others) -> float:
@@ -70,7 +65,7 @@ def check_eb_threshold(cfg: VerifyConfig) -> list[CheckResult]:
         predicted = np.max(p, axis=1) <= 0.5 + 1e-12
         verdicts_ok &= bool(np.array_equal(spec[:, 0] >= -PSD_TOL, predicted))
         worst = max(worst, float(np.max(np.abs(spec - np.sort(0.5 - p, axis=1)))))
-    return [_result("eb-threshold", worst, 1e-10, cfg, verdicts_ok)]
+    return [_result("eb-threshold", worst, 1e-10, verdicts_ok)]
 
 
 # 2. Headline effect: single transmission breaks, double preserves Werner states
@@ -82,14 +77,13 @@ def check_headline_effect(cfg: VerifyConfig) -> list[CheckResult]:
     for gamma in (0.4, 0.6, 0.9):
         rho = states.werner_qubit(gamma)
         neg_single = negativity(channels.apply_kraus(single, rho))
-        out.append(_result(f"headline-single-neg(gamma={gamma})", neg_single, 1e-12, cfg))
+        out.append(_result(f"headline-single-neg(gamma={gamma})", neg_single, 1e-12))
         transmitted = channels.apply_kraus(double, rho)
         out.append(
             _result(
                 f"headline-double-invariance(gamma={gamma})",
                 frobenius_distance(transmitted.mat, rho.mat),
                 1e-12,
-                cfg,
             )
         )
         out.append(
@@ -97,7 +91,6 @@ def check_headline_effect(cfg: VerifyConfig) -> list[CheckResult]:
                 f"headline-double-neg(gamma={gamma})",
                 abs(negativity(transmitted) - (3 * gamma - 1) / 4),
                 1e-10,
-                cfg,
             )
         )
     return out
@@ -113,9 +106,9 @@ def check_2design(cfg: VerifyConfig) -> list[CheckResult]:
     )
     span_residual = _map_distance(4, lambda e: twirl.twirl_uu_exact_mat(e, 2), lambda e: twirl.twirl_operator(e, cl))
     return [
-        _fixed("clifford-cardinality", abs(len(cl) - 24)),
-        _result("clifford-partial-twirl-basis", basis_residual, 1e-12, cfg),
-        _result("clifford-span-IV", span_residual, 1e-11, cfg),
+        _result("clifford-cardinality", abs(len(cl) - 24), 0.0),
+        _result("clifford-partial-twirl-basis", basis_residual, 1e-12),
+        _result("clifford-span-IV", span_residual, 1e-11),
     ]
 
 
@@ -130,7 +123,6 @@ def check_qudit_invariance(cfg: VerifyConfig) -> list[CheckResult]:
                 f"werner-exact-uu(d={d})",
                 frobenius_distance(twirl.twirl_exact(werner, "uu").mat, werner.mat),
                 1e-11,
-                cfg,
             )
         )
         out.append(
@@ -138,38 +130,25 @@ def check_qudit_invariance(cfg: VerifyConfig) -> list[CheckResult]:
                 f"isotropic-exact-uustar(d={d})",
                 frobenius_distance(twirl.twirl_exact(iso, "uustar").mat, iso.mat),
                 1e-11,
-                cfg,
             )
         )
         sampler = twirl.HaarSampler(cfg.seed + d, d)
         mc = twirl.mc_twirl(werner, "uu", cfg.mc_samples, sampler)
         out.append(
-            _result(f"werner-mc-uu(d={d})", frobenius_distance(mc.mat, werner.mat), cfg.mc_tol, cfg)
+            _result(f"werner-mc-uu(d={d})", frobenius_distance(mc.mat, werner.mat), cfg.mc_tol)
         )
         mc = twirl.mc_twirl(iso, "uustar", cfg.mc_samples, sampler)
         out.append(
-            _result(f"isotropic-mc-uustar(d={d})", frobenius_distance(mc.mat, iso.mat), cfg.mc_tol, cfg)
+            _result(f"isotropic-mc-uustar(d={d})", frobenius_distance(mc.mat, iso.mat), cfg.mc_tol)
         )
         # single transmission fully depolarizes the sent side
         rng = np.random.default_rng(cfg.seed + 10 * d)
         rho = states.random_density(d, d, rng)
         target = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
-        if d == 2:
-            got = twirl.partial_twirl_operator(rho.mat, twirl.clifford_group_qubit(), "A", (2, 2))
-            got = DensityOperator(got, 2, 2).mat
-            out.append(
-                _result("single-transmission-product(d=2)", frobenius_distance(got, target), 1e-11, cfg)
-            )
-        else:
-            got = twirl.mc_twirl(rho, "partial-A", cfg.mc_samples, sampler).mat
-            out.append(
-                _result(
-                    f"single-transmission-product-mc(d={d})",
-                    frobenius_distance(got, target),
-                    cfg.mc_tol,
-                    cfg,
-                )
-            )
+        got = twirl.mc_twirl(rho, "partial-A", cfg.mc_samples, sampler).mat
+        out.append(
+            _result(f"single-transmission-product-mc(d={d})", frobenius_distance(got, target), cfg.mc_tol)
+        )
     return out
 
 
@@ -181,7 +160,7 @@ def check_pt_conjugation(cfg: VerifyConfig) -> list[CheckResult]:
         lambda e: twirl.twirl_operator(e, cl, conjugate_second=True),
         lambda e: twirl.pt_conjugated_twirl(e, cl, 2),
     )
-    return [_result("pt-conjugation-identity", residual, 1e-11, cfg)]
+    return [_result("pt-conjugation-identity", residual, 1e-11)]
 
 
 # 6. Partial Haar average of arbitrary linear operators (side B; check 3 reads A)
@@ -192,7 +171,7 @@ def check_partial_haar(cfg: VerifyConfig) -> list[CheckResult]:
         lambda e: twirl.partial_twirl_exact_mat(e, (2, 2), "B"),
         lambda e: twirl.partial_twirl_operator(e, cl, "B", (2, 2)),
     )
-    out = [_result("partial-haar-exact(d=2)", residual, 1e-11, cfg)]
+    out = [_result("partial-haar-exact(d=2)", residual, 1e-11)]
     rng = np.random.default_rng(cfg.seed + 3)
     sampler = twirl.HaarSampler(cfg.seed + 4, 3)
     worst = 0.0
@@ -202,7 +181,7 @@ def check_partial_haar(cfg: VerifyConfig) -> list[CheckResult]:
         got = twirl.mc_twirl_operator(t, "partial-A", cfg.mc_samples, sampler, (3, 3))
         want = twirl.partial_twirl_exact_mat(t, (3, 3), "A")
         worst = max(worst, float(np.linalg.norm(got - want)))
-    out.append(_result("partial-haar-mc(d=3)", worst, cfg.mc_tol, cfg))
+    out.append(_result("partial-haar-mc(d=3)", worst, cfg.mc_tol))
     return out
 
 
@@ -215,8 +194,8 @@ def check_bosonic_invariance(cfg: VerifyConfig) -> list[CheckResult]:
         nu_min, _ = gaussian.pt_symplectic_eigenvalues(cm)
         worst_nu = max(worst_nu, abs(nu_min - (mu - np.sqrt(mu * mu - 1))))
     return [
-        _result("epr-anticorrelated-invariance", worst_inv, 1e-12, cfg),
-        _result("epr-pt-symplectic-closed-form", worst_nu, 1e-10, cfg),
+        _result("epr-anticorrelated-invariance", worst_inv, 1e-12),
+        _result("epr-pt-symplectic-closed-form", worst_nu, 1e-10),
     ]
 
 
@@ -225,10 +204,10 @@ def check_invariant_family(cfg: VerifyConfig) -> list[CheckResult]:
     fam = gaussian.solve_invariant_cm("correlated")
     _, worst, nu_min = gaussian.quasi_normal_sweep(fam, 10)
     return [
-        _fixed("correlated-family-dimension", abs(fam.dimension - 4)),
-        _result("correlated-family-membership", worst, 1e-10, cfg),
+        _result("correlated-family-dimension", abs(fam.dimension - 4), 0.0),
+        _result("correlated-family-membership", worst, 1e-10),
         # PPT of every swept point, to the bona-fide tolerance
-        _fixed("correlated-family-separable", max(0.0, 1.0 - nu_min), gaussian.BONA_FIDE_TOL),
+        _result("correlated-family-separable", max(0.0, 1.0 - nu_min), gaussian.BONA_FIDE_TOL),
     ]
 
 
@@ -247,8 +226,8 @@ def check_dephasing(cfg: VerifyConfig) -> list[CheckResult]:
             worst_pt = max(worst_pt, float(np.max(-min_pt)))
             worst_rec = max(worst_rec, float(np.max(rec_error)))
     return [
-        _result("dephased-output-ppt", worst_pt, 1e-10, cfg),
-        _result("dephased-separable-decomposition", worst_rec, 1e-12, cfg),
+        _result("dephased-output-ppt", worst_pt, 1e-10),
+        _result("dephased-separable-decomposition", worst_rec, 1e-12),
     ]
 
 
@@ -272,14 +251,14 @@ def check_dilations(cfg: VerifyConfig) -> list[CheckResult]:
     out = []
     for name, dil, direct in cases:
         classical = channels.env_is_classical(dil.env_state)
-        out.append(_fixed(f"{name}-env-classical", 0.0 if classical else 1.0))
+        out.append(_result(f"{name}-env-classical", 0.0 if classical else 1.0, 0.0))
         residual = _map_distance(
             4,
             lambda e: channels.apply_dilation_dense(dil, e),
             direct,
             lambda e: conjugate_sum(e, dil.u_blocks, dil.v_blocks, dil.probabilities.p),
         )
-        out.append(_result(f"{name}-dilation-vs-kraus", residual, 1e-11, cfg))
+        out.append(_result(f"{name}-dilation-vs-kraus", residual, 1e-11))
     return out
 
 

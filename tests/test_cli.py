@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 import twirlbreak
-from twirlbreak import gaussian, twirl
+from twirlbreak import experiments, gaussian, twirl
 from twirlbreak.cli import main
-from twirlbreak.experiments import dumps_document
+from twirlbreak.experiments import ExperimentConfig, dumps_document, run_qudit_scenario
 from twirlbreak.linalg import DensityOperator, frobenius_distance, negativity
 from twirlbreak.states import isotropic, werner_multi
 from twirlbreak.twirl import HaarSampler, mc_twirl
@@ -119,6 +119,24 @@ class TestScenarios:
                 rho = isotropic(3, value)
             single = DensityOperator(twirl.partial_twirl_exact_mat(rho.mat, (3, 3), "A"), 3, 3)
             assert row["single_transmission_negativity"] == negativity(single)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("mode, grid", [("uu", [-0.9, 0.5]), ("uustar", [0.0, 0.8])], ids=["uu", "uustar"])
+    def test_qudit_single_transmission_is_the_product_form(self, monkeypatch, d, mode, grid):
+        # one path for every d: no Clifford route, and no residual of the product form against itself
+        def forbidden(*args, **kwargs):
+            raise AssertionError("single transmission must not take a Clifford route")
+
+        monkeypatch.setattr(twirl, "clifford_group_qubit", forbidden)
+        monkeypatch.setattr(twirl, "partial_twirl_operator", forbidden)
+        cfg = ExperimentConfig("qudit-twirl", {"d": d, "mode": mode, "param_grid": grid, "mc_samples": 100})
+        rows = run_qudit_scenario(cfg)
+        assert len(rows) == len(grid)
+        for row, value in zip(rows, grid):
+            assert set(row.params) == {"d", "mode", "param", "mc_residual", "single_verdict"}
+            rho = werner_multi(d, value) if mode == "uu" else isotropic(d, value)
+            product = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
+            assert row.single_transmission_negativity == negativity(DensityOperator(product, d, d))
 
     def test_bosonic_family_row_is_measured(self, capsys):
         code, out, _ = _run(capsys, "bosonic", "--config", f"{CONFIG_DIR}/bosonic.json")
@@ -253,8 +271,9 @@ READS = {
     "qudit-twirl": ("--csv", "--seed", "--mc-samples"),
     "bosonic": ("--csv", "--fock-cutoff"),
     "eb-test": ("--csv",),
-    "verify": ("--seed", "--mc-samples", "--tol"),
+    "verify": ("--seed", "--mc-samples"),
 }
+# --tol is read by no subcommand: verify's tolerances are fixed where each gate is defined
 VALUES = {"--seed": 7, "--mc-samples": 200, "--tol": 0.5, "--fock-cutoff": 9}
 CONFIGS = {
     "pauli": "pauli",
@@ -295,8 +314,6 @@ class TestFlags:
         key = flag[2:].replace("-", "_")
         if scenario != "verify":
             assert doc["config"][key] == VALUES[flag]
-        elif flag == "--tol":
-            assert 0.5 in {c["tolerance"] for c in doc["checks"]}
         else:
             assert doc[key] == VALUES[flag]
 
@@ -425,15 +442,13 @@ class TestExitCodes:
             ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "seed": -1}),
             ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "mc_samples": 0}),
             ("bosonic", {"mu_grid": [1.0], "fock_cutoff": "x"}),
-            ("verify", {"tol": "x"}),
-            ("verify", {"tol": 10**400}),
             ("verify", {"seed": 1.5}),
             ("verify", {"mc_samples": False}),
         ],
         ids=[
             "grid-entry", "d-string", "d-non-integral", "d-bool", "grid-null", "seed-string",
             "seed-negative", "mc-samples-zero", "fock-cutoff-string",
-            "tol-string", "tol-too-large", "verify-seed-non-integral", "mc-samples-bool",
+            "verify-seed-non-integral", "mc-samples-bool",
         ],
     )
     def test_wrong_value_type_is_config_error(self, capsys, tmp_path, scenario, payload):
@@ -453,8 +468,12 @@ class TestExitCodes:
             # rejected before the (missing) channel file is read
             ("eb-test", {"channel_file": "/nonexistent/chan.json", "mc_samples": 10}),
             ("verify", {"fock_cutoff": 8}),
+            ("verify", {"tol": 0.5}),
         ],
-        ids=["typos-mc-samples-seed", "typo-fock-cutoff", "stale-n-angles", "pauli-seed", "eb-test-key", "verify-key"],
+        ids=[
+            "typos-mc-samples-seed", "typo-fock-cutoff", "stale-n-angles", "pauli-seed", "eb-test-key", "verify-key",
+            "verify-tol",
+        ],
     )
     def test_unknown_key_is_config_error(self, capsys, tmp_path, scenario, payload):
         # a key the scenario does not read would otherwise be echoed as if applied
@@ -465,26 +484,49 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "scenario, payload, flags",
+        "scenario, payload",
         [
-            ("verify", {}, ["--tol", "inf"]),
-            ("verify", {}, ["--tol", "nan"]),
-            ("verify", {}, ["--tol", "-1"]),
-            ("bosonic", {"mu_grid": [float("nan")]}, []),
-            ("pauli", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": [float("nan")]}, []),
-            ("pauli", {"p": [float("nan"), 0.5, 0.25, 0.25], "gamma_grid": [0.5]}, []),
+            ("bosonic", {"mu_grid": [float("nan")]}),
+            ("pauli", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": [float("nan")]}),
+            ("pauli", {"p": [float("nan"), 0.5, 0.25, 0.25], "gamma_grid": [0.5]}),
         ],
-        ids=["tol-inf", "tol-nan", "tol-negative", "mu-grid-nan", "gamma-grid-nan", "p-nan"],
+        ids=["mu-grid-nan", "gamma-grid-nan", "p-nan"],
     )
-    def test_non_finite_or_nonpositive_value_is_config_error(
-        self, capsys, tmp_path, scenario, payload, flags
-    ):
+    def test_non_finite_or_nonpositive_value_is_config_error(self, capsys, tmp_path, scenario, payload):
         # json.dumps writes NaN as the non-standard literal json.load reads back
         cfg = _write(tmp_path, "cfg.json", payload)
-        code, out, err = _run(capsys, scenario, "--config", cfg, *flags)
+        code, out, err = _run(capsys, scenario, "--config", cfg)
         assert code == 2
         assert "config error" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "payload, flags, message",
+        [
+            ({"mu_grid": [1.0, 20.0]}, [], "mu = 20.0 needs Fock cutoff 71, above the cap of 40"),
+            ({"mu_grid": [1.0]}, ["--fock-cutoff", "41"], "mu = 1.0 needs Fock cutoff 41, above the cap of 40"),
+        ],
+        ids=["mu-20", "fock-cutoff-41"],
+    )
+    def test_fock_cutoff_above_cap_is_config_error(self, capsys, tmp_path, monkeypatch, payload, flags, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the cutoff is checked before any state is built")
+
+        monkeypatch.setattr(gaussian, "epr_cm", forbidden)
+        monkeypatch.setattr(gaussian, "truncated_tmsv", forbidden)
+        cfg = _write(tmp_path, "cfg.json", payload)
+        code, out, err = _run(capsys, "bosonic", "--config", cfg, *flags)
+        assert code == 2
+        assert f"config error: {message}" in err
+        assert out == ""
+
+    def test_fock_cutoff_cap_is_inclusive(self):
+        assert experiments.MAX_FOCK_CUTOFF == 40
+        assert experiments._fock_cutoff(1.0, 40) == 40
+        # mu = 11 needs 39 by the tail rule, mu = 12 needs 43
+        assert experiments._fock_cutoff(11.0, 8) == 39
+        with pytest.raises(experiments.ConfigError, match="mu = 12.0 needs Fock cutoff 43"):
+            experiments._fock_cutoff(12.0, 8)
 
     def test_integral_float_is_an_integer(self, capsys, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"d": 2.0, "mode": "uu", "param_grid": [0.5], "mc_samples": 100})
@@ -492,16 +534,26 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["rows"][0]["params"]["d"] == 2
 
-    def test_verify_failure_exit_one(self, capsys, tmp_path):
-        cfg = _write(tmp_path, "cfg.json", {"tol": 1e-30})
-        code, _, err = _run(capsys, "verify", "--config", cfg)
-        assert code == 1
-        assert "FAIL" in err
-
-    def test_tol_override_leaves_structural_checks_exact(self, capsys, tmp_path, monkeypatch):
+    @staticmethod
+    def _drop_one_clifford(monkeypatch):
+        # 23 of the 24 Cliffords: no longer a group, a 2-design or 24 elements
         full = twirl.clifford_group_qubit
         monkeypatch.setattr(twirl, "clifford_group_qubit", lambda: twirl.UnitarySet(full().unitaries[:-1]))
-        cfg = _write(tmp_path, "cfg.json", {"tol": 1.0, "mc_samples": 200})
+
+    def test_verify_failure_exit_one(self, capsys, tmp_path, monkeypatch):
+        self._drop_one_clifford(monkeypatch)
+        cfg = _write(tmp_path, "cfg.json", {"mc_samples": 200})
+        code, out, err = _run(capsys, "verify", "--config", cfg)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["all_passed"] is False
+        basis = next(c for c in doc["checks"] if c["name"] == "clifford-partial-twirl-basis")
+        assert not basis["passed"] and basis["tolerance"] == 1e-12
+        assert "FAIL clifford-partial-twirl-basis" in err
+
+    def test_structural_check_fails_at_tolerance_zero(self, capsys, tmp_path, monkeypatch):
+        self._drop_one_clifford(monkeypatch)
+        cfg = _write(tmp_path, "cfg.json", {"mc_samples": 200})
         code, out, err = _run(capsys, "verify", "--config", cfg)
         assert code == 1
         checks = {c["name"]: c for c in json.loads(out)["checks"]}

@@ -27,7 +27,7 @@ CHECK_NAMES = [
             f"isotropic-exact-uustar(d={d})",
             f"werner-mc-uu(d={d})",
             f"isotropic-mc-uustar(d={d})",
-            "single-transmission-product(d=2)" if d == 2 else f"single-transmission-product-mc(d={d})",
+            f"single-transmission-product-mc(d={d})",
         )
     ),
     "pt-conjugation-identity",
