@@ -24,7 +24,6 @@ from .channels import (
     ProbabilityVector,
     apply_dilation,
     apply_kraus,
-    build_pauli_dilation,
     correlated_pauli,
     env_is_classical,
     is_entanglement_breaking,
@@ -39,7 +38,6 @@ from .twirl import (
 )
 from .gaussian import (
     CovarianceMatrix,
-    TruncatedFockState,
     dephase_truncated,
     epr_cm,
     is_separable_two_mode,

@@ -1,5 +1,6 @@
-"""CPTP maps as Kraus collections, their unitary dilations with explicit
-classical environments, and the entanglement-breaking decision procedure."""
+"""One-system CPTP maps as Kraus collections, two-system classically
+correlated environments as unitary dilations, and the entanglement-breaking
+decision procedure."""
 
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import numpy as np
 from .linalg import (
     PSD_TOL,
     DensityOperator,
-    _check_side,
     as_unitary_stack,
     conjugate_sum,
     hermitian_eigenvalues,
@@ -21,7 +21,6 @@ from .linalg import (
     permute_subsystems,
     validate_density_stack,
 )
-from .states import max_entangled_mat
 from .twirl import partial_twirl_exact_mat
 
 COMPLETENESS_TOL = 1e-10
@@ -57,7 +56,9 @@ class ProbabilityVector:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """A CPTP map as a (K, d, d) stack of Kraus operators (weights folded in as sqrt(p) U)."""
+    """A CPTP map E on one d-dimensional system as a (K, d, d) stack of Kraus
+    operators (weights folded in as sqrt(p) U); on a bipartite state it acts
+    as E x I, on side A."""
 
     operators: np.ndarray
 
@@ -128,51 +129,35 @@ class DilatedChannel:
 
 
 def apply_kraus(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    if ch.dim != rho.dim:
-        raise ValueError(f"channel dim {ch.dim} != state dim {rho.dim}")
-    out = conjugate_sum(rho.mat, ch.operators, np.ones((1, 1, 1)), 1.0)
+    """(E x I) rho: the channel on side A, the identity on side B."""
+    if ch.dim != rho.dim_a:
+        raise ValueError(f"channel dim {ch.dim} != side-A dim {rho.dim_a}")
+    out = conjugate_sum(rho.mat, ch.operators, np.eye(rho.dim_b)[None], 1.0)
     return DensityOperator(out, rho.dim_a, rho.dim_b)
 
 
-def correlated_pauli(p: ProbabilityVector) -> KrausChannel:
-    """Two-qubit correlated Pauli channel: Kraus set {sqrt(p_k) P_k x P_k}."""
-    if len(p) != 4:
-        raise ValueError("correlated Pauli channel needs 4 probabilities")
-    ops = tuple(np.sqrt(pk) * kron(pauli, pauli) for pk, pauli in zip(p.p, PAULIS))
-    return KrausChannel(ops)
-
-
-def local_depolarizing(p: ProbabilityVector, side: str = "A") -> KrausChannel:
-    """Pauli mixture applied to one qubit of a two-qubit system."""
+def local_depolarizing(p: ProbabilityVector) -> KrausChannel:
+    """Pauli mixture on one qubit: Kraus set {sqrt(p_k) P_k}."""
     if len(p) != 4:
         raise ValueError("depolarizing channel needs 4 probabilities")
-    return KrausChannel(local_depolarizing_kraus(np.array([p.p]), side)[0])
+    return KrausChannel(local_depolarizing_kraus(np.array([p.p]))[0])
 
 
-def local_depolarizing_kraus(probs, side: str = "A") -> np.ndarray:
-    """Kraus sets {sqrt(p_k) P_k x I} (side A) or {sqrt(p_k) I x P_k} (side B),
-    one per row of a (m, 4) array of Pauli probabilities: a (m, 4, 4, 4) stack."""
-    _check_side(side)
-    eye = np.eye(2)
-    lifted = np.stack([kron(pauli, eye) if side == "A" else kron(eye, pauli) for pauli in PAULIS])
-    return np.sqrt(np.asarray(probs, dtype=float))[:, :, None, None] * lifted
+def local_depolarizing_kraus(probs) -> np.ndarray:
+    """Kraus sets {sqrt(p_k) P_k}, one per row of a (m, 4) array of Pauli
+    probabilities: a (m, 4, 2, 2) stack."""
+    return np.sqrt(np.asarray(probs, dtype=float))[:, :, None, None] * np.stack(PAULIS)
 
 
 def choi_states(operators) -> np.ndarray:
-    """The Choi states (m, d^2, d^2) of a (m, K, d^2, d^2) stack of Kraus sets
-    of E x I form (E on side A): each channel applied to the maximally
-    entangled state.  Every Choi state is validated as a density matrix."""
+    """The Choi states (m, d^2, d^2) of a (m, K, d, d) stack of Kraus sets:
+    each channel E applied, as E x I, to the maximally entangled state, that
+    is (1/d) sum_k vec(K_k) vec(K_k)^dag with vec the row-major flattening.
+    Every Choi state is validated as a density matrix."""
     ops = np.asarray(operators, dtype=complex)
-    d = int(round(np.sqrt(ops.shape[-1])))
-    if d * d != ops.shape[-1]:
-        raise ValueError("channel dimension is not a perfect square")
-    # each Kraus operator must equal K_A x I, rebuilt from its side-A block
-    side_a = ops.reshape(ops.shape[:2] + (d, d, d, d))[:, :, :, 0, :, 0]
-    lifted = np.einsum("mkac,bd->mkabcd", side_a, np.eye(d)).reshape(ops.shape)
-    if np.max(np.abs(ops - lifted), initial=0.0) > 1e-10:
-        raise ValueError("channel is not of the form E x I on side A")
-    phi = max_entangled_mat(d)
-    return validate_density_stack(np.sum(ops @ phi @ ops.conj().swapaxes(-1, -2), axis=1))
+    d = ops.shape[-1]
+    vecs = ops.reshape(ops.shape[:2] + (d * d,))
+    return validate_density_stack(vecs.swapaxes(-1, -2) @ vecs.conj() / d)
 
 
 def _pt_spectra(choi: np.ndarray) -> np.ndarray:
@@ -186,8 +171,8 @@ def choi_pt_spectra(operators) -> np.ndarray:
 
 
 def choi_test(ch: KrausChannel, tol: float = PSD_TOL):
-    """Choi test: apply the channel (of E x I form, acting on side A of a
-    d x d space) to the maximally entangled state and check PPT.
+    """Choi test: apply the channel, as E x I on a d x d space, to the
+    maximally entangled state and check PPT.
 
     Returns (choi_matrix, ppt_verdict, witness_spectrum).  For d = 2 the PPT
     verdict decides entanglement breaking exactly; for d >= 3 it is only the
@@ -222,10 +207,11 @@ def build_twirl_dilation(unitaries, probabilities=None, conjugate_second=False) 
     return DilatedChannel(probabilities, us, us.conj() if conjugate_second else us)
 
 
-def build_pauli_dilation(p: ProbabilityVector) -> DilatedChannel:
-    """Unitary dilation of the correlated Pauli channel (K = 4 per side)."""
+def correlated_pauli(p: ProbabilityVector) -> DilatedChannel:
+    """Two-qubit correlated Pauli environment sum_k p_k (P_k x P_k) rho (P_k x P_k)^dag,
+    as its dilation (K = 4 per side)."""
     if len(p) != 4:
-        raise ValueError("need 4 probabilities")
+        raise ValueError("correlated Pauli channel needs 4 probabilities")
     return build_twirl_dilation(PAULIS, probabilities=p)
 
 

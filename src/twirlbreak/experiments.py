@@ -131,7 +131,7 @@ def run_pauli_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
             f"warning: max p_k = {max(p.p)} > 1/2, single transmission is NOT entanglement-breaking",
             file=sys.stderr,
         )
-    single = channels.local_depolarizing(p, "A")
+    single = channels.local_depolarizing(p)
     double = channels.correlated_pauli(p)
     eb, _ = channels.is_entanglement_breaking(single)
     rows = []
@@ -141,7 +141,7 @@ def run_pauli_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         except ValueError as exc:
             raise ConfigError(f"invalid family parameter {gamma}: {exc}") from exc
         out_single = channels.apply_kraus(single, rho)
-        out_double = channels.apply_kraus(double, rho)
+        out_double = channels.apply_dilation(double, rho)
         rows.append(
             ResultRow(
                 scenario="pauli",
@@ -244,7 +244,7 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         tmsv = gaussian.truncated_tmsv(lam, n_fock)
         dephased = gaussian.dephase_truncated(tmsv, "A")
         # one solve gives both the least PT eigenvalue and the negativity
-        pt_spectrum = hermitian_eigenvalues(partial_transpose(dephased.rho))
+        pt_spectrum = hermitian_eigenvalues(partial_transpose(dephased))
         min_pt = float(pt_spectrum[0])
         rows.append(
             ResultRow(
@@ -298,7 +298,7 @@ def load_channel_file(path: str) -> channels.KrausChannel:
     if "pauli_p" in doc:
         try:
             p = channels.ProbabilityVector(tuple(doc["pauli_p"]))
-            return channels.local_depolarizing(p, "A")
+            return channels.local_depolarizing(p)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid pauli_p: {exc}") from exc
     if "kraus" in doc:
@@ -308,10 +308,8 @@ def load_channel_file(path: str) -> channels.KrausChannel:
             raise ConfigError(f"malformed kraus matrices: {exc}") from exc
         if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] == 0:
             raise ConfigError("kraus must be a non-empty list of same-shape square matrices")
-        d = ops.shape[1]
-        lifted = tuple(np.kron(k, np.eye(d)) for k in ops)
         try:
-            return channels.KrausChannel(lifted)
+            return channels.KrausChannel(ops)
         except ValueError as exc:
             raise ConfigError(f"invalid Kraus channel: {exc}") from exc
     raise ConfigError("channel file must contain 'kraus' or 'pauli_p'")
@@ -323,7 +321,7 @@ def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
         raise ConfigError(f"channel_file must be a string path, got {path!r}")
     cfg.reject_unread()
     ch = load_channel_file(path)
-    d = int(round(np.sqrt(ch.dim)))
+    d = ch.dim
     # the PPT verdict and the product-form test read one Choi state
     choi, ppt, spec = channels.choi_test(ch)
     product = channels.is_product_form(choi, (d, d))

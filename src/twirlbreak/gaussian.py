@@ -217,22 +217,14 @@ def quasi_normal_sweep(family: InvariantFamily, n_per_axis: int) -> tuple[int, f
 
 # -- truncated-Fock uniform dephasing ------------------------------------------
 
-@dataclass(frozen=True)
-class TruncatedFockState:
-    """Two-mode state in the Fock basis with cutoff N per mode."""
-
-    rho: DensityOperator
-
-    def __post_init__(self):
-        if self.rho.dim_a != self.rho.dim_b:
-            raise ValueError("both modes must share the Fock cutoff")
-
-    @property
-    def cutoff(self) -> int:
-        return self.rho.dim_a
+def _cutoff(rho: DensityOperator) -> int:
+    """The Fock cutoff of a two-mode state in the Fock basis, the same on both modes."""
+    if rho.dim_a != rho.dim_b:
+        raise ValueError("both modes must share the Fock cutoff")
+    return rho.dim_a
 
 
-def truncated_tmsv(lam: float, n: int, tail_tol: float = 1e-3) -> TruncatedFockState:
+def truncated_tmsv(lam: float, n: int, tail_tol: float = 1e-3) -> DensityOperator:
     """Two-mode squeezed vacuum with Schmidt coefficients ~ lam^k, truncated
     at cutoff n.  Rejects truncations that lose more than tail_tol of mass."""
     if not 0 <= lam < 1:
@@ -245,7 +237,7 @@ def truncated_tmsv(lam: float, n: int, tail_tol: float = 1e-3) -> TruncatedFockS
     amps = amps / np.sqrt(kept)
     vec = np.zeros(n * n, dtype=complex)
     vec[:: n + 1] = amps
-    return TruncatedFockState(DensityOperator(np.outer(vec, vec.conj()), n, n))
+    return DensityOperator(np.outer(vec, vec.conj()), n, n)
 
 
 def _dephase(mats: np.ndarray, n: int, side: str) -> np.ndarray:
@@ -304,18 +296,19 @@ def dephasing_sweep(vectors, n: int):
     return _min_pt_eigenvalues(dephased, n), np.max(np.abs(rec - dephased), axis=(1, 2))
 
 
-def dephase_truncated(state: TruncatedFockState, side: str = "A") -> TruncatedFockState:
+def dephase_truncated(rho: DensityOperator, side: str = "A") -> DensityOperator:
     """Uniform phase-rotation average: zeroes every element with k != k' on
     the dephased side (the closed-form theta integral); trace preserving."""
-    n = state.cutoff
-    return TruncatedFockState(DensityOperator(_dephase(state.rho.mat[None], n, side)[0], n, n))
+    n = _cutoff(rho)
+    return DensityOperator(_dephase(rho.mat[None], n, side)[0], n, n)
 
 
-def separable_decomposition_dephased(state: TruncatedFockState):
+def separable_decomposition_dephased(rho: DensityOperator):
     """Explicit separable decomposition of the side-A dephased output of a
     pure input: components (d_k, |k>, |xi(k)>) with d_k = sum_j |c_kj|^2."""
-    weights, xi = _decompose(state.rho.mat[None], state.cutoff)
-    kets = np.eye(state.cutoff, dtype=complex)
+    n = _cutoff(rho)
+    weights, xi = _decompose(rho.mat[None], n)
+    kets = np.eye(n, dtype=complex)
     return [(float(weights[0, k]), kets[k], xi[0, k]) for k in np.flatnonzero(weights[0])]
 
 
@@ -327,5 +320,5 @@ def reconstruct_decomposition(components, n: int) -> np.ndarray:
     return _separable_sum(weights, kets_a, kets_b)[0]
 
 
-def min_pt_eigenvalue(state: TruncatedFockState) -> float:
-    return float(_min_pt_eigenvalues(state.rho.mat[None], state.cutoff)[0])
+def min_pt_eigenvalue(rho: DensityOperator) -> float:
+    return float(_min_pt_eigenvalues(rho.mat[None], _cutoff(rho))[0])

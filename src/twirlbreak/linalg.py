@@ -204,13 +204,13 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
     b (K, d_B, d_B) and nonnegative weights (K,); a stack of one matrix, or
     one weight, is broadcast along K.
 
-    Every Kraus channel (b = ones((1, 1, 1)), w = 1), twirl and classical-
+    Every Kraus channel (b = the side-B identity, w = 1), twirl and classical-
     environment dilation here is this sum.  Two routes, picked from the
     shapes; apart from op, the stacks and the (D, D) result, D = d_A d_B,
     neither holds arrays that grow with K:
 
     - one-sided, when one stack as passed holds a single matrix F (the
-      identity of a partial twirl, the 1x1 factor of a Kraus channel) and
+      identity of a partial twirl or of a Kraus channel's side B) and
       each side's superoperator (d_A^4 and d_B^4 entries) fits in
       CONJUGATE_SUM_CHUNK_BYTES: the sum is then (sum_k w_k G_k x conj(G_k))
       x (F x conj(F)) acting on the realigned op, with the G side summed by

@@ -59,9 +59,10 @@ def check_eb_threshold(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed)
     worst = 0.0
     verdicts_ok = True
-    for m in _chunk_lengths(200, 4 * 4 * 4):
+    # the Choi states, 4 x 4 each, are the largest stack of a chunk
+    for m in _chunk_lengths(200, 4 * 4):
         p = rng.dirichlet(np.ones(4), size=m)
-        spec = channels.choi_pt_spectra(channels.local_depolarizing_kraus(p, "A"))
+        spec = channels.choi_pt_spectra(channels.local_depolarizing_kraus(p))
         predicted = np.max(p, axis=1) <= 0.5 + 1e-12
         verdicts_ok &= bool(np.array_equal(spec[:, 0] >= -PSD_TOL, predicted))
         worst = max(worst, float(np.max(np.abs(spec - np.sort(0.5 - p, axis=1)))))
@@ -71,14 +72,14 @@ def check_eb_threshold(cfg: VerifyConfig) -> list[CheckResult]:
 # 2. Headline effect: single transmission breaks, double preserves Werner states
 def check_headline_effect(cfg: VerifyConfig) -> list[CheckResult]:
     p = channels.ProbabilityVector((0.5, 1 / 6, 1 / 6, 1 / 6))
-    single = channels.local_depolarizing(p, "A")
+    single = channels.local_depolarizing(p)
     double = channels.correlated_pauli(p)
     out = []
     for gamma in (0.4, 0.6, 0.9):
         rho = states.werner_qubit(gamma)
         neg_single = negativity(channels.apply_kraus(single, rho))
         out.append(_result(f"headline-single-neg(gamma={gamma})", neg_single, 1e-12))
-        transmitted = channels.apply_kraus(double, rho)
+        transmitted = channels.apply_dilation(double, rho)
         out.append(
             _result(
                 f"headline-double-invariance(gamma={gamma})",
@@ -234,14 +235,19 @@ def check_dephasing(cfg: VerifyConfig) -> list[CheckResult]:
 # 10. Dilations: classical environments reproducing the Kraus action.  The
 # dense route (embed, conjugate by the control unitary, trace out) is the
 # reference for the direct map and for the kernel behind apply_dilation, which
-# are not compared with each other: for the twirl both run conjugate_sum.
+# are not compared with each other: for the twirl both run conjugate_sum.  The
+# Pauli direct map is the Kraus sum written out with np.kron.
 def check_dilations(cfg: VerifyConfig) -> list[CheckResult]:
     p = channels.ProbabilityVector(tuple(np.random.default_rng(cfg.seed + 6).dirichlet(np.ones(4))))
-    kraus = channels.correlated_pauli(p)
+    pauli_pairs = [np.kron(pauli, pauli) for pauli in channels.PAULIS]
     # generic twirl dilation with a small Haar-sampled unitary set
     uset = twirl.UnitarySet(twirl.HaarSampler(cfg.seed + 7, 2).sample_batch(6))
     cases = (
-        ("pauli", channels.build_pauli_dilation(p), lambda e: sum(k @ e @ k.conj().T for k in kraus.operators)),
+        (
+            "pauli",
+            channels.correlated_pauli(p),
+            lambda e: sum(pk * k @ e @ k.conj().T for pk, k in zip(p.p, pauli_pairs)),
+        ),
         (
             "twirl",
             channels.build_twirl_dilation(uset.unitaries, conjugate_second=True),

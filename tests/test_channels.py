@@ -11,14 +11,13 @@ from twirlbreak.channels import (
     apply_dilation,
     apply_dilation_dense,
     apply_kraus,
-    build_pauli_dilation,
     build_twirl_dilation,
+    choi_states,
     correlated_pauli,
     env_is_classical,
     is_entanglement_breaking,
     is_product_form,
     local_depolarizing,
-    local_depolarizing_kraus,
 )
 from twirlbreak.linalg import (
     conjugate_sum,
@@ -29,7 +28,7 @@ from twirlbreak.linalg import (
     partial_trace_multi,
     partial_transpose,
 )
-from twirlbreak.states import max_entangled, random_density, singlet, werner_qubit
+from twirlbreak.states import max_entangled, max_entangled_mat, random_density, singlet, werner_qubit
 from twirlbreak.twirl import HaarSampler
 
 UNIFORM = ProbabilityVector((0.25, 0.25, 0.25, 0.25))
@@ -58,42 +57,101 @@ class TestKrausChannel:
             KrausChannel((0.9 * np.eye(2),))
 
     def test_identity_channel(self):
-        ch = KrausChannel((np.eye(4),))
+        ch = KrausChannel((np.eye(2),))
         rho = werner_qubit(0.5)
         assert frobenius_distance(apply_kraus(ch, rho).mat, rho.mat) == 0.0
+
+    def test_acts_on_side_a_only(self):
+        # E x I for a qutrit amplitude damping E on the 3 x 2 state's side A
+        rng = np.random.default_rng(12)
+        ch = KrausChannel(_amplitude_damping(3, 0.3))
+        rho = random_density(3, 2, rng)
+        want = sum(kron(k, np.eye(2)) @ rho.mat @ kron(k, np.eye(2)).conj().T for k in ch.operators)
+        out = apply_kraus(ch, rho)
+        assert (out.dim_a, out.dim_b) == (3, 2)
+        assert frobenius_distance(out.mat, want) < 1e-12
+
+    @pytest.mark.parametrize("ops", [(np.eye(4),), (np.eye(3),)], ids=["joint-4x4", "qutrit"])
+    def test_rejects_side_a_dimension_mismatch(self, ops):
+        with pytest.raises(ValueError, match="side-A dim 2"):
+            apply_kraus(KrausChannel(ops), werner_qubit(0.5))
+
+
+def _amplitude_damping(d, gamma):
+    """Qudit amplitude damping: every excited level decays to |0> with
+    probability gamma."""
+    k0 = np.diag([1.0] + [np.sqrt(1 - gamma)] * (d - 1))
+    decays = [np.sqrt(gamma) * np.outer(np.eye(d)[0], np.eye(d)[j]) for j in range(1, d)]
+    return np.stack([k0, *decays])
+
+
+def _isometry_kraus(d, k, rng):
+    """K Kraus operators cut from a random (K d, d) isometry."""
+    g = rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d))
+    return np.linalg.qr(g)[0].reshape(k, d, d)
+
+
+def _choi_reference(ops):
+    """sum_k (K_k x I) Phi (K_k x I)^dag, term by term."""
+    d = ops.shape[-1]
+    lifted = [kron(k, np.eye(d)) for k in ops]
+    return sum(k @ max_entangled_mat(d) @ k.conj().T for k in lifted)
+
+
+class TestChoiStates:
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_term_by_term_reference(self, d):
+        rng = np.random.default_rng(d)
+        sets = [_amplitude_damping(d, g) for g in (0.0, 0.4, 1.0)]
+        sets += [_isometry_kraus(d, d, rng) for _ in range(3)]
+        choi = choi_states(np.stack(sets))
+        assert choi.shape == (6, d * d, d * d)
+        for got, ops in zip(choi, sets):
+            assert np.max(np.abs(got - _choi_reference(ops))) < 1e-12
+
+    def test_rejects_incomplete_set(self):
+        # a trace-decreasing map has a Choi state of trace below 1
+        with pytest.raises(ValueError, match="trace"):
+            choi_states(0.9 * np.eye(3)[None, None])
 
 
 class TestCorrelatedPauli:
     def test_p1000_is_identity(self):
         ch = correlated_pauli(ProbabilityVector((1, 0, 0, 0)))
         rho = random_density(2, 2, np.random.default_rng(0))
-        assert frobenius_distance(apply_kraus(ch, rho).mat, rho.mat) < 1e-14
+        assert frobenius_distance(apply_dilation(ch, rho).mat, rho.mat) < 1e-14
 
     def test_werner_fixed_point(self):
         ch = correlated_pauli(ProbabilityVector((0.4, 0.3, 0.2, 0.1)))
         rho = werner_qubit(0.9)
-        assert frobenius_distance(apply_kraus(ch, rho).mat, rho.mat) < 1e-12
+        assert frobenius_distance(apply_dilation(ch, rho).mat, rho.mat) < 1e-12
 
     def test_singlet_fixed_point_any_p(self):
         rng = np.random.default_rng(1)
         for _ in range(10):
             p = ProbabilityVector(tuple(rng.dirichlet(np.ones(4))))
-            out = apply_kraus(correlated_pauli(p), singlet())
+            out = apply_dilation(correlated_pauli(p), singlet())
             assert frobenius_distance(out.mat, singlet().mat) < 1e-12
+
+    def test_equals_explicit_pauli_sum(self):
+        # on random complex states, not only the real Werner family
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            p = ProbabilityVector(tuple(rng.dirichlet(np.ones(4))))
+            rho = random_density(2, 2, rng)
+            want = sum(pk * kron(q, q) @ rho.mat @ kron(q, q).conj().T for pk, q in zip(p.p, PAULIS))
+            assert frobenius_distance(apply_dilation(correlated_pauli(p), rho).mat, want) < 1e-12
 
     def test_conjugate_variant_same_action(self):
         # P_k x P_k and P_k x P_k^* generate the identical channel
         rng = np.random.default_rng(2)
         p = ProbabilityVector((0.4, 0.3, 0.2, 0.1))
         ch = correlated_pauli(p)
-        conj_ops = tuple(
-            np.sqrt(pk) * kron(pauli, pauli.conj()) for pk, pauli in zip(p.p, PAULIS)
-        )
-        ch_conj = KrausChannel(conj_ops)
+        ch_conj = build_twirl_dilation(PAULIS, p, conjugate_second=True)
         for _ in range(50):
             rho = random_density(2, 2, rng)
             assert (
-                frobenius_distance(apply_kraus(ch, rho).mat, apply_kraus(ch_conj, rho).mat)
+                frobenius_distance(apply_dilation(ch, rho).mat, apply_dilation(ch_conj, rho).mat)
                 < 1e-12
             )
 
@@ -103,15 +161,21 @@ class TestCorrelatedPauli:
 
 
 class TestLocalDepolarizing:
+    def test_kraus_set_on_one_qubit(self):
+        ch = local_depolarizing(EB_BOUNDARY)
+        assert ch.operators.shape == (4, 2, 2)
+        for op, pk, pauli in zip(ch.operators, EB_BOUNDARY.p, PAULIS):
+            assert np.max(np.abs(op - np.sqrt(pk) * pauli)) == 0.0
+
     def test_pt_spectrum_closed_form(self):
-        ch = local_depolarizing(ProbabilityVector((0.6, 0.4 / 3, 0.4 / 3, 0.4 / 3)), "A")
+        ch = local_depolarizing(ProbabilityVector((0.6, 0.4 / 3, 0.4 / 3, 0.4 / 3)))
         out = apply_kraus(ch, max_entangled(2))
         spec = hermitian_eigenvalues(partial_transpose(out))
         assert abs(spec[0] - (0.5 - 0.6)) < 1e-12
 
     def test_uniform_fully_depolarizes(self):
         rng = np.random.default_rng(3)
-        ch = local_depolarizing(UNIFORM, "A")
+        ch = local_depolarizing(UNIFORM)
         for _ in range(20):
             rho = random_density(2, 2, rng)
             out = apply_kraus(ch, rho)
@@ -121,20 +185,8 @@ class TestLocalDepolarizing:
 
     def test_partial_depolarizing_not_product_form(self):
         # a non-uniform Pauli mixture keeps correlations between the sides
-        out = apply_kraus(local_depolarizing(EB_BOUNDARY, "A"), werner_qubit(0.9))
+        out = apply_kraus(local_depolarizing(EB_BOUNDARY), werner_qubit(0.9))
         assert not is_product_form(out.mat, (2, 2))
-
-    def test_side_b(self):
-        ch = local_depolarizing(UNIFORM, "B")
-        rho = random_density(2, 2, np.random.default_rng(4))
-        out = apply_kraus(ch, rho)
-        marginal = partial_trace_multi(rho.mat, [2, 2], keep=[0])
-        assert frobenius_distance(out.mat, kron(marginal, np.eye(2) / 2)) < 1e-12
-
-    @pytest.mark.parametrize("side", ["a", "C"])
-    def test_invalid_side_raises(self, side):
-        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-            local_depolarizing_kraus(np.array([UNIFORM.p]), side)
 
 
 class TestEntanglementBreaking:
@@ -162,14 +214,10 @@ class TestEntanglementBreaking:
             ppt, _ = is_entanglement_breaking(local_depolarizing(p))
             assert ppt == (max(p.p) <= 0.5 + 1e-12)
 
-    def test_rejects_correlated_channel(self):
-        with pytest.raises(ValueError, match="E x I"):
-            is_entanglement_breaking(correlated_pauli(UNIFORM))
-
 
 class TestDilation:
     def test_env_state_classical_and_separable_by_construction(self):
-        dc = build_pauli_dilation(ProbabilityVector((0.4, 0.3, 0.2, 0.1)))
+        dc = correlated_pauli(ProbabilityVector((0.4, 0.3, 0.2, 0.1)))
         assert env_is_classical(dc.env_state)
         # diagonal of the env state carries exactly the correlated weights
         diag = np.diag(dc.env_state.mat).real
@@ -177,20 +225,20 @@ class TestDilation:
         assert np.allclose(sorted(nonzero), [0.1, 0.2, 0.3, 0.4])
 
     def test_control_unitary_is_unitary(self):
-        dc = build_pauli_dilation(UNIFORM)
+        dc = correlated_pauli(UNIFORM)
         u = dc.control_unitary
         assert u.shape == (64, 64)
         assert np.max(np.abs(u @ u.conj().T - np.eye(64))) < 1e-14
 
     def test_dense_parts_built_once(self):
-        dc = build_pauli_dilation(UNIFORM)
+        dc = correlated_pauli(UNIFORM)
         assert dc.env_state is dc.env_state
         assert dc.control_unitary is dc.control_unitary
         with pytest.raises(ValueError):
             dc.control_unitary[0, 0] = 0
 
     def test_identity_probabilities(self):
-        dc = build_pauli_dilation(ProbabilityVector((1, 0, 0, 0)))
+        dc = correlated_pauli(ProbabilityVector((1, 0, 0, 0)))
         rho = random_density(2, 2, np.random.default_rng(6))
         assert frobenius_distance(apply_dilation(dc, rho).mat, rho.mat) < 1e-12
 
@@ -198,24 +246,23 @@ class TestDilation:
         # linear maps that agree on the 16 matrix units are equal; the Kraus
         # sum is written out, and the kernel call is the one apply_dilation runs
         p = ProbabilityVector((0.5, 0.2, 0.2, 0.1))
-        dc = build_pauli_dilation(p)
-        ch = correlated_pauli(p)
+        dc = correlated_pauli(p)
         for e in np.eye(16).reshape(16, 4, 4):
-            want = sum(k @ e @ k.conj().T for k in ch.operators)
+            want = sum(pk * kron(q, q) @ e @ kron(q, q).conj().T for pk, q in zip(p.p, PAULIS))
             assert frobenius_distance(apply_dilation_dense(dc, e), want) < 1e-11
             kernel = conjugate_sum(e, dc.u_blocks, dc.v_blocks, dc.probabilities.p)
             assert frobenius_distance(kernel, want) < 1e-11
 
     def test_dense_reference_rejects_wrong_dimensions(self):
         with pytest.raises(ValueError, match="dimensions"):
-            apply_dilation_dense(build_pauli_dilation(UNIFORM), np.eye(8))
+            apply_dilation_dense(correlated_pauli(UNIFORM), np.eye(8))
 
     def test_depolarizing_dilation_agreement(self):
         # dilation with V_k = I realizes the one-sided channel
         rng = np.random.default_rng(8)
         p = ProbabilityVector((0.5, 0.2, 0.2, 0.1))
         dc = DilatedChannel(p, PAULIS, np.broadcast_to(np.eye(2), (4, 2, 2)))
-        ch = local_depolarizing(p, "A")
+        ch = local_depolarizing(p)
         for _ in range(10):
             rho = random_density(2, 2, rng)
             want = apply_kraus(ch, rho).mat
@@ -249,7 +296,7 @@ class TestEnvIsClassical:
         rng = np.random.default_rng(10)
         for _ in range(5):
             p = ProbabilityVector(tuple(rng.dirichlet(np.ones(4))))
-            assert env_is_classical(build_pauli_dilation(p).env_state)
+            assert env_is_classical(correlated_pauli(p).env_state)
 
     def test_uniform_env(self):
         dc = build_twirl_dilation(list(HaarSampler(11, 2).sample_batch(5)))
@@ -265,7 +312,7 @@ def test_channel_outputs_are_valid_states(seed):
     rng = np.random.default_rng(seed)
     p = ProbabilityVector(tuple(rng.dirichlet(np.ones(4))))
     rho = random_density(2, 2, rng)
-    out = apply_kraus(correlated_pauli(p), rho)  # constructor validates
+    out = apply_dilation(correlated_pauli(p), rho)  # constructor validates
     assert abs(np.trace(out.mat).real - 1.0) < 1e-12
 
 
@@ -281,6 +328,6 @@ def test_single_vs_double_transmission(seed):
     assert max(p.p) <= 0.5 + 1e-12
     gamma = rng.uniform(1 / 3 + 0.05, 1.0)
     rho = werner_qubit(gamma)
-    assert negativity(apply_kraus(local_depolarizing(p, "A"), rho)) <= 1e-12
-    out = apply_kraus(correlated_pauli(p), rho)
+    assert negativity(apply_kraus(local_depolarizing(p), rho)) <= 1e-12
+    out = apply_dilation(correlated_pauli(p), rho)
     assert abs(negativity(out) - (3 * gamma - 1) / 4) < 1e-10

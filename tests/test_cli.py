@@ -14,8 +14,8 @@ import twirlbreak
 from twirlbreak import experiments, gaussian, twirl
 from twirlbreak.cli import main
 from twirlbreak.experiments import ExperimentConfig, dumps_document, run_qudit_scenario
-from twirlbreak.linalg import DensityOperator, frobenius_distance, negativity
-from twirlbreak.states import isotropic, werner_multi
+from twirlbreak.linalg import DensityOperator, frobenius_distance, negativity, partial_transpose_mat
+from twirlbreak.states import isotropic, max_entangled_mat, werner_multi
 from twirlbreak.twirl import HaarSampler, mc_twirl
 
 CONFIG_DIR = "configs"
@@ -360,6 +360,27 @@ class TestChannelFiles:
         code, out, _ = _run(capsys, "eb-test", "--config", cfg)
         assert code == 0
         assert json.loads(out)["rows"][0]["eb_verdict"].startswith("EB")
+
+    def test_qutrit_kraus_channel(self, capsys, tmp_path):
+        # qutrit amplitude damping at gamma = 1/2: non-unitary Kraus operators
+        # on one system, NPT Choi state
+        d, gamma = 3, 0.5
+        ops = [np.diag([1.0] + [np.sqrt(1 - gamma)] * (d - 1))]
+        ops += [np.sqrt(gamma) * np.outer(np.eye(d)[0], np.eye(d)[j]) for j in range(1, d)]
+        kraus = [[[[x, 0.0] for x in row] for row in op.tolist()] for op in ops]
+        chan = _write(tmp_path, "chan.json", {"kraus": kraus})
+        cfg = _write(tmp_path, "cfg.json", {"channel_file": chan})
+        code, out, _ = _run(capsys, "eb-test", "--config", cfg)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["params"]["d"] == d
+        assert row["eb_verdict"] == "NPT"
+        # the witness spectrum is the PT spectrum of sum_k (K_k x I) Phi (K_k x I)^dag
+        lifted = [np.kron(op, np.eye(d)) for op in ops]
+        choi = sum(k @ max_entangled_mat(d) @ k.conj().T for k in lifted)
+        want = np.linalg.eigvalsh(partial_transpose_mat(choi, d, d))
+        assert np.max(np.abs(np.array(row["params"]["witness_spectrum"]) - want)) < 1e-12
+        assert abs(row["single_transmission_negativity"] - np.sum(-want[want < 0])) < 1e-12
 
 
 class TestExitCodes:

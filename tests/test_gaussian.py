@@ -8,7 +8,6 @@ from twirlbreak.gaussian import (
     BONA_FIDE_TOL,
     OMEGA,
     CovarianceMatrix,
-    TruncatedFockState,
     dephase_truncated,
     epr_cm,
     is_separable_two_mode,
@@ -276,7 +275,7 @@ class TestDephaseTruncated:
         state = truncated_tmsv(0.5, 6)
         out = dephase_truncated(state, "A")
         n = 6
-        t = out.rho.mat.reshape(n, n, n, n)
+        t = out.mat.reshape(n, n, n, n)
         for k in range(n):
             for kp in range(n):
                 if k != kp:
@@ -287,25 +286,33 @@ class TestDephaseTruncated:
         rng = np.random.default_rng(0)
         n = 4
         rho = random_density(n, n, rng)
-        already = dephase_truncated(TruncatedFockState(rho), "A")
+        already = dephase_truncated(rho, "A")
         again = dephase_truncated(already, "A")
-        assert np.max(np.abs(again.rho.mat - already.rho.mat)) < 1e-15
+        assert np.max(np.abs(again.mat - already.mat)) < 1e-15
 
     def test_trace_preserving(self):
         state = truncated_tmsv(0.4, 6)
         out = dephase_truncated(state, "B")
-        assert abs(np.trace(out.rho.mat).real - 1.0) < 1e-12
+        assert abs(np.trace(out.mat).real - 1.0) < 1e-12
 
     @pytest.mark.parametrize("side", ["a", "C"])
     def test_invalid_side_raises(self, side):
         with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
             dephase_truncated(truncated_tmsv(0.4, 4), side)
 
+    @pytest.mark.parametrize(
+        "fn", [dephase_truncated, min_pt_eigenvalue, separable_decomposition_dephased]
+    )
+    def test_rejects_unequal_cutoffs(self, fn):
+        rho = random_pure(3, 4, np.random.default_rng(4))
+        with pytest.raises(ValueError, match="both modes must share the Fock cutoff"):
+            fn(rho)
+
     def test_random_pure_always_ppt(self):
         rng = np.random.default_rng(1)
         for n in (4, 6, 8):
             for _ in range(100):
-                state = TruncatedFockState(random_pure(n, n, rng))
+                state = random_pure(n, n, rng)
                 out = dephase_truncated(state, "A")
                 assert min_pt_eigenvalue(out) >= -1e-10
 
@@ -315,7 +322,7 @@ class TestSeparableDecomposition:
         n = 4
         vec = np.zeros(n * n, dtype=complex)
         vec[0] = 1.0
-        state = TruncatedFockState(DensityOperator(np.outer(vec, vec.conj()), n, n))
+        state = DensityOperator(np.outer(vec, vec.conj()), n, n)
         comps = separable_decomposition_dephased(state)
         assert len(comps) == 1
         dk, ket_k, xi = comps[0]
@@ -327,7 +334,7 @@ class TestSeparableDecomposition:
         n = 4
         vec = np.zeros(n * n, dtype=complex)
         vec[0] = vec[n + 1] = 1 / np.sqrt(2)
-        state = TruncatedFockState(DensityOperator(np.outer(vec, vec.conj()), n, n))
+        state = DensityOperator(np.outer(vec, vec.conj()), n, n)
         comps = separable_decomposition_dephased(state)
         assert len(comps) == 2
         assert all(abs(dk - 0.5) < 1e-14 for dk, _, _ in comps)
@@ -343,22 +350,22 @@ class TestSeparableDecomposition:
         # cross-check against the diagonal of the A marginal
         from twirlbreak.linalg import partial_trace_multi
 
-        marginal = partial_trace_multi(state.rho.mat, [n, n], keep=[0])
+        marginal = partial_trace_multi(state.mat, [n, n], keep=[0])
         assert np.max(np.abs(np.sort(np.diag(marginal).real) - np.sort(weights))) < 1e-12
 
     def test_reconstruction_matches_channel(self):
         rng = np.random.default_rng(2)
         for n in (4, 6):
-            state = TruncatedFockState(random_pure(n, n, rng))
+            state = random_pure(n, n, rng)
             comps = separable_decomposition_dephased(state)
             rec = reconstruct_decomposition(comps, n)
             out = dephase_truncated(state, "A")
-            assert np.max(np.abs(rec - out.rho.mat)) < 1e-12
+            assert np.max(np.abs(rec - out.mat)) < 1e-12
             assert abs(sum(dk for dk, _, _ in comps) - 1.0) < 1e-12
 
     def test_rejects_mixed_input(self):
         rng = np.random.default_rng(3)
-        state = TruncatedFockState(random_density(4, 4, rng))
+        state = random_density(4, 4, rng)
         with pytest.raises(ValueError, match="pure"):
             separable_decomposition_dephased(state)
 
@@ -367,7 +374,7 @@ class TestSeparableDecomposition:
         n = 3
         rho = np.zeros((n * n, n * n), dtype=complex)
         rho[0, 0], rho[n + 1, n + 1] = 0.9, 0.1
-        state = TruncatedFockState(DensityOperator(rho, n, n))
+        state = DensityOperator(rho, n, n)
         with pytest.raises(ValueError, match="input must be pure"):
             separable_decomposition_dephased(state)
 
@@ -378,7 +385,7 @@ class TestTruncatedTmsv:
             truncated_tmsv(0.9, 4)
 
     def test_purity(self):
-        rho = truncated_tmsv(0.3, 6).rho
+        rho = truncated_tmsv(0.3, 6)
         assert abs(np.trace(rho.mat @ rho.mat).real - 1.0) < 1e-10
 
 
@@ -426,8 +433,8 @@ def test_closed_form_spectrum_property(nu1, gap, h_entries):
 @settings(max_examples=15, deadline=None)
 def test_dephasing_idempotent_and_ppt(seed):
     rng = np.random.default_rng(seed)
-    state = TruncatedFockState(random_pure(4, 4, rng))
+    state = random_pure(4, 4, rng)
     once = dephase_truncated(state, "A")
     twice = dephase_truncated(once, "A")
-    assert np.max(np.abs(once.rho.mat - twice.rho.mat)) < 1e-15
+    assert np.max(np.abs(once.mat - twice.mat)) < 1e-15
     assert min_pt_eigenvalue(once) >= -1e-10

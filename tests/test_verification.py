@@ -92,13 +92,13 @@ def _dephasing_loop(seed):
     for n in CUTOFFS:
         inputs, min_pt, rec_error = [], [], []
         for _ in range(POINTS):
-            pure = gaussian.TruncatedFockState(random_pure(n, n, rng))
+            pure = random_pure(n, n, rng)
             dephased = gaussian.dephase_truncated(pure, "A")
             min_pt.append(gaussian.min_pt_eigenvalue(dephased))
             comps = gaussian.separable_decomposition_dephased(pure)
             rec = gaussian.reconstruct_decomposition(comps, n)
-            rec_error.append(float(np.max(np.abs(rec - dephased.rho.mat))))
-            inputs.append(pure.rho.mat)
+            rec_error.append(float(np.max(np.abs(rec - dephased.mat))))
+            inputs.append(pure.mat)
         out[n] = (np.array(inputs), np.array(min_pt), np.array(rec_error))
     return out
 
@@ -108,7 +108,7 @@ def _eb_loop(seed):
     probs, verdicts, spectra = [], [], []
     for _ in range(CHANNELS):
         p = channels.ProbabilityVector(tuple(rng.dirichlet(np.ones(4))))
-        ppt, spec = channels.is_entanglement_breaking(channels.local_depolarizing(p, "A"))
+        ppt, spec = channels.is_entanglement_breaking(channels.local_depolarizing(p))
         probs.append(p.p)
         verdicts.append(ppt)
         spectra.append(spec)
