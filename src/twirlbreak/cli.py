@@ -10,13 +10,15 @@ Usage (each subcommand takes only the flags it reads):
 --seed, --mc-samples and --fock-cutoff override the config key of the same
 name (seed, mc_samples, fock_cutoff).
 
-Exit codes: 0 success, 1 verification failure, 2 config/parse error.
+Exit codes: 0 success, 1 verification failure, 2 config/parse error or an
+output file that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .experiments import (
     ConfigError,
@@ -72,10 +74,21 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> None:
             cfg.params[key] = value
 
 
+class _WriteError(Exception):
+    """An output file that cannot be written (exit code 2)."""
+
+
+def _write_file(path: str, write) -> None:
+    """write(path), with an OSError raised as a one-line _WriteError."""
+    try:
+        write(path)
+    except OSError as exc:
+        raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as f:
-            f.write(text)
+        _write_file(out_path, lambda p: Path(p).write_text(text))
     else:
         sys.stdout.write(text)
 
@@ -98,12 +111,15 @@ def main(argv=None) -> int:
             return 0 if doc["all_passed"] else 1
         rows = runner(cfg)
         doc = rows_to_document(rows, args.scenario, cfg.params)
+        if args.csv:  # before the document, so stdout stays empty if it fails
+            _write_file(args.csv, lambda p: write_csv(rows, p))
         _emit(dumps_document(doc), args.out)
-        if args.csv:
-            write_csv(rows, args.csv)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except _WriteError as exc:
+        print(exc, file=sys.stderr)
         return 2
 
 

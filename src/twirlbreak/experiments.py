@@ -16,10 +16,8 @@ from . import channels, gaussian, states, twirl, verification
 from .linalg import (
     DensityOperator,
     frobenius_distance,
-    hermitian_eigenvalues,
     negativity,
     negativity_from_spectrum,
-    partial_transpose,
 )
 
 
@@ -206,8 +204,9 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     return rows
 
 
-# the largest Fock cutoff n a bosonic row may use: the dense two-mode state
-# holds n^4 complex entries, ~41 MB a copy at n = 40 (mu up to about 11)
+# the largest Fock cutoff n a bosonic row may use (mu up to about 11); a row
+# holds O(n^2) entries on its state's support, so memory no longer sets the
+# cap, but raising it changes which configs run
 MAX_FOCK_CUTOFF = 40
 
 
@@ -241,10 +240,11 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         double_neg = max(0.0, (1.0 / nu_min - 1.0) / 2)
         # single transmission: uniform dephasing of the truncated squeezed state
         lam = np.sqrt((mu - 1) / (mu + 1))
-        tmsv = gaussian.truncated_tmsv(lam, n_fock)
-        dephased = gaussian.dephase_truncated(tmsv, "A")
+        # on the state's support, n_fock indices, not the n_fock^2 x n_fock^2 matrix
+        idx, tmsv = gaussian.tmsv_support(lam, n_fock)
+        dephased = gaussian.dephase_support(idx, tmsv, n_fock, "A")
         # one solve gives both the least PT eigenvalue and the negativity
-        pt_spectrum = hermitian_eigenvalues(partial_transpose(dephased))
+        pt_spectrum = gaussian.pt_spectrum_support(idx, dephased, n_fock)
         min_pt = float(pt_spectrum[0])
         rows.append(
             ResultRow(

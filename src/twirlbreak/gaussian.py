@@ -224,9 +224,11 @@ def _cutoff(rho: DensityOperator) -> int:
     return rho.dim_a
 
 
-def truncated_tmsv(lam: float, n: int, tail_tol: float = 1e-3) -> DensityOperator:
+def tmsv_support(lam: float, n: int, tail_tol: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
     """Two-mode squeezed vacuum with Schmidt coefficients ~ lam^k, truncated
-    at cutoff n.  Rejects truncations that lose more than tail_tol of mass."""
+    at cutoff n, on its support: the basis indices k(n + 1) of |kk>, k < n,
+    and the validated (n, n) block of rho on them; rho is zero elsewhere.
+    Rejects truncations that lose more than tail_tol of mass."""
     if not 0 <= lam < 1:
         raise ValueError("lam must be in [0, 1)")
     amps = lam ** np.arange(n)
@@ -235,18 +237,47 @@ def truncated_tmsv(lam: float, n: int, tail_tol: float = 1e-3) -> DensityOperato
     if kept / norm_full < 1.0 - tail_tol:
         raise ValueError("Fock cutoff too small for requested tail mass")
     amps = amps / np.sqrt(kept)
-    vec = np.zeros(n * n, dtype=complex)
-    vec[:: n + 1] = amps
-    return DensityOperator(np.outer(vec, vec.conj()), n, n)
+    return np.arange(n) * (n + 1), validate_density_stack(np.outer(amps, amps)[None])[0]
 
 
-def _dephase(mats: np.ndarray, n: int, side: str) -> np.ndarray:
-    """Zero every element with k != k' on the dephased side of each matrix of
-    a (m, n^2, n^2) stack."""
+def truncated_tmsv(lam: float, n: int, tail_tol: float = 1e-3) -> DensityOperator:
+    """The tmsv_support state as a dense (n^2, n^2) matrix."""
+    idx, block = tmsv_support(lam, n, tail_tol)
+    mat = np.zeros((n * n, n * n), dtype=complex)
+    mat[np.ix_(idx, idx)] = block
+    return DensityOperator(mat, n, n)
+
+
+def _dephase(mats: np.ndarray, idx: np.ndarray, n: int, side: str) -> np.ndarray:
+    """Zero every entry of a (..., len(idx), len(idx)) stack of matrices on the
+    basis indices idx (k n + l) whose side index, k on A or l on B, differs
+    between its row and its column."""
     _check_side(side)
-    same = np.eye(n, dtype=bool)  # k == k'
-    mask = same[:, None, :, None] if side == "A" else same[None, :, None, :]
-    return np.where(mask, mats.reshape(-1, n, n, n, n), 0.0).reshape(-1, n * n, n * n)
+    s = idx // n if side == "A" else idx % n
+    return np.where(s[:, None] == s, mats, 0.0)
+
+
+def dephase_support(idx: np.ndarray, block: np.ndarray, n: int, side: str = "A") -> np.ndarray:
+    """dephase_truncated of the state that is block on the basis indices idx
+    and zero elsewhere: the validated block of the output on the same indices."""
+    return validate_density_stack(_dephase(block[None], idx, n, side))[0]
+
+
+def pt_spectrum_support(idx: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
+    """The ascending n^2 eigenvalues of the side-B partial transpose of the
+    matrix that is block on the sorted basis indices idx and zero elsewhere:
+    each nonzero entry (kl, k'l') moves to (kl', k'l), the indices it reaches
+    get hermitian_eigenvalues of the block on them, every other an exact 0."""
+    k, l = np.divmod(idx, n)
+    nonzero = block != 0
+    rows, cols = (k[:, None] * n + l)[nonzero], (k * n + l[:, None])[nonzero]
+    reached = np.zeros(n * n, dtype=bool)
+    reached[rows] = reached[cols] = True
+    support = np.flatnonzero(reached)
+    position = np.cumsum(reached) - 1  # of each reached index in support
+    pt = np.zeros((len(support), len(support)), dtype=complex)
+    pt[position[rows], position[cols]] = block[nonzero]
+    return np.sort(np.concatenate([hermitian_eigenvalues(pt), np.zeros(n * n - len(support))]))
 
 
 def _min_pt_eigenvalues(mats: np.ndarray, n: int) -> np.ndarray:
@@ -289,7 +320,7 @@ def dephasing_sweep(vectors, n: int):
     state vector from the density matrix)."""
     v = np.asarray(vectors, dtype=complex)
     pure = validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
-    dephased = validate_density_stack(_dephase(pure, n, "A"))
+    dephased = validate_density_stack(_dephase(pure, np.arange(n * n), n, "A"))
     weights, xi = _decompose(pure, n)
     kets = np.broadcast_to(np.eye(n), xi.shape)
     rec = _separable_sum(weights, kets, xi)
@@ -300,7 +331,7 @@ def dephase_truncated(rho: DensityOperator, side: str = "A") -> DensityOperator:
     """Uniform phase-rotation average: zeroes every element with k != k' on
     the dephased side (the closed-form theta integral); trace preserving."""
     n = _cutoff(rho)
-    return DensityOperator(_dephase(rho.mat[None], n, side)[0], n, n)
+    return DensityOperator(_dephase(rho.mat, np.arange(n * n), n, side), n, n)
 
 
 def separable_decomposition_dephased(rho: DensityOperator):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,19 @@ class TestScenarios:
             assert abs(r["single_transmission_negativity"]) < 1e-10
             assert r["params"]["dephased_min_pt_eigenvalue"] >= -1e-10
         assert mu_rows[0]["double_transmission_negativity"] == 0
+
+    def test_bosonic_row_memory_stays_on_the_support(self):
+        # at cutoff 39 a dense two-mode state holds 39^4 complex entries, 37 MB;
+        # the rows work on the 39 indices of the state's support instead
+        cfg = ExperimentConfig("bosonic", {"mu_grid": [11.0]})
+        tracemalloc.start()
+        try:
+            rows = experiments.run_bosonic_scenario(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[0].params["fock_cutoff"] == 39
+        assert peak < 2 * 2**20
 
     @pytest.mark.parametrize("config", ["qudit_werner_d3", "qudit_isotropic_d3"])
     def test_qudit_single_negativity_is_measured(self, capsys, config):
@@ -438,6 +452,15 @@ class TestExitCodes:
         assert "config error: channel_file must be a string path" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("path", ["/nonexistent/dir/x", "."], ids=["missing-dir", "a-directory"])
+    def test_unwritable_output_exits_2(self, capsys, flag, path):
+        code, out, err = _run(capsys, "pauli", "--config", f"{CONFIG_DIR}/pauli.json", flag, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"cannot write {path}: ")
+        assert err.count("\n") == 1
+
     def test_pauli_gamma_out_of_range_is_config_error(self, capsys, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": [0.5, 2.0]})
         code, out, err = _run(capsys, "pauli", "--config", cfg)
@@ -535,6 +558,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(gaussian, "epr_cm", forbidden)
         monkeypatch.setattr(gaussian, "truncated_tmsv", forbidden)
+        monkeypatch.setattr(gaussian, "tmsv_support", forbidden)
         cfg = _write(tmp_path, "cfg.json", payload)
         code, out, err = _run(capsys, "bosonic", "--config", cfg, *flags)
         assert code == 2

@@ -8,10 +8,12 @@ from twirlbreak.gaussian import (
     BONA_FIDE_TOL,
     OMEGA,
     CovarianceMatrix,
+    dephase_support,
     dephase_truncated,
     epr_cm,
     is_separable_two_mode,
     min_pt_eigenvalue,
+    pt_spectrum_support,
     pt_symplectic_eigenvalues,
     quasi_normal_cm,
     quasi_normal_sweep,
@@ -21,10 +23,17 @@ from twirlbreak.gaussian import (
     separable_decomposition_dephased,
     solve_invariant_cm,
     symplectic_eigenvalues,
+    tmsv_support,
     truncated_tmsv,
 )
 from twirlbreak import gaussian
-from twirlbreak.linalg import DensityOperator
+from twirlbreak.linalg import (
+    DensityOperator,
+    hermitian_eigenvalues,
+    negativity_from_spectrum,
+    partial_transpose,
+    partial_transpose_mat,
+)
 from twirlbreak.states import random_density, random_pure
 
 ANGLES = np.linspace(0, 2 * np.pi, 32, endpoint=False) + 0.123
@@ -383,10 +392,84 @@ class TestTruncatedTmsv:
     def test_tail_guard(self):
         with pytest.raises(ValueError, match="cutoff"):
             truncated_tmsv(0.9, 4)
+        with pytest.raises(ValueError, match="cutoff"):
+            tmsv_support(0.9, 4)
+
+    def test_dense_state_is_its_vector_outer_product(self):
+        lam, n = 0.4, 7
+        vec = np.zeros(n * n, dtype=complex)
+        vec[:: n + 1] = lam ** np.arange(n) / np.sqrt(np.sum(lam ** (2 * np.arange(n))))
+        assert np.max(np.abs(truncated_tmsv(lam, n).mat - np.outer(vec, vec.conj()))) < 1e-15
 
     def test_purity(self):
         rho = truncated_tmsv(0.3, 6)
         assert abs(np.trace(rho.mat @ rho.mat).real - 1.0) < 1e-10
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x).tobytes()
+
+
+class TestSupportForm:
+    """The bosonic rows' support form (indices and the block on them) against
+    the dense reference on the n^2 x n^2 matrix, bit for bit."""
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("n", [1, 2, 8, 19, 30])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 0.8])
+    def test_dephased_tmsv_matches_dense(self, lam, n, side):
+        if lam ** (2 * n) > 1e-3:  # both forms refuse the truncation
+            with pytest.raises(ValueError, match="cutoff too small"):
+                tmsv_support(lam, n)
+            return
+        idx, block = tmsv_support(lam, n)
+        dense = dephase_truncated(truncated_tmsv(lam, n), side)
+        dephased = dephase_support(idx, block, n, side)
+        assert _bits(dephased) == _bits(dense.mat[np.ix_(idx, idx)])
+        want = hermitian_eigenvalues(partial_transpose(dense))
+        got = pt_spectrum_support(idx, dephased, n)
+        assert _bits(got) == _bits(want)
+        # the row fields dephased_min_pt_eigenvalue and single_transmission_negativity
+        assert _bits(float(got[0])) == _bits(float(want[0]))
+        assert _bits(negativity_from_spectrum(got)) == _bits(negativity_from_spectrum(want))
+
+    def test_undephased_tmsv_pt_fills_every_index(self):
+        # PT sends |kk><k'k'| to |kk'><k'k|: the support of n indices becomes all n^2
+        lam, n = 0.5, 6
+        idx, block = tmsv_support(lam, n)
+        got = pt_spectrum_support(idx, block, n)
+        assert _bits(got) == _bits(hermitian_eigenvalues(partial_transpose(truncated_tmsv(lam, n))))
+        assert np.count_nonzero(got) == n * n
+        assert got[0] < -0.1  # entangled
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_random_block_matches_dense(self, side):
+        rng = np.random.default_rng(7)
+        n = 4
+        idx = np.sort(rng.choice(n * n, size=7, replace=False))
+        block = random_density(7, 1, rng).mat
+        dense = np.zeros((n * n, n * n), dtype=complex)
+        dense[np.ix_(idx, idx)] = block
+        dephased = dephase_support(idx, block, n, side)
+        # keep <k l|rho|k' l'> where k = k' (side A) or l = l' (side B)
+        same = np.eye(n, dtype=bool)
+        kept = same[:, None, :, None] if side == "A" else same[None, :, None, :]
+        reference = np.where(kept, dense.reshape(n, n, n, n), 0.0).reshape(n * n, n * n)
+        assert _bits(dephased) == _bits(reference[np.ix_(idx, idx)])
+        for m, ref in ((block, dense), (dephased, reference)):
+            want = hermitian_eigenvalues(partial_transpose_mat(ref, n, n))
+            assert _bits(pt_spectrum_support(idx, m, n)) == _bits(want)
+
+    def test_rejects_block_without_unit_trace(self):
+        idx, block = tmsv_support(0.3, 8)
+        with pytest.raises(ValueError, match="does not have unit trace"):
+            dephase_support(idx, 2 * block, 8, "A")
+
+    @pytest.mark.parametrize("side", ["a", "C"])
+    def test_invalid_side_raises(self, side):
+        idx, block = tmsv_support(0.3, 8)
+        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
+            dephase_support(idx, block, 8, side)
 
 
 class TestCovarianceMatrixValidation:
