@@ -170,9 +170,9 @@ def choi_pt_spectra(operators) -> np.ndarray:
     return _pt_spectra(choi_states(operators))
 
 
-def choi_test(ch: KrausChannel, tol: float = PSD_TOL):
+def choi_test(ch: KrausChannel):
     """Choi test: apply the channel, as E x I on a d x d space, to the
-    maximally entangled state and check PPT.
+    maximally entangled state and check PPT to PSD_TOL.
 
     Returns (choi_matrix, ppt_verdict, witness_spectrum).  For d = 2 the PPT
     verdict decides entanglement breaking exactly; for d >= 3 it is only the
@@ -180,20 +180,20 @@ def choi_test(ch: KrausChannel, tol: float = PSD_TOL):
     """
     choi = choi_states(ch.operators[None])[0]
     spec = _pt_spectra(choi)
-    return choi, bool(spec[0] >= -tol), spec
+    return choi, bool(spec[0] >= -PSD_TOL), spec
 
 
-def is_entanglement_breaking(ch: KrausChannel, tol: float = PSD_TOL):
-    """(ppt_verdict, witness_spectrum) of choi_test(ch, tol)."""
-    _, ppt, spec = choi_test(ch, tol)
+def is_entanglement_breaking(ch: KrausChannel):
+    """(ppt_verdict, witness_spectrum) of choi_test(ch)."""
+    _, ppt, spec = choi_test(ch)
     return ppt, spec
 
 
-def is_product_form(mat: np.ndarray, dims, tol: float = 1e-12) -> bool:
-    """Structural separability certificate: mat == I/d_A x Tr_A(mat) for a
-    state on a d_A x d_B space, dims = (d_A, d_B)."""
+def is_product_form(mat: np.ndarray, dims) -> bool:
+    """Structural separability certificate: mat == I/d_A x Tr_A(mat), entry by
+    entry within 1e-12, for a state on a d_A x d_B space, dims = (d_A, d_B)."""
     target = partial_twirl_exact_mat(mat, dims, "A")
-    return float(np.max(np.abs(mat - target))) <= tol
+    return float(np.max(np.abs(mat - target))) <= 1e-12
 
 
 def build_twirl_dilation(unitaries, probabilities=None, conjugate_second=False) -> DilatedChannel:
@@ -239,10 +239,10 @@ def apply_dilation_dense(dc: DilatedChannel, op: np.ndarray) -> np.ndarray:
     return partial_trace_multi(total, [k, da, k, db], keep=[1, 3])
 
 
-def env_is_classical(state: DensityOperator, tol: float = 1e-12) -> bool:
-    """True iff the state is diagonal in the computational product basis.
+def env_is_classical(state: DensityOperator) -> bool:
+    """True iff the state is diagonal, within 1e-12, in the computational product basis.
 
     Sufficient certificate for zero discord; not a general discord measure.
     """
     m = state.mat
-    return float(np.max(np.abs(m - np.diag(np.diag(m))))) <= tol
+    return float(np.max(np.abs(m - np.diag(np.diag(m))))) <= 1e-12

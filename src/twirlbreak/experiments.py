@@ -13,12 +13,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import channels, gaussian, states, twirl, verification
-from .linalg import (
-    DensityOperator,
-    frobenius_distance,
-    negativity,
-    negativity_from_spectrum,
-)
+from .linalg import PSD_TOL, DensityOperator, frobenius_distance, negativity, negativity_from_spectrum
 
 
 class ConfigError(ValueError):
@@ -118,6 +113,13 @@ def _grid(cfg: ExperimentConfig, key: str) -> list:
     return [_number(x, f"{key} entry") for x in g]
 
 
+def _seed_and_samples(cfg: ExperimentConfig) -> tuple[int, int]:
+    """The seed and mc_samples keys, defaulting to VerifyConfig's fields."""
+    defaults = verification.VerifyConfig
+    seed = _number(cfg.get("seed", defaults.seed), "seed", integer=True, minimum=0)
+    return seed, _number(cfg.get("mc_samples", defaults.mc_samples), "mc_samples", integer=True, minimum=1)
+
+
 def run_pauli_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     p = _probability_vector(cfg)
     if len(p) != 4:
@@ -159,8 +161,7 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     if mode not in ("uu", "uustar"):
         raise ConfigError("mode must be 'uu' or 'uustar'")
     grid = _grid(cfg, "param_grid")
-    seed = _number(cfg.get("seed", 20240611), "seed", integer=True, minimum=0)
-    n_mc = _number(cfg.get("mc_samples", 10_000), "mc_samples", integer=True, minimum=1)
+    seed, n_mc = _seed_and_samples(cfg)
     cfg.reject_unread()
     # one Haar stream per row, so a row does not depend on the rows before it
     streams = np.random.SeedSequence(seed).spawn(len(grid))
@@ -182,9 +183,9 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         single_neg = negativity(DensityOperator(single_out, d, d))
         neg_double = negativity(double)
         if d <= 2:
-            verdict = "EB" if neg_double <= 1e-10 else "entanglement preserved"
+            verdict = "EB" if neg_double <= PSD_TOL else "entanglement preserved"
         else:
-            verdict = "PPT" if neg_double <= 1e-10 else "NPT (entanglement preserved)"
+            verdict = "PPT" if neg_double <= PSD_TOL else "NPT (entanglement preserved)"
         rows.append(
             ResultRow(
                 scenario="qudit-twirl",
@@ -211,13 +212,13 @@ MAX_FOCK_CUTOFF = 40
 
 
 def _fock_cutoff(mu: float, cutoff: int) -> int:
-    """The Fock cutoff for the squeezed state at mu: cutoff, enlarged until
-    the truncation tail lam^(2n), lam^2 = (mu - 1)/(mu + 1), is below 1e-3.
+    """The Fock cutoff for the squeezed state at mu: cutoff, enlarged until the
+    truncation tail lam^(2n), lam^2 = (mu - 1)/(mu + 1), is below gaussian.TAIL_TOL.
     One above MAX_FOCK_CUTOFF is a ConfigError."""
     need = float(cutoff)
     if mu > 1:
         # log1p keeps log(lam^2) < 0 where lam itself rounds to 1
-        need = max(need, np.ceil(np.log(1e-3) / np.log1p(-2 / (mu + 1))) + 1)
+        need = max(need, np.ceil(np.log(gaussian.TAIL_TOL) / np.log1p(-2 / (mu + 1))) + 1)
     if need > MAX_FOCK_CUTOFF:
         raise ConfigError(f"mu = {mu} needs Fock cutoff {need:g}, above the cap of {MAX_FOCK_CUTOFF}")
     return int(need)
@@ -259,7 +260,7 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                 single_transmission_negativity=negativity_from_spectrum(pt_spectrum),
                 double_transmission_negativity=double_neg,
                 invariance_residual=residual,
-                eb_verdict="EB (dephased output PPT)" if min_pt >= -1e-10 else "NOT-EB",
+                eb_verdict="EB (dephased output PPT)" if min_pt >= -PSD_TOL else "NOT-EB",
             )
         )
     # correlated environment: the whole invariant family is separable
@@ -345,10 +346,7 @@ def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def run_verify(cfg: ExperimentConfig) -> dict:
-    vcfg = verification.VerifyConfig(
-        seed=_number(cfg.get("seed", 20240611), "seed", integer=True, minimum=0),
-        mc_samples=_number(cfg.get("mc_samples", 10_000), "mc_samples", integer=True, minimum=1),
-    )
+    vcfg = verification.VerifyConfig(*_seed_and_samples(cfg))
     cfg.reject_unread()
     results = verification.run_all(vcfg)
     return {

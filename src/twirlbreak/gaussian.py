@@ -20,6 +20,7 @@ from .linalg import (
 )
 
 BONA_FIDE_TOL = 1e-10
+TAIL_TOL = 1e-3  # the share of its norm a truncated squeezed state may lose
 # the angles on which the bosonic scenario and verify read rotation residuals:
 # 32 equally spaced, offset so that none is the identity rotation
 ROTATION_ANGLES = np.linspace(0, 2 * np.pi, 32, endpoint=False) + 0.123
@@ -150,9 +151,9 @@ def pt_symplectic_eigenvalues(v: CovarianceMatrix):
     return tuple(float(nu) for nu in _symplectic_pair(v.m, -1.0))
 
 
-def is_separable_two_mode(v: CovarianceMatrix, tol: float = BONA_FIDE_TOL) -> bool:
-    """PPT at CM level; conclusive for 1x1-mode Gaussian states."""
-    return pt_symplectic_eigenvalues(v)[0] >= 1.0 - tol
+def is_separable_two_mode(v: CovarianceMatrix) -> bool:
+    """PPT at CM level, nu_- >= 1 - BONA_FIDE_TOL; conclusive for 1x1-mode Gaussian states."""
+    return pt_symplectic_eigenvalues(v)[0] >= 1.0 - BONA_FIDE_TOL
 
 
 # -- invariant-family solver ---------------------------------------------------
@@ -224,25 +225,25 @@ def _cutoff(rho: DensityOperator) -> int:
     return rho.dim_a
 
 
-def tmsv_support(lam: float, n: int, tail_tol: float = 1e-3) -> tuple[np.ndarray, np.ndarray]:
+def tmsv_support(lam: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Two-mode squeezed vacuum with Schmidt coefficients ~ lam^k, truncated
     at cutoff n, on its support: the basis indices k(n + 1) of |kk>, k < n,
     and the validated (n, n) block of rho on them; rho is zero elsewhere.
-    Rejects truncations that lose more than tail_tol of mass."""
+    Rejects truncations that lose more than TAIL_TOL of mass."""
     if not 0 <= lam < 1:
         raise ValueError("lam must be in [0, 1)")
     amps = lam ** np.arange(n)
     norm_full = 1.0 / (1.0 - lam * lam)
     kept = float(np.sum(amps * amps))
-    if kept / norm_full < 1.0 - tail_tol:
+    if kept / norm_full < 1.0 - TAIL_TOL:
         raise ValueError("Fock cutoff too small for requested tail mass")
     amps = amps / np.sqrt(kept)
     return np.arange(n) * (n + 1), validate_density_stack(np.outer(amps, amps)[None])[0]
 
 
-def truncated_tmsv(lam: float, n: int, tail_tol: float = 1e-3) -> DensityOperator:
+def truncated_tmsv(lam: float, n: int) -> DensityOperator:
     """The tmsv_support state as a dense (n^2, n^2) matrix."""
-    idx, block = tmsv_support(lam, n, tail_tol)
+    idx, block = tmsv_support(lam, n)
     mat = np.zeros((n * n, n * n), dtype=complex)
     mat[np.ix_(idx, idx)] = block
     return DensityOperator(mat, n, n)

@@ -30,6 +30,14 @@ CONJUGATE_SUM_CHUNK_BYTES = 16 * 2**20
 CONJUGATE_SUM_CACHE_BYTES = 2**19
 
 
+def _chunk_lengths(total: int, entries: int) -> list[int]:
+    """Split `total` items of `entries` complex numbers each into consecutive
+    chunks whose stacks fit in CONJUGATE_SUM_CACHE_BYTES (one item a chunk if
+    one item does not), so that memory does not grow with total."""
+    step = max(1, CONJUGATE_SUM_CACHE_BYTES // (16 * entries))
+    return [min(step, total - s) for s in range(0, total, step)]
+
+
 def _as_complex(m) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2:
@@ -66,7 +74,7 @@ def validate_density_stack(mats) -> np.ndarray:
     tr = m.trace(axis1=1, axis2=2)
     if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
         raise ValueError("density matrix does not have unit trace")
-    if not _blocks_psd(blocks, PSD_TOL):
+    if not _blocks_psd(blocks):
         raise ValueError("density matrix is not positive semidefinite")
     return m
 
@@ -95,16 +103,16 @@ def _component_blocks(m: np.ndarray) -> tuple[list, float]:
     return blocks, residual
 
 
-def _blocks_psd(blocks: list, tol: float) -> bool:
-    """Whether every block from _component_blocks has least eigenvalue >= -tol,
-    that is block + tol I >= 0: read off the real diagonal of 1x1 blocks, and
-    certified for the others by one batched Cholesky factorisation of block +
-    tol I per array, which succeeds with the backward error eigvalsh has."""
+def _blocks_psd(blocks: list) -> bool:
+    """Whether every block from _component_blocks has least eigenvalue >=
+    -PSD_TOL: read off the real diagonal of 1x1 blocks, and certified for the
+    others by one batched Cholesky factorisation of block + PSD_TOL I per
+    array, which succeeds with the backward error eigvalsh has."""
     try:
         for b in blocks:
             if b.ndim > 2:
-                np.linalg.cholesky(b + tol * np.eye(b.shape[-1]))
-            elif b.real.min() < -tol:
+                np.linalg.cholesky(b + PSD_TOL * np.eye(b.shape[-1]))
+            elif b.real.min() < -PSD_TOL:
                 return False
     except np.linalg.LinAlgError:
         return False
@@ -346,19 +354,17 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return spectra.reshape(m.shape[:-1])
 
 
-def is_ppt(rho: DensityOperator, tol: float = PSD_TOL) -> bool:
+def is_ppt(rho: DensityOperator) -> bool:
     """Peres-Horodecki test: the partial transpose, finite and Hermitian
-    within SPECTRUM_HERMITICITY_TOL, has least eigenvalue >= -tol (_blocks_psd).
+    within SPECTRUM_HERMITICITY_TOL, has least eigenvalue >= -PSD_TOL (_blocks_psd).
 
     Decides separability exactly for 2x2 and 2x3 systems; elsewhere PPT is
     only a necessary condition.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     blocks, residual = _component_blocks(_as_complex(partial_transpose(rho))[None])
     if residual > SPECTRUM_HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return _blocks_psd(blocks, tol)
+    return _blocks_psd(blocks)
 
 
 def negativity(rho: DensityOperator) -> float:

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    CONJUGATE_SUM_CACHE_BYTES,
     DensityOperator,
     _check_side,
+    _chunk_lengths,
     as_unitary_stack,
     conjugate_sum,
     kron,
@@ -201,7 +201,7 @@ def _row_sum(p: np.ndarray) -> np.ndarray:
 def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -> np.ndarray:
     """Empirical twirl of a raw operator over n Haar samples.
 
-    The samples are drawn and summed in chunks of CONJUGATE_SUM_CACHE_BYTES,
+    The samples are drawn and summed in cache-sized chunks (_chunk_lengths),
     so memory does not grow with n; the sampler's stream does not depend on
     the batch split, so neither do the samples.  The U x U* twirl is taken
     as PT o (U x U twirl) o PT, so no conjugate copy of the samples is made.
@@ -213,10 +213,9 @@ def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -
     da, db = dims
     if mode == "uustar":
         op = partial_transpose_mat(op, da, db)
-    step = max(1, CONJUGATE_SUM_CACHE_BYTES // (16 * s.d * s.d))
     out = np.zeros((da * db, da * db), dtype=complex)
-    for start in range(0, n, step):
-        us = s.sample_batch(min(step, n - start))
+    for m in _chunk_lengths(n, s.d * s.d):
+        us = s.sample_batch(m)
         if mode == "partial-A":
             a, b = us, np.eye(db)[None]
         elif mode == "partial-B":

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, gaussian, states, twirl
-from .linalg import CONJUGATE_SUM_CACHE_BYTES, PSD_TOL, conjugate_sum, frobenius_distance, negativity
+from .linalg import PSD_TOL, _chunk_lengths, conjugate_sum, frobenius_distance, negativity
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,6 @@ def _map_distance(d: int, f, *others) -> float:
         want = f(e)
         worst = max([worst, *(frobenius_distance(want, g(e)) for g in others)])
     return worst
-
-
-def _chunk_lengths(total: int, entries: int) -> list[int]:
-    """Split a sweep of `total` points, each holding `entries` complex numbers
-    in a stack, into consecutive chunks whose stacks fit in
-    CONJUGATE_SUM_CACHE_BYTES, so that memory does not grow with the sweep."""
-    step = max(1, CONJUGATE_SUM_CACHE_BYTES // (16 * entries))
-    return [min(step, total - s) for s in range(0, total, step)]
 
 
 # 1. EB threshold for local depolarizing channels
@@ -282,8 +274,7 @@ ALL_CHECKS = (
 )
 
 
-def run_all(cfg: VerifyConfig | None = None) -> list[CheckResult]:
-    cfg = cfg or VerifyConfig()
+def run_all(cfg: VerifyConfig) -> list[CheckResult]:
     results = []
     for _, fn in ALL_CHECKS:
         results.extend(fn(cfg))

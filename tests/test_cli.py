@@ -573,6 +573,15 @@ class TestExitCodes:
         with pytest.raises(experiments.ConfigError, match="mu = 12.0 needs Fock cutoff 43"):
             experiments._fock_cutoff(12.0, 8)
 
+    def test_fock_cutoff_passes_the_tail_check(self):
+        # the cutoff rule and tmsv_support read the same gaussian.TAIL_TOL; the
+        # rule's +1 keeps even one mode fewer within the tail mass
+        for mu in np.linspace(1.0, 11.0, 2845)[1:]:
+            lam = np.sqrt((mu - 1) / (mu + 1))
+            n = experiments._fock_cutoff(mu, 1)
+            gaussian.tmsv_support(lam, n)
+            gaussian.tmsv_support(lam, n - 1)
+
     def test_integral_float_is_an_integer(self, capsys, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"d": 2.0, "mode": "uu", "param_grid": [0.5], "mc_samples": 100})
         code, out, _ = _run(capsys, "qudit-twirl", "--config", cfg)

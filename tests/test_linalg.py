@@ -297,6 +297,20 @@ class TestConjugateSum:
             conjugate_sum(op, a, b, w)
 
 
+class TestChunkLengths:
+    # 2**16 entries take 1 MiB, above the budget
+    @pytest.mark.parametrize("total", [0, 1, 7, 50, 1000])
+    @pytest.mark.parametrize("entries", [1, 4, 81, 4096, 2**16])
+    def test_chunks_cover_total_within_budget(self, total, entries):
+        lengths = linalg._chunk_lengths(total, entries)
+        step = max(1, linalg.CONJUGATE_SUM_CACHE_BYTES // (16 * entries))
+        assert sum(lengths) == total
+        assert lengths[:-1] == [step] * (len(lengths) - 1)
+        assert all(1 <= m <= step for m in lengths)  # so total 0 gives []
+        if 16 * entries > linalg.CONJUGATE_SUM_CACHE_BYTES:
+            assert lengths == [1] * total
+
+
 class TestBlockSpectra:
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=5),

@@ -290,7 +290,7 @@ class TestMCTwirl:
         eye = np.eye(d)[None]
         a, b = {"uu": (us, us), "uustar": (us, us.conj()), "partial-A": (us, eye), "partial-B": (eye, us)}[mode]
         want = linalg.conjugate_sum(op, a, b, 1.0 / n)
-        monkeypatch.setattr(twirl, "CONJUGATE_SUM_CACHE_BYTES", 7 * 16 * d * d)
+        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CACHE_BYTES", 7 * 16 * d * d)
         sampler, drawn = HaarSampler(30, d), []
         draw = sampler.sample_batch
         monkeypatch.setattr(sampler, "sample_batch", lambda m: drawn.append(m) or draw(m))
