@@ -207,7 +207,7 @@ def as_unitary_stack(us) -> np.ndarray:
     return us
 
 
-def conjugate_sum(op, a, b, weights) -> np.ndarray:
+def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
     """sum_k w_k (A_k x B_k) op (A_k x B_k)^dag for stacks a (K, d_A, d_A),
     b (K, d_B, d_B) and nonnegative weights (K,); a stack of one matrix, or
     one weight, is broadcast along K.
@@ -229,7 +229,12 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
       innermost, so that one batched product gives every Y_k = K_k op and a
       second, single matrix product adds sum_k Y_k K_k^dag.  The products
       and Y each take CONJUGATE_SUM_CACHE_BYTES (or one term's D^2 entries,
-      if more), in two buffers reused by every chunk.
+      if more); they and the chunk's weighted A and its B, term index
+      innermost, are views of one scratch array of _conjugate_sum_work
+      complex entries, reused by every chunk.  `work`, a contiguous complex
+      array of at least that many entries, is used as that scratch and
+      overwritten; without it the call allocates its own.  The one-sided
+      route needs no scratch and ignores `work`.
     """
     op = np.asarray(op, dtype=complex)
     k, da, db = max(len(a), len(b)), np.shape(a)[-1], np.shape(b)[-1]
@@ -239,23 +244,28 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
         raise ValueError(f"operator shape {op.shape} does not match the stacks ({d}, {d})")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
-    if min(len(a), len(b)) == 1 and 16 * max(da, db) ** 4 <= CONJUGATE_SUM_CHUNK_BYTES:
+    if _one_sided(len(a), len(b), da, db):
         # the sum factorises into (sum_k w_k S(G_k)) x S(F), S(M) = M x conj(M)
         wa, wb = (weights, np.ones(1)) if len(b) == 1 else (np.ones(1), weights)
         out = _superoperator(a, wa) @ _swap_middle(op, da, db, da, db) @ _superoperator(b, wb).T
         return _swap_middle(out, da, da, db, db)
+    size = _conjugate_sum_work(len(a), len(b), da, db)
     a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
     root_w = np.sqrt(weights)
-    step = min(k, max(1, CONJUGATE_SUM_CACHE_BYTES // (16 * d * d)))
-    kt_buf, y_buf = np.empty(step * d * d, dtype=complex), np.empty(step * d * d, dtype=complex)
+    step = _two_sided_step(k, d)
+    if work is None:
+        work = np.empty(size, dtype=complex)
+    ends = np.cumsum([step * d * d, step * d * d, step * da * da])
+    kt_buf, y_buf, a_buf, b_buf = np.split(work[:size], ends)
     out = np.zeros((d, d), dtype=complex)
     for s in range(0, k, step):
         chunk = slice(s, s + step)
         m = min(step, k - s)
         # kt[i, j, i', j', n] = sqrt(w_n) A_n[i, i'] B_n[j, j'], the term index
         # innermost, so the broadcast multiply runs along the terms
-        a_t = np.ascontiguousarray((root_w[chunk, None, None] * a[chunk]).transpose(1, 2, 0))
-        b_t = np.ascontiguousarray(b[chunk].transpose(1, 2, 0))
+        a_t, b_t = a_buf[: m * da * da].reshape(da, da, m), b_buf[: m * db * db].reshape(db, db, m)
+        np.multiply(root_w[chunk], a[chunk].transpose(1, 2, 0), out=a_t)
+        np.copyto(b_t, b[chunk].transpose(1, 2, 0))
         kt = kt_buf[: m * d * d].reshape(da, db, da, db, m)
         np.multiply(a_t[:, None, :, None, :], b_t[None, :, None, :, :], out=kt)
         # y[r, c, n] = (K_n op)[r, c]: one (D, D) @ (D, m) product per row r
@@ -264,6 +274,30 @@ def conjugate_sum(op, a, b, weights) -> np.ndarray:
         # out[r, t] = sum over (c, n) of y[r, c, n] conj(K_n[t, c])
         out += y.reshape(d, d * m) @ kt.reshape(d, d * m).T
     return out
+
+
+def _one_sided(ka: int, kb: int, da: int, db: int) -> bool:
+    """Whether conjugate_sum takes its one-sided route for stacks of ka and
+    kb matrices of sizes d_A and d_B."""
+    return min(ka, kb) == 1 and 16 * max(da, db) ** 4 <= CONJUGATE_SUM_CHUNK_BYTES
+
+
+def _two_sided_step(k: int, d: int) -> int:
+    """Terms per chunk of conjugate_sum's two-sided route, for k terms and
+    D = d: as many D x D products as fit in CONJUGATE_SUM_CACHE_BYTES."""
+    return min(k, max(1, CONJUGATE_SUM_CACHE_BYTES // (16 * d * d)))
+
+
+def _conjugate_sum_work(ka: int, kb: int, da: int, db: int) -> int:
+    """Complex entries of scratch that conjugate_sum uses for stacks of ka and
+    kb matrices of sizes d_A and d_B: none on the one-sided route; on the
+    two-sided route, for a chunk of s terms, the Kronecker products and
+    their products with the operator (s D^2 entries each), then the
+    weighted A (s d_A^2) and the B (s d_B^2)."""
+    if _one_sided(ka, kb, da, db):
+        return 0
+    d = da * db
+    return _two_sided_step(max(ka, kb), d) * (2 * d * d + da * da + db * db)
 
 
 def _superoperator(g, weights) -> np.ndarray:

@@ -11,6 +11,7 @@ from .linalg import (
     DensityOperator,
     _check_side,
     _chunk_lengths,
+    _conjugate_sum_work,
     as_unitary_stack,
     conjugate_sum,
     kron,
@@ -159,8 +160,8 @@ class HaarSampler:
 
     Each sample is the Q factor of a complex Ginibre matrix Z = QR whose R
     has a positive real diagonal, which makes Q Haar-distributed.  Q comes
-    from column-by-column Gram-Schmidt, done twice (CGS2), on one copy of
-    the Gaussian draws laid out as q[col, row, sample]: every step is an
+    from column-by-column Gram-Schmidt, done twice (CGS2), on the Gaussian
+    draws copied into the layout q[col, row, sample]: every step is an
     elementwise product or a sum over the rows, running along the samples.
     The stream is defined batch-wise and every sample is computed in the
     same order whatever the batch: sample_batch(3) then sample_batch(4)
@@ -175,27 +176,54 @@ class HaarSampler:
     def __post_init__(self):
         self._rng = np.random.default_rng(self.seed)
 
-    def sample_batch(self, n: int) -> np.ndarray:
+    def sample_batch(self, n: int, work: np.ndarray | None = None) -> np.ndarray:
+        """The next n samples, an (n, d, d) view of the stack q (n d^2
+        complex entries).  A scratch of as many entries holds the draws and,
+        once they are copied into q, the Gram-Schmidt temporaries.  `work`,
+        a contiguous complex array of at least 2 n d^2 entries, is
+        overwritten with q and then the scratch; without it both are
+        allocated here.  The samples are the same bits either way."""
+        d = self.d
+        size = n * d * d
+        if work is None:
+            q, scratch = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+        else:
+            q, scratch = work[:size], work[size : 2 * size]
         # interleaved (re, im) draws keep the stream independent of the batch
         # split; the Ginibre scale 1/sqrt(2) drops out of Q
-        z = self._rng.standard_normal((n, self.d, self.d, 2)).view(complex)[..., 0]
-        q = np.ascontiguousarray(z.transpose(2, 1, 0))
-        for j in range(self.d):
+        draws = self._rng.standard_normal(out=scratch.view(float).reshape(n, d, d, 2))
+        q = q.reshape(d, d, n)
+        np.copyto(q, draws.view(complex)[..., 0].transpose(2, 1, 0))
+        squares = scratch.view(float)[: 2 * d * n].reshape(2, d, n)
+        for j in range(d):
             v, prev = q[j], q[:j]
+            # t holds the projections; the row sums c, then their sum over
+            # the earlier columns u, share the entries after it
+            t = scratch[: j * d * n].reshape(j, d, n)
+            c = scratch[j * d * n : j * d * n + j * n].reshape(j, n)
+            u = scratch[j * d * n : (j + 1) * d * n].reshape(d, n)
             # a second pass removes what rounding left of the first projection
             for _ in range(2 if j else 0):
-                v -= np.sum(prev * _row_sum(prev.conj() * v)[:, None, :], axis=0)
-            v /= np.sqrt(_row_sum(v.real**2 + v.imag**2))
+                np.conjugate(prev, out=t)
+                t *= v
+                np.multiply(prev, _row_sum(t, out=c)[:, None, :], out=t)
+                v -= np.sum(t, axis=0, out=u)
+            np.square(v.real, out=squares[0])
+            np.square(v.imag, out=squares[1])
+            squares[0] += squares[1]
+            norm = _row_sum(squares[0], out=squares[1, 0])
+            v /= np.sqrt(norm, out=norm)
         return q.transpose(2, 1, 0)
 
 
-def _row_sum(p: np.ndarray) -> np.ndarray:
-    """Sum over the row axis (-2) of a [..., row, sample] array, one row at a
-    time: np.sum would switch to pairwise summation for a single sample."""
-    total = p[..., 0, :].copy()
+def _row_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sum over the row axis (-2) of a [..., row, sample] array into out, one
+    row at a time: np.sum would switch to pairwise summation for a single
+    sample."""
+    np.copyto(out, p[..., 0, :])
     for r in range(1, p.shape[-2]):
-        total += p[..., r, :]
-    return total
+        out += p[..., r, :]
+    return out
 
 
 def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -> np.ndarray:
@@ -205,24 +233,33 @@ def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -
     so memory does not grow with n; the sampler's stream does not depend on
     the batch split, so neither do the samples.  The U x U* twirl is taken
     as PT o (U x U twirl) o PT, so no conjugate copy of the samples is made.
+    Every chunk works in one workspace allocated per call, sized from the
+    first chunk: its samples, then a scratch that the sampler's draws and
+    Gram-Schmidt temporaries use first and conjugate_sum's two-sided
+    buffers reuse once the samples are drawn.  The sampler's d must be the
+    dimension of each twirled side.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if mode not in ("uu", "uustar", "partial-A", "partial-B"):
         raise ValueError(f"unknown mode {mode!r}")
     da, db = dims
+    # the sides the samples act on; the other side's matrix is the identity
+    sampled = {"partial-A": (True, False), "partial-B": (False, True)}.get(mode, (True, True))
+    if any(on and side != s.d for on, side in zip(sampled, dims)):
+        raise ValueError(f"mode {mode!r} with dims ({da}, {db}) does not match a sampler of d = {s.d}")
     if mode == "uustar":
         op = partial_transpose_mat(op, da, db)
+    chunks = _chunk_lengths(n, s.d * s.d)
+    stack = chunks[0] * s.d * s.d
+    kernel = _conjugate_sum_work(*(chunks[0] if on else 1 for on in sampled), da, db)
+    work = np.empty(stack + max(stack, kernel), dtype=complex)
+    eyes = np.eye(da)[None], np.eye(db)[None]
     out = np.zeros((da * db, da * db), dtype=complex)
-    for m in _chunk_lengths(n, s.d * s.d):
-        us = s.sample_batch(m)
-        if mode == "partial-A":
-            a, b = us, np.eye(db)[None]
-        elif mode == "partial-B":
-            a, b = np.eye(da)[None], us
-        else:
-            a, b = us, us
-        out += conjugate_sum(op, a, b, 1.0 / n)
+    for m in chunks:
+        us = s.sample_batch(m, work=work)
+        a, b = (us if on else eye for on, eye in zip(sampled, eyes))
+        out += conjugate_sum(op, a, b, 1.0 / n, work=work[m * s.d * s.d :])
     return partial_transpose_mat(out, da, db) if mode == "uustar" else out
 
 

@@ -283,6 +283,19 @@ class TestConjugateSum:
         for (x, a, b), want in zip(inputs, one_sided):
             assert frobenius_distance(conjugate_sum(x, a, b, w), want) < 1e-13
 
+    @pytest.mark.parametrize("da, db", [(3, 3), (2, 3)])
+    def test_work_gives_the_same_bits(self, da, db):
+        # several two-sided chunks of terms plus a tail, worked in a scratch
+        # filled with NaN so that an entry read before it is written shows
+        d = da * db
+        k = 2 * linalg._two_sided_step(10**6, d) + 5
+        rng = np.random.default_rng(36)
+        a, b = HaarSampler(37, da).sample_batch(k), HaarSampler(38, db).sample_batch(k).conj()
+        w = rng.dirichlet(np.ones(k))
+        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        work = np.full(linalg._conjugate_sum_work(k, k, da, db), np.nan, dtype=complex)
+        assert np.array_equal(conjugate_sum(op, a, b, w, work=work), conjugate_sum(op, a, b, w))
+
     @pytest.mark.parametrize(
         "op, a, b, w",
         [

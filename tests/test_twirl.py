@@ -5,7 +5,7 @@ import pytest
 
 from twirlbreak import linalg, twirl, verification
 from twirlbreak.channels import PAULIS
-from twirlbreak.linalg import frobenius_distance, kron, partial_trace_multi
+from twirlbreak.linalg import frobenius_distance, kron, partial_trace_multi, partial_transpose_mat
 from twirlbreak.states import (
     flip_operator,
     isotropic,
@@ -163,6 +163,26 @@ def _qr_reference(x: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[:, None, :]
 
 
+def _cgs2_reference(seed: int, d: int, n: int) -> np.ndarray:
+    """HaarSampler(seed, d).sample_batch(n) with a fresh array for every
+    temporary: the same float operations in the same order."""
+    z = np.random.default_rng(seed).standard_normal((n, d, d, 2)).view(complex)[..., 0]
+    q = np.ascontiguousarray(z.transpose(2, 1, 0))
+
+    def row_sum(p):
+        total = p[..., 0, :].copy()
+        for r in range(1, p.shape[-2]):
+            total += p[..., r, :]
+        return total
+
+    for j in range(d):
+        v, prev = q[j], q[:j]
+        for _ in range(2 if j else 0):
+            v -= np.sum(prev * row_sum(prev.conj() * v)[:, None, :], axis=0)
+        v /= np.sqrt(row_sum(v.real**2 + v.imag**2))
+    return q.transpose(2, 1, 0)
+
+
 class TestHaarSampler:
     def test_unitarity(self):
         # twice-repeated Gram-Schmidt is unitary to a few ulps; one pass
@@ -195,6 +215,18 @@ class TestHaarSampler:
         s = HaarSampler(27, d)
         split = np.concatenate([s.sample_batch(1), s.sample_batch(5), s.sample_batch(1)])
         assert np.array_equal(split, HaarSampler(27, d).sample_batch(7))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_work_gives_the_same_bits(self, d):
+        # one sample, a tail length and a full twirl chunk, drawn in a scratch
+        # filled with NaN so that an entry read before it is written shows
+        full = linalg._chunk_lengths(10**6, d * d)[0]
+        for n in (1, 37, full):
+            work = np.full(2 * n * d * d + 3, np.nan, dtype=complex)
+            got = HaarSampler(40 + d, d).sample_batch(n, work=work)
+            assert np.shares_memory(got, work[: n * d * d])
+            assert np.array_equal(got, HaarSampler(40 + d, d).sample_batch(n))
+            assert np.array_equal(got, _cgs2_reference(40 + d, d, n))
 
     def test_second_moment(self):
         # Haar average of U |0><0| U^dag approaches I/2
@@ -262,10 +294,12 @@ class TestMCTwirl:
         assert dists[0] > dists[1] > dists[2]
 
     def test_peak_memory_flat_in_n(self):
-        # the samples are drawn and summed in chunks of bounded size, the
-        # two-sided route holds two cache-sized buffers and the one-sided
-        # route a d^4-entry superoperator, so nothing, the samples included,
-        # grows with n
+        # the samples are drawn and summed in chunks of bounded size, in one
+        # workspace sized from the first chunk (its samples, then a scratch
+        # for the sampler and the two-sided route's buffers; the one-sided
+        # route adds a d^4-entry superoperator), so nothing, the samples
+        # included, grows with n: the peak at 4000 samples is the peak at
+        # 1000 within a few Python objects
         d = 8
         rho = random_density(d, d, np.random.default_rng(23))
         for mode in ("uu", "uustar", "partial-A", "partial-B"):
@@ -277,7 +311,7 @@ class TestMCTwirl:
                     peaks[n] = tracemalloc.get_traced_memory()[1]
                 finally:
                     tracemalloc.stop()
-            assert peaks[4000] - peaks[1000] < linalg.CONJUGATE_SUM_CACHE_BYTES, mode
+            assert peaks[4000] - peaks[1000] < 2**14, mode
 
     @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A", "partial-B"])
     @pytest.mark.parametrize("d", [2, 3])
@@ -293,16 +327,17 @@ class TestMCTwirl:
         monkeypatch.setattr(linalg, "CONJUGATE_SUM_CACHE_BYTES", 7 * 16 * d * d)
         sampler, drawn = HaarSampler(30, d), []
         draw = sampler.sample_batch
-        monkeypatch.setattr(sampler, "sample_batch", lambda m: drawn.append(m) or draw(m))
+        monkeypatch.setattr(sampler, "sample_batch", lambda m, work=None: drawn.append(m) or draw(m, work=work))
         got = mc_twirl_operator(op, mode, n, sampler, (d, d))
         assert drawn == [7] * 7 + [1]
         assert np.max(np.abs(got - want)) <= 1e-14
 
     def test_two_sided_working_set(self):
-        # the two-sided route holds two cache-sized buffers, not chunks of
-        # Kronecker products that scale with a large memory budget, and
-        # "uustar" makes no conjugate copy of the samples: apart from room for
-        # one n-sample stack the peak stays within a few
+        # the workspace holds one chunk of samples (CONJUGATE_SUM_CACHE_BYTES)
+        # and a scratch that the two-sided route reuses for two cache-sized
+        # buffers, not chunks of Kronecker products that scale with a large
+        # memory budget, and "uustar" makes no conjugate copy of the samples:
+        # apart from room for one n-sample stack the peak stays within three
         # CONJUGATE_SUM_CACHE_BYTES
         d, n = 8, 1000
         rho = random_density(d, d, np.random.default_rng(25))
@@ -313,7 +348,59 @@ class TestMCTwirl:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak - n * d * d * 16 < 4 * linalg.CONJUGATE_SUM_CACHE_BYTES, mode
+            assert peak - n * d * d * 16 < 3 * linalg.CONJUGATE_SUM_CACHE_BYTES, mode
+
+    def test_workspace_peak(self):
+        # bound fixed from the layout: one workspace of the first chunk's L
+        # samples (L d^2 complex entries) and a scratch of max(L d^2, the
+        # two-sided route's buffers), 1.61 MiB at d = 3; on top of it numpy's
+        # iterator buffers of one buffered ufunc call (at most three operands
+        # of np.getbufsize() complex entries) and a chunk's L weights and
+        # their square roots
+        d, n = 3, 10_000
+        chunk = linalg._chunk_lengths(n, d * d)[0]
+        stack = chunk * d * d
+        workspace = 16 * (stack + max(stack, linalg._conjugate_sum_work(chunk, chunk, d, d)))
+        bound = workspace + 3 * 16 * np.getbufsize() + 2 * 8 * chunk
+        rho = werner_multi(d, -0.9).mat
+        mc_twirl_operator(rho, "uu", n, HaarSampler(43, d), (d, d))
+        tracemalloc.start()
+        try:
+            mc_twirl_operator(rho, "uu", n, HaarSampler(43, d), (d, d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    @pytest.mark.parametrize("mode, dims", [("uu", (3, 3)), ("uustar", (3, 3)), ("partial-A", (3, 2)), ("partial-B", (2, 3))])
+    def test_workspace_matches_chunked_loop(self, mode, dims):
+        # the chunk loop written out with fresh stacks: two full chunks and
+        # a tail of 11 samples
+        d, (da, db) = 3, dims
+        n = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 11
+        op = random_density(da, db, np.random.default_rng(44)).mat
+        got = mc_twirl_operator(op, mode, n, HaarSampler(45, d), dims)
+        s, x = HaarSampler(45, d), partial_transpose_mat(op, da, db) if mode == "uustar" else op
+        want = np.zeros((da * db, da * db), dtype=complex)
+        for m in linalg._chunk_lengths(n, d * d):
+            us = s.sample_batch(m)
+            a, b = {"partial-A": (us, np.eye(db)[None]), "partial-B": (np.eye(da)[None], us)}.get(mode, (us, us))
+            want += linalg.conjugate_sum(x, a, b, 1.0 / n)
+        if mode == "uustar":
+            want = partial_transpose_mat(want, da, db)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "mode, dims",
+        [("uu", (2, 2)), ("uu", (3, 2)), ("uustar", (2, 3)), ("partial-A", (2, 3)), ("partial-B", (3, 2))],
+    )
+    def test_rejects_a_sampler_of_another_dimension(self, mode, dims):
+        # checked before the first draw: the sampler's stream has not moved
+        s = HaarSampler(46, 3)
+        op = np.eye(dims[0] * dims[1]) / (dims[0] * dims[1])
+        with pytest.raises(ValueError, match=rf"dims \({dims[0]}, {dims[1]}\) .* d = 3"):
+            mc_twirl_operator(op, mode, 10, s, dims)
+        assert np.array_equal(s.sample_batch(5), HaarSampler(46, 3).sample_batch(5))
 
     def test_seed_reproducibility(self):
         rho = random_density(2, 2, np.random.default_rng(21))
