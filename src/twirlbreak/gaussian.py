@@ -14,6 +14,7 @@ import numpy as np
 from .linalg import (
     DensityOperator,
     _check_side,
+    _validate_blocks,
     hermitian_eigenvalues,
     partial_transpose_mat,
     validate_density_stack,
@@ -314,18 +315,22 @@ def _separable_sum(weights: np.ndarray, kets_a: np.ndarray, kets_b: np.ndarray) 
 
 def dephasing_sweep(vectors, n: int):
     """Uniform side-A dephasing of a (m, n^2) stack of unit two-mode state
-    vectors, cutoff n per mode.  Each input and each dephased output is
-    validated as a density matrix.  Returns, per state, the least eigenvalue
-    of the output's partial transpose and the largest entry error of the
-    output rebuilt from its separable decomposition (which recovers the
-    state vector from the density matrix)."""
+    vectors, cutoff n per mode.  Each input is validated as a density matrix;
+    each dephased output sum_k |k><k| x B_k is validated from its support,
+    the n diagonal blocks B_k[l, l'] = rho[kl, kl'] that the dephasing keeps
+    (an (m, n, n, n) stack).  Returns, per state, the least eigenvalue of the
+    output's partial transpose sum_k |k><k| x B_k^T, from the spectra of the
+    transposed blocks, and the largest entry error of the blocks rebuilt
+    from the separable decomposition (which recovers the state vector from
+    the density matrix)."""
     v = np.asarray(vectors, dtype=complex)
     pure = validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
-    dephased = validate_density_stack(_dephase(pure, np.arange(n * n), n, "A"))
+    blocks = pure.reshape(-1, n, n, n, n).diagonal(axis1=1, axis2=3).transpose(0, 3, 1, 2)
+    _validate_blocks([blocks])
     weights, xi = _decompose(pure, n)
-    kets = np.broadcast_to(np.eye(n), xi.shape)
-    rec = _separable_sum(weights, kets, xi)
-    return _min_pt_eigenvalues(dephased, n), np.max(np.abs(rec - dephased), axis=(1, 2))
+    scaled = xi * weights[:, :, None]
+    rec_error = np.max(np.abs(scaled[..., :, None] * xi.conj()[..., None, :] - blocks), axis=(1, 2, 3))
+    return np.linalg.eigvalsh(blocks.swapaxes(-1, -2))[..., 0].min(axis=1), rec_error
 
 
 def dephase_truncated(rho: DensityOperator, side: str = "A") -> DensityOperator:

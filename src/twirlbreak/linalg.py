@@ -58,49 +58,65 @@ def _hermiticity_residual(m: np.ndarray) -> float:
 
 def validate_density_stack(mats) -> np.ndarray:
     """Check each matrix of a (m, D, D) stack is a density matrix: finite,
-    Hermitian, unit trace and positive semidefinite to the module-level
-    tolerances, in that order, positivity by the certificate of _blocks_psd.
-    Returns the stack as complex; raises ValueError, with DensityOperator's
-    messages, if any member fails."""
+    Hermitian, unit trace and positive semidefinite, in that order, by the
+    checks of _validate_blocks on the blocks of _component_blocks (a
+    non-finite entry is reported before the pattern is read).  Returns the
+    stack as complex; raises ValueError, with DensityOperator's messages,
+    if any member fails."""
     m = np.asarray(mats, dtype=complex)
     if m.ndim != 3 or m.shape[1] != m.shape[2]:
         raise ValueError(f"expected a (m, D, D) stack, got shape {m.shape}")
     _require_finite(m)
-    if len(m) == 0:
-        return m
-    blocks, residual = _component_blocks(m)
-    if residual > HERMITICITY_TOL:
+    if len(m):
+        _validate_blocks(_component_blocks(m))
+    return m
+
+
+def _validate_blocks(blocks: list) -> None:
+    """Check that the m matrices these blocks come from, the blocks holding
+    every nonzero entry, are density matrices: finite, Hermitian inside
+    the blocks, unit trace (the traces of a member's blocks sum to 1) and
+    positive semidefinite (_blocks_psd) to the module-level tolerances, in
+    that order.  Each array is in a layout of _component_blocks, member
+    index first: (m, c) for c 1x1 blocks, (m, c, s, s) for c blocks of size
+    s, (m, D, D) for one block.  Raises ValueError, with DensityOperator's
+    messages, if any member fails."""
+    for b in blocks:
+        _require_finite(b)
+    if _blocks_residual(blocks) > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
-    tr = m.trace(axis1=1, axis2=2)
+    # a member's diagonal entries, block by block; a (m, c) array holds them
+    diagonals = (b if b.ndim == 2 else b.diagonal(axis1=-2, axis2=-1).reshape(len(b), -1) for b in blocks)
+    tr = sum(diagonal.sum(axis=1) for diagonal in diagonals)
     if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
         raise ValueError("density matrix does not have unit trace")
     if not _blocks_psd(blocks):
         raise ValueError("density matrix is not positive semidefinite")
-    return m
 
 
-def _component_blocks(m: np.ndarray) -> tuple[list, float]:
-    """The blocks of a finite complex (m, D, D) stack, one array per size, and
-    its Hermiticity residual max|M - M^dag|.  The blocks are the connected
-    components of the stack's nonzero pattern (entries nonzero in any member,
-    made symmetric), so the stack is their direct sum up to one permutation.
-    A single component is the stack itself, (m, D, D); c components of size
-    1 are their diagonal entries (m, c), of size s > 1 a gather (m, c, s, s)."""
+def _component_blocks(m: np.ndarray) -> list:
+    """The blocks of a complex (m, D, D) stack, one array per size.  The
+    blocks are the connected components of the stack's nonzero pattern
+    (entries nonzero in any member, made symmetric), so the stack is their
+    direct sum up to one permutation, and they hold its every nonzero
+    entry.  A single component is the stack itself, (m, D, D); c components
+    of size 1 are their diagonal entries (m, c), of size s > 1 a gather
+    (m, c, s, s)."""
     pattern = (m != 0).any(axis=0)
     pattern |= pattern.T
     groups = _components_by_size(pattern)
     if m.shape[1] in groups:
-        return [m], _hermiticity_residual(m)
-    blocks, residual = [], 0.0
-    for size, idx in groups.items():
-        if size == 1:
-            block = m[:, idx[:, 0], idx[:, 0]]
-            residual = max(residual, 2 * float(np.abs(block.imag).max()))
-        else:
-            block = m[:, idx[:, :, None], idx[:, None, :]]
-            residual = max(residual, _hermiticity_residual(block))
-        blocks.append(block)
-    return blocks, residual
+        return [m]
+    return [
+        m[:, idx[:, 0], idx[:, 0]] if size == 1 else m[:, idx[:, :, None], idx[:, None, :]]
+        for size, idx in groups.items()
+    ]
+
+
+def _blocks_residual(blocks: list) -> float:
+    """The Hermiticity residual max|M - M^dag| inside finite blocks from
+    _component_blocks; a 1x1 block's is twice its imaginary part."""
+    return max(2 * float(np.abs(b.imag).max()) if b.ndim == 2 else _hermiticity_residual(b) for b in blocks)
 
 
 def _blocks_psd(blocks: list) -> bool:
@@ -125,7 +141,8 @@ def _block_spectra(m: np.ndarray) -> tuple[np.ndarray, float]:
     1x1 block's eigenvalue read as its real diagonal (eigvalsh's, bit for bit)."""
     if m.size == 0:
         return np.linalg.eigvalsh(m), 0.0
-    blocks, residual = _component_blocks(m)
+    blocks = _component_blocks(m)
+    residual = _blocks_residual(blocks)
     if blocks[0].ndim == 3:  # a single component: the stack itself
         return np.linalg.eigvalsh(m), residual
     spectra = [b.real if b.ndim == 2 else np.linalg.eigvalsh(b).reshape(len(m), -1) for b in blocks]
@@ -305,8 +322,10 @@ def _superoperator(g, weights) -> np.ndarray:
     [(x, z), (x', z')] that maps X[x', z'] to sum_k w_k G_k X G_k^dag."""
     g = np.asarray(g, dtype=complex)
     k, d = len(g), g.shape[-1]
-    flat = g.reshape(k, d * d)
-    # [(x, x'), (z, z')] order: one GEMM a chunk of terms; a chunk holds its
+    # each G_k flattened in (column, row) order: a view of the sampler's
+    # q[col, row, sample] layout, a copy only of a C-ordered stack
+    flat = g.transpose(0, 2, 1).reshape(k, d * d)
+    # [(x', x), (z', z)] order: one GEMM a chunk of terms; a chunk holds its
     # weighted conjugates (d^2 entries a term), the product and the sum (d^4 each)
     s = np.zeros((d * d, d * d), dtype=complex)
     step = max(1, (CONJUGATE_SUM_CHUNK_BYTES - 2 * 16 * d**4) // (16 * d * d))
@@ -315,7 +334,7 @@ def _superoperator(g, weights) -> np.ndarray:
         g_bar = flat[chunk].conj()
         g_bar *= weights[chunk, None]
         s += flat[chunk].T @ g_bar
-    return _swap_middle(s, d, d, d, d)
+    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def _swap_middle(m, d0, d1, d2, d3) -> np.ndarray:
@@ -395,8 +414,8 @@ def is_ppt(rho: DensityOperator) -> bool:
     Decides separability exactly for 2x2 and 2x3 systems; elsewhere PPT is
     only a necessary condition.
     """
-    blocks, residual = _component_blocks(_as_complex(partial_transpose(rho))[None])
-    if residual > SPECTRUM_HERMITICITY_TOL:
+    blocks = _component_blocks(_as_complex(partial_transpose(rho))[None])
+    if _blocks_residual(blocks) > SPECTRUM_HERMITICITY_TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     return _blocks_psd(blocks)
 

@@ -372,6 +372,53 @@ class TestMCTwirl:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_one_sided_workspace_peak(self):
+        # bound fixed from the layout: the workspace of the first chunk's L
+        # samples (L d^2 complex entries) and a scratch of as many (the
+        # one-sided route needs none of its own), 1.0 MiB at d = 3; on top of
+        # it the superoperator's one copy of the chunk, its weighted
+        # conjugates (L d^2 entries; the samples are flattened as a view),
+        # numpy's iterator buffers of one buffered ufunc call (at most three
+        # operands of np.getbufsize() complex entries) and a chunk's L weights
+        # and their comparison with 0
+        d, n = 3, 10_000
+        chunk = linalg._chunk_lengths(n, d * d)[0]
+        stack = chunk * d * d
+        bound = 16 * 3 * stack + 3 * 16 * np.getbufsize() + 2 * 8 * chunk
+        rho = werner_multi(d, -0.9).mat
+        mc_twirl_operator(rho, "partial-A", n, HaarSampler(43, d), (d, d))
+        tracemalloc.start()
+        try:
+            mc_twirl_operator(rho, "partial-A", n, HaarSampler(43, d), (d, d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
+    def test_superoperator_matches_row_major_flattening(self):
+        # the sum over the samples' (column, row) flattening, a view of the
+        # sampler's layout, against the (row, column) flattening, which
+        # copies the samples; and over a C-ordered stack, which both copy
+        for d in (2, 3, 4, 8):
+            q = HaarSampler(47, d).sample_batch(700)
+            w = np.random.default_rng(d).random(700)
+            for g in (q, np.ascontiguousarray(q)):
+                assert np.array_equal(linalg._superoperator(g, w), _row_major_superoperator(g, w))
+
+    @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A", "partial-B"])
+    def test_twirl_matches_row_major_superoperator(self, monkeypatch, mode):
+        # two chunks and a tail of 11 samples at d = 3, unequal dims for the
+        # partial modes; "uu" and "uustar" take the two-sided route and must
+        # not move either
+        d = 3
+        dims = {"partial-A": (3, 2), "partial-B": (2, 3)}.get(mode, (3, 3))
+        n = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 11
+        op = random_density(*dims, np.random.default_rng(48)).mat
+        got = mc_twirl_operator(op, mode, n, HaarSampler(49, d), dims)
+
+        monkeypatch.setattr(linalg, "_superoperator", _row_major_superoperator)
+        assert np.array_equal(got, mc_twirl_operator(op, mode, n, HaarSampler(49, d), dims))
+
     @pytest.mark.parametrize("mode, dims", [("uu", (3, 3)), ("uustar", (3, 3)), ("partial-A", (3, 2)), ("partial-B", (2, 3))])
     def test_workspace_matches_chunked_loop(self, mode, dims):
         # the chunk loop written out with fresh stacks: two full chunks and
@@ -407,6 +454,18 @@ class TestMCTwirl:
         a = mc_twirl(rho, "uu", 500, HaarSampler(22, 2))
         b = mc_twirl(rho, "uu", 500, HaarSampler(22, 2))
         assert np.array_equal(a.mat, b.mat)
+
+
+def _row_major_superoperator(g, weights):
+    """sum_k w_k G_k x conj(G_k) from a (row, column) flattening of each G_k,
+    all terms in one matrix product: a copy of the stack and of its weighted
+    conjugates."""
+    g = np.asarray(g, dtype=complex)
+    k, d = len(g), g.shape[-1]
+    flat = g.reshape(k, d * d)
+    g_bar = flat.conj()
+    g_bar *= weights[:, None]
+    return linalg._swap_middle(flat.T @ g_bar, d, d, d, d)
 
 
 def _design_gates(monkeypatch, uset):

@@ -209,8 +209,15 @@ def _bad_members():
     return [non_hermitian, wrong_trace, not_psd, not_finite]
 
 
+def _validate_as_blocks(stack):
+    """linalg._validate_blocks on each member of a (m, D, D) stack as one block."""
+    linalg._validate_blocks([stack[:, None]])
+    return stack
+
+
 STACK_VALIDATORS = {
     "blockwise": linalg.validate_density_stack,
+    "given-blocks": _validate_as_blocks,
 }
 
 
@@ -271,22 +278,22 @@ def test_dephasing_sweep_solves_each_input_stack_once(monkeypatch):
 
 def test_dephasing_sweep_solves_no_spectrum_but_the_partial_transposes(monkeypatch):
     # the input and output validation and the state-vector read call no
-    # eigen-solve; only the reported partial-transpose spectra do
+    # eigen-solve; only the reported partial-transpose spectra do, one
+    # batched eigvalsh of the transposed n x n blocks of every output
     def refuse(*args, **kwargs):
         raise AssertionError("eigen-solve outside the partial-transpose spectra")
 
     spectra = []
 
-    def pt_spectra(mats, n):
+    def pt_spectra(mats):
         spectra.append(mats.shape)
-        return np.zeros(len(mats))
+        return np.zeros(mats.shape[:-1])
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    monkeypatch.setattr(gaussian, "_min_pt_eigenvalues", pt_spectra)
+    monkeypatch.setattr(np.linalg, "eigvalsh", pt_spectra)
     n, m = 4, 3
     _, rec_error = gaussian.dephasing_sweep(_random_vectors(m, n, 9), n)
-    assert spectra == [(m, n * n, n * n)]
+    assert spectra == [(m, n, n, n)]
     assert rec_error.max() < 1e-15
 
 
@@ -320,9 +327,13 @@ def test_dephasing_sweep_validates_its_input():
 
 
 def test_dephasing_memory_is_bounded_by_chunk_budget():
-    # a chunk holds about seven (m, n^2, n^2) stacks at once (pure, dephased,
-    # partial transpose, eigenvectors, rebuilt, difference), each within the
-    # budget; an unchunked (100, 64, 64) stack alone takes 12.5 budgets
+    # bound fixed from the layout: a chunk holds one dense (m, n^2, n^2)
+    # input stack within the budget, and its validation at most two and a
+    # half stacks of temporaries at once (the conjugate, the difference and
+    # its real modulus in the Hermiticity check; the shifted copy and the
+    # factor in the Cholesky); the dephased outputs are (m, n, n, n) blocks,
+    # 1/n of a stack each; an unchunked (100, 64, 64) stack alone takes 12.5
+    # budgets
     cfg = verification.VerifyConfig()
     tracemalloc.start()
     try:
@@ -330,4 +341,34 @@ def test_dephasing_memory_is_bounded_by_chunk_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * linalg.CONJUGATE_SUM_CACHE_BYTES
+    assert peak <= 3.5 * linalg.CONJUGATE_SUM_CACHE_BYTES
+
+
+def _dense_sweep(v, n):
+    """dephasing_sweep's outputs by the dense route: the (m, n^2, n^2)
+    dephased stack validated whole, its partial-transpose spectra through
+    the component search, and the decomposition rebuilt as a dense matrix."""
+    pure = linalg.validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
+    dephased = linalg.validate_density_stack(gaussian._dephase(pure, np.arange(n * n), n, "A"))
+    weights, xi = gaussian._decompose(pure, n)
+    rec = gaussian._separable_sum(weights, np.broadcast_to(np.eye(n), xi.shape), xi)
+    return gaussian._min_pt_eigenvalues(dephased, n), np.max(np.abs(rec - dephased), axis=(1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_dephasing_sweep_matches_the_dense_route(n):
+    # member 0 has an empty k-block, which the dense route's component
+    # search splits into 1x1 blocks when it is alone in its chunk; member 1
+    # has its largest amplitude off column 0
+    for seed in range(3):
+        v = _random_vectors(5, n, seed)
+        v[0, n : 2 * n] = 0
+        v[1, 0] = 0
+        v[1, n + 1] = 4
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.argmax(np.abs(v[1])) == n + 1
+        for chunk in (v, v[:1], v[1:2]):
+            min_pt, rec_error = gaussian.dephasing_sweep(chunk, n)
+            dense_min_pt, dense_rec_error = _dense_sweep(chunk, n)
+            assert np.array_equal(min_pt, dense_min_pt)
+            assert np.max(np.abs(rec_error - dense_rec_error)) <= 1e-16
