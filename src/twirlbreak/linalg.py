@@ -51,11 +51,6 @@ def _require_finite(m: np.ndarray) -> None:
         raise ValueError("matrix contains NaN/Inf entries")
 
 
-def _hermiticity_residual(m: np.ndarray) -> float:
-    """max|M - M^dag| over a stack of matrices (the last two axes)."""
-    return float(np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0))
-
-
 def validate_density_stack(mats) -> np.ndarray:
     """Check each matrix of a (m, D, D) stack is a density matrix: finite,
     Hermitian, unit trace and positive semidefinite, in that order, by the
@@ -74,20 +69,16 @@ def validate_density_stack(mats) -> np.ndarray:
 
 def _validate_blocks(blocks: list) -> None:
     """Check that the m matrices these blocks come from, the blocks holding
-    every nonzero entry, are density matrices: finite, Hermitian inside
-    the blocks, unit trace (the traces of a member's blocks sum to 1) and
-    positive semidefinite (_blocks_psd) to the module-level tolerances, in
-    that order.  Each array is in a layout of _component_blocks, member
-    index first: (m, c) for c 1x1 blocks, (m, c, s, s) for c blocks of size
-    s, (m, D, D) for one block.  Raises ValueError, with DensityOperator's
-    messages, if any member fails."""
-    for b in blocks:
-        _require_finite(b)
+    every nonzero entry, are density matrices: Hermitian inside the blocks,
+    unit trace (the traces of a member's blocks sum to 1) and positive
+    semidefinite (_blocks_psd) to the module-level tolerances, in that
+    order.  Each array holds c blocks of one size s as (m, c, s, s), member
+    index first, the layout of _component_blocks.  The blocks must be
+    finite: both callers check the matrices they come from first.  Raises
+    ValueError, with DensityOperator's messages, if any member fails."""
     if _blocks_residual(blocks) > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
-    # a member's diagonal entries, block by block; a (m, c) array holds them
-    diagonals = (b if b.ndim == 2 else b.diagonal(axis1=-2, axis2=-1).reshape(len(b), -1) for b in blocks)
-    tr = sum(diagonal.sum(axis=1) for diagonal in diagonals)
+    tr = sum(b.diagonal(axis1=-2, axis2=-1).reshape(len(b), -1).sum(axis=1) for b in blocks)
     if np.abs(tr.real - 1.0).max() > TRACE_TOL or np.abs(tr.imag).max() > TRACE_TOL:
         raise ValueError("density matrix does not have unit trace")
     if not _blocks_psd(blocks):
@@ -95,38 +86,35 @@ def _validate_blocks(blocks: list) -> None:
 
 
 def _component_blocks(m: np.ndarray) -> list:
-    """The blocks of a complex (m, D, D) stack, one array per size.  The
-    blocks are the connected components of the stack's nonzero pattern
-    (entries nonzero in any member, made symmetric), so the stack is their
-    direct sum up to one permutation, and they hold its every nonzero
-    entry.  A single component is the stack itself, (m, D, D); c components
-    of size 1 are their diagonal entries (m, c), of size s > 1 a gather
-    (m, c, s, s)."""
+    """The blocks of a complex (m, D, D) stack, one (m, c, s, s) array per
+    block size s.  The blocks are the connected components of the stack's
+    nonzero pattern (entries nonzero in any member, made symmetric), so the
+    stack is their direct sum up to one permutation, and they hold its
+    every nonzero entry.  A single component is the view m[:, None]; c
+    components of one size, 1x1 included, are a gather."""
     pattern = (m != 0).any(axis=0)
     pattern |= pattern.T
     groups = _components_by_size(pattern)
     if m.shape[1] in groups:
-        return [m]
-    return [
-        m[:, idx[:, 0], idx[:, 0]] if size == 1 else m[:, idx[:, :, None], idx[:, None, :]]
-        for size, idx in groups.items()
-    ]
+        return [m[:, None]]
+    return [m[:, idx[:, :, None], idx[:, None, :]] for idx in groups.values()]
 
 
 def _blocks_residual(blocks: list) -> float:
     """The Hermiticity residual max|M - M^dag| inside finite blocks from
-    _component_blocks; a 1x1 block's is twice its imaginary part."""
-    return max(2 * float(np.abs(b.imag).max()) if b.ndim == 2 else _hermiticity_residual(b) for b in blocks)
+    _component_blocks."""
+    return max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max(initial=0.0)) for b in blocks)
 
 
 def _blocks_psd(blocks: list) -> bool:
     """Whether every block from _component_blocks has least eigenvalue >=
-    -PSD_TOL: read off the real diagonal of 1x1 blocks, and certified for the
-    others by one batched Cholesky factorisation of block + PSD_TOL I per
-    array, which succeeds with the backward error eigvalsh has."""
+    -PSD_TOL: read off the real diagonal of 1x1 blocks (a factorisation
+    would reject one at exactly -PSD_TOL), and certified for the others by
+    one batched Cholesky factorisation of block + PSD_TOL I per array, which
+    succeeds with the backward error eigvalsh has."""
     try:
         for b in blocks:
-            if b.ndim > 2:
+            if b.shape[-1] > 1:
                 np.linalg.cholesky(b + PSD_TOL * np.eye(b.shape[-1]))
             elif b.real.min() < -PSD_TOL:
                 return False
@@ -135,18 +123,23 @@ def _blocks_psd(blocks: list) -> bool:
     return True
 
 
-def _block_spectra(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascending spectra (m, D) and Hermiticity residual of a finite complex
-    (m, D, D) stack: one batched eigvalsh per array of _component_blocks, a
-    1x1 block's eigenvalue read as its real diagonal (eigvalsh's, bit for bit)."""
-    if m.size == 0:
-        return np.linalg.eigvalsh(m), 0.0
+def _hermitian_blocks(m: np.ndarray) -> list:
+    """The blocks (_component_blocks) of a complex (m, D, D) stack, checked
+    finite first and then Hermitian within SPECTRUM_HERMITICITY_TOL: the
+    front end of hermitian_eigenvalues and is_ppt."""
+    _require_finite(m)
     blocks = _component_blocks(m)
-    residual = _blocks_residual(blocks)
-    if blocks[0].ndim == 3:  # a single component: the stack itself
-        return np.linalg.eigvalsh(m), residual
-    spectra = [b.real if b.ndim == 2 else np.linalg.eigvalsh(b).reshape(len(m), -1) for b in blocks]
-    return np.sort(np.concatenate(spectra, axis=1), axis=1), residual
+    if _blocks_residual(blocks) > SPECTRUM_HERMITICITY_TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    return blocks
+
+
+def _block_spectra(blocks: list) -> np.ndarray:
+    """Ascending spectra (m, D) of the stack that blocks from
+    _component_blocks come from: one batched eigvalsh per array (a 1x1
+    block's eigenvalue is its real diagonal, bit for bit), sorted per member."""
+    spectra = [np.linalg.eigvalsh(b).reshape(len(b), -1) for b in blocks]
+    return np.sort(np.concatenate(spectra, axis=1), axis=1)
 
 
 def _components_by_size(pattern: np.ndarray) -> dict:
@@ -395,15 +388,14 @@ def partial_transpose(rho: DensityOperator, side: str = "B") -> np.ndarray:
 
 def hermitian_eigenvalues(m) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending; of each matrix along the
-    last axis for a (..., D, D) stack.  Raises on input that is not Hermitian
-    within SPECTRUM_HERMITICITY_TOL."""
+    last axis for a (..., D, D) stack.  Raises on input that is not finite,
+    or not Hermitian within SPECTRUM_HERMITICITY_TOL."""
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    _require_finite(m)
-    spectra, residual = _block_spectra(m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:]))
-    if residual > SPECTRUM_HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    if m.size == 0:
+        return np.linalg.eigvalsh(m)
+    spectra = _block_spectra(_hermitian_blocks(m.reshape(math.prod(m.shape[:-2]), *m.shape[-2:])))
     return spectra.reshape(m.shape[:-1])
 
 
@@ -414,10 +406,7 @@ def is_ppt(rho: DensityOperator) -> bool:
     Decides separability exactly for 2x2 and 2x3 systems; elsewhere PPT is
     only a necessary condition.
     """
-    blocks = _component_blocks(_as_complex(partial_transpose(rho))[None])
-    if _blocks_residual(blocks) > SPECTRUM_HERMITICITY_TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return _blocks_psd(blocks)
+    return _blocks_psd(_hermitian_blocks(partial_transpose(rho)[None]))
 
 
 def negativity(rho: DensityOperator) -> float:

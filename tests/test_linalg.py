@@ -324,6 +324,12 @@ class TestChunkLengths:
             assert lengths == [1] * total
 
 
+def _spectra_and_residual(stack):
+    """linalg._block_spectra and the Hermiticity residual of a stack's blocks."""
+    blocks = linalg._component_blocks(stack)
+    return linalg._block_spectra(blocks), linalg._blocks_residual(blocks)
+
+
 class TestBlockSpectra:
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=5),
@@ -344,13 +350,13 @@ class TestBlockSpectra:
             start += s
         perm = rng.permutation(d)
         stack = stack[:, perm][:, :, perm]
-        spectra, residual = linalg._block_spectra(stack)
+        spectra, residual = _spectra_and_residual(stack)
         norm = np.linalg.norm(stack, 2, axis=(1, 2)).max()
         assert np.abs(spectra - np.linalg.eigvalsh(stack)).max() <= 1e-12 * norm
         assert residual == 0.0
         # the residual inside the blocks is the dense max|M - M^dag|
         skewed = stack + rng.standard_normal((m, d, d)) * (stack != 0)
-        _, residual = linalg._block_spectra(skewed)
+        _, residual = _spectra_and_residual(skewed)
         assert residual == np.abs(skewed - skewed.conj().swapaxes(1, 2)).max()
 
     def test_members_are_solved_on_the_union_pattern(self):
@@ -418,7 +424,7 @@ class TestBlockSpectra:
         stack = stack[:, perm][:, :, perm]
         blocks = [np.flatnonzero(np.isin(perm, idx)) for idx in components]
         want = np.sort(np.concatenate([np.linalg.eigvalsh(stack[:, b][:, :, b]) for b in blocks], axis=1), axis=1)
-        spectra, residual = linalg._block_spectra(stack)
+        spectra, residual = _spectra_and_residual(stack)
         assert np.array_equal(spectra, want)
         assert residual == np.abs(stack - stack.conj().swapaxes(1, 2)).max()
         assert residual > 0
@@ -549,3 +555,13 @@ class TestPsdCertificate:
         for stack in (not_psd[None], np.stack([rho_dense, not_psd]), np.stack([rho_blocks, not_psd])):
             with pytest.raises(ValueError, match="positive semidefinite"):
                 linalg.validate_density_stack(stack)
+
+    def test_one_by_one_block_at_the_tolerance_is_accepted(self):
+        # a diagonal state's 1x1 blocks are read by their real entry: one at
+        # exactly -PSD_TOL passes, as eigvalsh's least eigenvalue says it
+        # should (block + PSD_TOL I is then the singular [[0]], which a
+        # Cholesky factorisation would reject)
+        rho = np.diag([1 + linalg.PSD_TOL, -linalg.PSD_TOL, 0, 0]).astype(complex)
+        assert np.linalg.eigvalsh(rho)[0] == -linalg.PSD_TOL
+        assert np.array_equal(linalg.validate_density_stack(rho[None]), rho[None])
+        assert is_ppt(DensityOperator(rho, 2, 2))

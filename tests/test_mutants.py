@@ -1,0 +1,87 @@
+"""Defects in the conjugate_sum kernel that the `verify` suite must fail.
+
+Each case rewrites one line of linalg.conjugate_sum (or of the superoperator
+behind its one-sided route), installs the rewritten function wherever the
+package imported the original, and runs only the check groups of
+verification.ALL_CHECKS it targets: some other groups raise on a broken
+kernel before they report (a member that is not a density matrix), which
+says nothing about the gates.  The named gates must each fail; on the
+kernel as written they pass (tests/test_acceptance.py).  The Pauli
+dilation gate is not named for a dropped conjugate: every P x P is real, so
+it passes that defect.
+"""
+
+import inspect
+import sys
+import textwrap
+
+import pytest
+
+from twirlbreak import linalg, verification
+
+# (function, line as written, defective line, groups to run, gates that must fail)
+MUTANTS = {
+    "two-sided-conjugate-dropped": (
+        "conjugate_sum",
+        "np.conjugate(kt, out=kt)",
+        "kt",
+        ["2design", "pt-conjugation", "dilations"],
+        ["clifford-span-IV", "pt-conjugation-identity", "twirl-dilation-vs-kraus"],
+    ),
+    "one-sided-conjugate-dropped": (
+        "_superoperator",
+        "g_bar = flat[chunk].conj()",
+        "g_bar = flat[chunk].copy()",
+        ["2design", "partial-haar"],
+        ["clifford-partial-twirl-basis", "partial-haar-exact(d=2)", "partial-haar-mc(d=3)"],
+    ),
+    "stacks-swapped": (
+        "conjugate_sum",
+        "    op = np.asarray(op, dtype=complex)\n",
+        "    op = np.asarray(op, dtype=complex)\n    a, b = b, a\n",
+        ["2design", "qudit-invariance", "partial-haar", "dilations"],
+        [
+            "clifford-partial-twirl-basis",
+            "single-transmission-product-mc(d=2)",
+            "single-transmission-product-mc(d=3)",
+            "single-transmission-product-mc(d=4)",
+            "partial-haar-exact(d=2)",
+            "partial-haar-mc(d=3)",
+            "twirl-dilation-vs-kraus",
+        ],
+    ),
+    "weights-not-square-rooted": (
+        "conjugate_sum",
+        "root_w = np.sqrt(weights)",
+        "root_w = weights",
+        ["2design", "dilations"],
+        ["clifford-span-IV", "pauli-dilation-vs-kraus", "twirl-dilation-vs-kraus"],
+    ),
+}
+
+
+def _install_mutant(monkeypatch, name, line, defect):
+    """Replace linalg.<name>, in every package module that imported it, by a
+    copy compiled from its source with `line` rewritten as `defect`."""
+    original = getattr(linalg, name)
+    source = textwrap.dedent(inspect.getsource(original))
+    assert source.count(line) == 1, f"{name} no longer has the line {line!r}"
+    namespace = dict(vars(linalg))
+    exec(compile(source.replace(line, defect), linalg.__file__, "exec"), namespace)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "twirlbreak" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, namespace[name])
+
+
+def _run_groups(groups):
+    checks = dict(verification.ALL_CHECKS)
+    cfg = verification.VerifyConfig()
+    return {r.name: r.passed for group in groups for r in checks[group](cfg)}
+
+
+@pytest.mark.parametrize("mutant", sorted(MUTANTS))
+def test_verify_fails_the_mutant(monkeypatch, mutant):
+    name, line, defect, groups, gates = MUTANTS[mutant]
+    _install_mutant(monkeypatch, name, line, defect)
+    passed = _run_groups(groups)
+    assert [gate for gate in gates if passed[gate]] == []

@@ -210,7 +210,9 @@ def _bad_members():
 
 
 def _validate_as_blocks(stack):
-    """linalg._validate_blocks on each member of a (m, D, D) stack as one block."""
+    """linalg._validate_blocks on each member of a (m, D, D) stack as one
+    block, after the finiteness check that its callers make first."""
+    linalg._require_finite(stack)
     linalg._validate_blocks([stack[:, None]])
     return stack
 
@@ -259,9 +261,10 @@ def _random_vectors(m, n, seed):
 
 
 def test_dephasing_sweep_solves_each_input_stack_once(monkeypatch):
-    # one Cholesky of the dense (m, n^2, n^2) input stack certifies it; the
-    # state vectors are read from it without an eigen-solve, and the dephased
-    # output's factorisations and spectra are per n x n block
+    # one Cholesky of the dense input stack, its single component read as an
+    # (m, 1, n^2, n^2) array, certifies it; the state vectors are read from
+    # it without an eigen-solve, and the dephased output's factorisations
+    # and spectra are per n x n block
     n, m = 4, 5
     solves = []
     for name in ("cholesky", "eigh", "eigvalsh"):
@@ -272,7 +275,7 @@ def test_dephasing_sweep_solves_each_input_stack_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, wrapper)
     gaussian.dephasing_sweep(_random_vectors(m, n, 8), n)
-    assert [(name, shape) for name, shape in solves if shape[-1] == n * n] == [("cholesky", (m, n * n, n * n))]
+    assert [(name, shape) for name, shape in solves if shape[-1] == n * n] == [("cholesky", (m, 1, n * n, n * n))]
     assert {name for name, _ in solves} == {"cholesky", "eigvalsh"}
 
 
