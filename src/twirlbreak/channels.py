@@ -50,9 +50,6 @@ class ProbabilityVector:
     def __len__(self):
         return len(self.p)
 
-    def __getitem__(self, k):
-        return self.p[k]
-
 
 @dataclass(frozen=True)
 class KrausChannel:
@@ -160,14 +157,10 @@ def choi_states(operators) -> np.ndarray:
     return validate_density_stack(vecs.swapaxes(-1, -2) @ vecs.conj() / d)
 
 
-def _pt_spectra(choi: np.ndarray) -> np.ndarray:
-    d = int(round(np.sqrt(choi.shape[-1])))
-    return hermitian_eigenvalues(partial_transpose_mat(choi, d, d))
-
-
 def choi_pt_spectra(operators) -> np.ndarray:
     """Ascending partial-transpose spectra (m, d^2) of choi_states(operators)."""
-    return _pt_spectra(choi_states(operators))
+    d = np.shape(operators)[-1]
+    return hermitian_eigenvalues(partial_transpose_mat(choi_states(operators), d, d))
 
 
 def choi_test(ch: KrausChannel):
@@ -179,7 +172,7 @@ def choi_test(ch: KrausChannel):
     necessary PPT/NPT statement.
     """
     choi = choi_states(ch.operators[None])[0]
-    spec = _pt_spectra(choi)
+    spec = hermitian_eigenvalues(partial_transpose_mat(choi, ch.dim, ch.dim))
     return choi, bool(spec[0] >= -PSD_TOL), spec
 
 

@@ -243,7 +243,7 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         lam = np.sqrt((mu - 1) / (mu + 1))
         # on the state's support, n_fock indices, not the n_fock^2 x n_fock^2 matrix
         idx, tmsv = gaussian.tmsv_support(lam, n_fock)
-        dephased = gaussian.dephase_support(idx, tmsv, n_fock, "A")
+        dephased = gaussian.dephase_support(idx, tmsv, n_fock)
         # one solve gives both the least PT eigenvalue and the negativity
         pt_spectrum = gaussian.pt_spectrum_support(idx, dephased, n_fock)
         min_pt = float(pt_spectrum[0])

@@ -13,7 +13,6 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
-    _check_side,
     _validate_blocks,
     hermitian_eigenvalues,
     partial_transpose_mat,
@@ -250,19 +249,18 @@ def truncated_tmsv(lam: float, n: int) -> DensityOperator:
     return DensityOperator(mat, n, n)
 
 
-def _dephase(mats: np.ndarray, idx: np.ndarray, n: int, side: str) -> np.ndarray:
+def _dephase(mats: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
     """Zero every entry of a (..., len(idx), len(idx)) stack of matrices on the
-    basis indices idx (k n + l) whose side index, k on A or l on B, differs
-    between its row and its column."""
-    _check_side(side)
-    s = idx // n if side == "A" else idx % n
-    return np.where(s[:, None] == s, mats, 0.0)
+    basis indices idx (k n + l) whose mode-A index k differs between its row
+    and its column."""
+    k = idx // n
+    return np.where(k[:, None] == k, mats, 0.0)
 
 
-def dephase_support(idx: np.ndarray, block: np.ndarray, n: int, side: str = "A") -> np.ndarray:
+def dephase_support(idx: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
     """dephase_truncated of the state that is block on the basis indices idx
     and zero elsewhere: the validated block of the output on the same indices."""
-    return validate_density_stack(_dephase(block[None], idx, n, side))[0]
+    return validate_density_stack(_dephase(block[None], idx, n))[0]
 
 
 def pt_spectrum_support(idx: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
@@ -333,11 +331,11 @@ def dephasing_sweep(vectors, n: int):
     return np.linalg.eigvalsh(blocks.swapaxes(-1, -2))[..., 0].min(axis=1), rec_error
 
 
-def dephase_truncated(rho: DensityOperator, side: str = "A") -> DensityOperator:
-    """Uniform phase-rotation average: zeroes every element with k != k' on
-    the dephased side (the closed-form theta integral); trace preserving."""
+def dephase_truncated(rho: DensityOperator) -> DensityOperator:
+    """Uniform phase-rotation average of mode A: zeroes every element with
+    k != k' (the closed-form theta integral); trace preserving."""
     n = _cutoff(rho)
-    return DensityOperator(_dephase(rho.mat, np.arange(n * n), n, side), n, n)
+    return DensityOperator(_dephase(rho.mat, np.arange(n * n), n), n, n)
 
 
 def separable_decomposition_dephased(rho: DensityOperator):

@@ -2,7 +2,7 @@
 
 Conventions: subsystem A is the left (slow) tensor factor, so a bipartite
 matrix element is rho[i*d_B + j, k*d_B + l] = <i,j|rho|k,l>.  Partial
-transposition acts on subsystem B by default (j <-> l swap).
+transposition acts on subsystem B (j <-> l swap).
 """
 
 from __future__ import annotations
@@ -365,25 +365,17 @@ def partial_trace_multi(mat: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def _check_side(side: str) -> None:
-    if side not in ("A", "B"):
-        raise ValueError("side must be 'A' or 'B'")
-
-
-def partial_transpose_mat(mat: np.ndarray, dim_a: int, dim_b: int, side: str = "B") -> np.ndarray:
-    """Partial transposition of a bipartite matrix, or of each matrix of a
-    (..., D, D) stack (default on subsystem B)."""
-    _check_side(side)
+def partial_transpose_mat(mat: np.ndarray, dim_a: int, dim_b: int) -> np.ndarray:
+    """Partial transposition on subsystem B of a bipartite matrix, or of each
+    matrix of a (..., D, D) stack."""
     mat = np.asarray(mat)
     lead = mat.shape[:-2]
-    t = mat.reshape(lead + (dim_a, dim_b, dim_a, dim_b))
-    k = len(lead)
-    t = t.swapaxes(k + 1, k + 3) if side == "B" else t.swapaxes(k, k + 2)
+    t = mat.reshape(lead + (dim_a, dim_b, dim_a, dim_b)).swapaxes(-3, -1)
     return t.reshape(lead + (dim_a * dim_b, dim_a * dim_b))
 
 
-def partial_transpose(rho: DensityOperator, side: str = "B") -> np.ndarray:
-    return partial_transpose_mat(rho.mat, rho.dim_a, rho.dim_b, side=side)
+def partial_transpose(rho: DensityOperator) -> np.ndarray:
+    return partial_transpose_mat(rho.mat, rho.dim_a, rho.dim_b)
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:

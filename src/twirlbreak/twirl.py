@@ -9,7 +9,6 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
-    _check_side,
     _chunk_lengths,
     _conjugate_sum_work,
     as_unitary_stack,
@@ -87,6 +86,11 @@ def twirl_operator(op: np.ndarray, uset: UnitarySet, conjugate_second: bool = Fa
     """(1/K) sum_k (U_k x V_k) op (U_k x V_k)^dag with V_k = U_k or U_k^*."""
     us = uset.unitaries
     return conjugate_sum(op, us, us.conj() if conjugate_second else us, 1.0 / len(us))
+
+
+def _check_side(side: str) -> None:
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
 
 
 def partial_twirl_operator(op: np.ndarray, uset: UnitarySet, side: str, dims) -> np.ndarray:
@@ -227,7 +231,8 @@ def _row_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -> np.ndarray:
-    """Empirical twirl of a raw operator over n Haar samples.
+    """Empirical twirl of a raw operator over n Haar samples: mode 'uu'
+    (U x U), 'uustar' (U x U*) or 'partial-A' (U x I).
 
     The samples are drawn and summed in cache-sized chunks (_chunk_lengths),
     so memory does not grow with n; the sampler's stream does not depend on
@@ -241,25 +246,23 @@ def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mode not in ("uu", "uustar", "partial-A", "partial-B"):
+    if mode not in ("uu", "uustar", "partial-A"):
         raise ValueError(f"unknown mode {mode!r}")
     da, db = dims
-    # the sides the samples act on; the other side's matrix is the identity
-    sampled = {"partial-A": (True, False), "partial-B": (False, True)}.get(mode, (True, True))
-    if any(on and side != s.d for on, side in zip(sampled, dims)):
+    both = mode != "partial-A"  # else side B's matrix is the identity
+    if da != s.d or (both and db != s.d):
         raise ValueError(f"mode {mode!r} with dims ({da}, {db}) does not match a sampler of d = {s.d}")
     if mode == "uustar":
         op = partial_transpose_mat(op, da, db)
     chunks = _chunk_lengths(n, s.d * s.d)
     stack = chunks[0] * s.d * s.d
-    kernel = _conjugate_sum_work(*(chunks[0] if on else 1 for on in sampled), da, db)
+    kernel = _conjugate_sum_work(chunks[0], chunks[0] if both else 1, da, db)
     work = np.empty(stack + max(stack, kernel), dtype=complex)
-    eyes = np.eye(da)[None], np.eye(db)[None]
+    eye = np.eye(db)[None]
     out = np.zeros((da * db, da * db), dtype=complex)
     for m in chunks:
         us = s.sample_batch(m, work=work)
-        a, b = (us if on else eye for on, eye in zip(sampled, eyes))
-        out += conjugate_sum(op, a, b, 1.0 / n, work=work[m * s.d * s.d :])
+        out += conjugate_sum(op, us, us if both else eye, 1.0 / n, work=work[m * s.d * s.d :])
     return partial_transpose_mat(out, da, db) if mode == "uustar" else out
 
 

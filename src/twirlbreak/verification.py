@@ -48,16 +48,11 @@ def _map_distance(d: int, f, *others) -> float:
 
 # 1. EB threshold for local depolarizing channels
 def check_eb_threshold(cfg: VerifyConfig) -> list[CheckResult]:
-    rng = np.random.default_rng(cfg.seed)
-    worst = 0.0
-    verdicts_ok = True
-    # the Choi states, 4 x 4 each, are the largest stack of a chunk
-    for m in _chunk_lengths(200, 4 * 4):
-        p = rng.dirichlet(np.ones(4), size=m)
-        spec = channels.choi_pt_spectra(channels.local_depolarizing_kraus(p))
-        predicted = np.max(p, axis=1) <= 0.5 + 1e-12
-        verdicts_ok &= bool(np.array_equal(spec[:, 0] >= -PSD_TOL, predicted))
-        worst = max(worst, float(np.max(np.abs(spec - np.sort(0.5 - p, axis=1)))))
+    p = np.random.default_rng(cfg.seed).dirichlet(np.ones(4), size=200)
+    spec = channels.choi_pt_spectra(channels.local_depolarizing_kraus(p))
+    predicted = np.max(p, axis=1) <= 0.5 + 1e-12
+    verdicts_ok = bool(np.array_equal(spec[:, 0] >= -PSD_TOL, predicted))
+    worst = float(np.max(np.abs(spec - np.sort(0.5 - p, axis=1))))
     return [_result("eb-threshold", worst, 1e-10, verdicts_ok)]
 
 

@@ -282,7 +282,7 @@ class TestSolveInvariantCm:
 class TestDephaseTruncated:
     def test_tmsv_becomes_ppt(self):
         state = truncated_tmsv(0.5, 6)
-        out = dephase_truncated(state, "A")
+        out = dephase_truncated(state)
         n = 6
         t = out.mat.reshape(n, n, n, n)
         for k in range(n):
@@ -295,19 +295,14 @@ class TestDephaseTruncated:
         rng = np.random.default_rng(0)
         n = 4
         rho = random_density(n, n, rng)
-        already = dephase_truncated(rho, "A")
-        again = dephase_truncated(already, "A")
+        already = dephase_truncated(rho)
+        again = dephase_truncated(already)
         assert np.max(np.abs(again.mat - already.mat)) < 1e-15
 
     def test_trace_preserving(self):
         state = truncated_tmsv(0.4, 6)
-        out = dephase_truncated(state, "B")
+        out = dephase_truncated(state)
         assert abs(np.trace(out.mat).real - 1.0) < 1e-12
-
-    @pytest.mark.parametrize("side", ["a", "C"])
-    def test_invalid_side_raises(self, side):
-        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-            dephase_truncated(truncated_tmsv(0.4, 4), side)
 
     @pytest.mark.parametrize(
         "fn", [dephase_truncated, min_pt_eigenvalue, separable_decomposition_dephased]
@@ -322,7 +317,7 @@ class TestDephaseTruncated:
         for n in (4, 6, 8):
             for _ in range(100):
                 state = random_pure(n, n, rng)
-                out = dephase_truncated(state, "A")
+                out = dephase_truncated(state)
                 assert min_pt_eigenvalue(out) >= -1e-10
 
 
@@ -368,7 +363,7 @@ class TestSeparableDecomposition:
             state = random_pure(n, n, rng)
             comps = separable_decomposition_dephased(state)
             rec = reconstruct_decomposition(comps, n)
-            out = dephase_truncated(state, "A")
+            out = dephase_truncated(state)
             assert np.max(np.abs(rec - out.mat)) < 1e-12
             assert abs(sum(dk for dk, _, _ in comps) - 1.0) < 1e-12
 
@@ -414,17 +409,16 @@ class TestSupportForm:
     """The bosonic rows' support form (indices and the block on them) against
     the dense reference on the n^2 x n^2 matrix, bit for bit."""
 
-    @pytest.mark.parametrize("side", ["A", "B"])
     @pytest.mark.parametrize("n", [1, 2, 8, 19, 30])
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.8])
-    def test_dephased_tmsv_matches_dense(self, lam, n, side):
+    def test_dephased_tmsv_matches_dense(self, lam, n):
         if lam ** (2 * n) > 1e-3:  # both forms refuse the truncation
             with pytest.raises(ValueError, match="cutoff too small"):
                 tmsv_support(lam, n)
             return
         idx, block = tmsv_support(lam, n)
-        dense = dephase_truncated(truncated_tmsv(lam, n), side)
-        dephased = dephase_support(idx, block, n, side)
+        dense = dephase_truncated(truncated_tmsv(lam, n))
+        dephased = dephase_support(idx, block, n)
         assert _bits(dephased) == _bits(dense.mat[np.ix_(idx, idx)])
         want = hermitian_eigenvalues(partial_transpose(dense))
         got = pt_spectrum_support(idx, dephased, n)
@@ -442,18 +436,16 @@ class TestSupportForm:
         assert np.count_nonzero(got) == n * n
         assert got[0] < -0.1  # entangled
 
-    @pytest.mark.parametrize("side", ["A", "B"])
-    def test_random_block_matches_dense(self, side):
+    def test_random_block_matches_dense(self):
         rng = np.random.default_rng(7)
         n = 4
         idx = np.sort(rng.choice(n * n, size=7, replace=False))
         block = random_density(7, 1, rng).mat
         dense = np.zeros((n * n, n * n), dtype=complex)
         dense[np.ix_(idx, idx)] = block
-        dephased = dephase_support(idx, block, n, side)
-        # keep <k l|rho|k' l'> where k = k' (side A) or l = l' (side B)
-        same = np.eye(n, dtype=bool)
-        kept = same[:, None, :, None] if side == "A" else same[None, :, None, :]
+        dephased = dephase_support(idx, block, n)
+        # keep <k l|rho|k' l'> where k = k'
+        kept = np.eye(n, dtype=bool)[:, None, :, None]
         reference = np.where(kept, dense.reshape(n, n, n, n), 0.0).reshape(n * n, n * n)
         assert _bits(dephased) == _bits(reference[np.ix_(idx, idx)])
         for m, ref in ((block, dense), (dephased, reference)):
@@ -463,13 +455,7 @@ class TestSupportForm:
     def test_rejects_block_without_unit_trace(self):
         idx, block = tmsv_support(0.3, 8)
         with pytest.raises(ValueError, match="does not have unit trace"):
-            dephase_support(idx, 2 * block, 8, "A")
-
-    @pytest.mark.parametrize("side", ["a", "C"])
-    def test_invalid_side_raises(self, side):
-        idx, block = tmsv_support(0.3, 8)
-        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-            dephase_support(idx, block, 8, side)
+            dephase_support(idx, 2 * block, 8)
 
 
 class TestCovarianceMatrixValidation:
@@ -517,7 +503,7 @@ def test_closed_form_spectrum_property(nu1, gap, h_entries):
 def test_dephasing_idempotent_and_ppt(seed):
     rng = np.random.default_rng(seed)
     state = random_pure(4, 4, rng)
-    once = dephase_truncated(state, "A")
-    twice = dephase_truncated(once, "A")
+    once = dephase_truncated(state)
+    twice = dephase_truncated(once)
     assert np.max(np.abs(once.mat - twice.mat)) < 1e-15
     assert min_pt_eigenvalue(once) >= -1e-10

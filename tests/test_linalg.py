@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -85,20 +86,20 @@ class TestPartialTranspose:
         pt = partial_transpose(rho)
         assert np.allclose(partial_transpose_mat(pt, 2, 3), rho.mat)
 
-    def test_side_a_option(self):
+    def test_stack_matches_entrywise_definition(self):
+        # <ij|rho^{T_B}|kl> = <il|rho|kj> on every member of a (2, 3, D, D)
+        # stack of operators with (d_A, d_B) = (2, 3), and T_B undoes itself
         from twirlbreak.linalg import partial_transpose_mat
 
         rng = np.random.default_rng(10)
-        rho = random_density(2, 2, rng)
-        via_b = partial_transpose_mat(rho.mat.T, 2, 2, side="B")
-        assert np.allclose(partial_transpose_mat(rho.mat, 2, 2, side="A"), via_b)
-
-    @pytest.mark.parametrize("side", ["a", "C"])
-    def test_invalid_side_raises(self, side):
-        from twirlbreak.linalg import partial_transpose_mat
-
-        with pytest.raises(ValueError, match="side must be 'A' or 'B'"):
-            partial_transpose_mat(np.eye(4), 2, 2, side=side)
+        da, db = 2, 3
+        d = da * db
+        rho = rng.standard_normal((2, 3, d, d)) + 1j * rng.standard_normal((2, 3, d, d))
+        pt = partial_transpose_mat(rho, da, db)
+        assert pt.shape == rho.shape
+        for i, j, k, l in itertools.product(range(da), range(db), range(da), range(db)):
+            assert np.array_equal(pt[..., i * db + j, k * db + l], rho[..., i * db + l, k * db + j])
+        assert np.array_equal(partial_transpose_mat(pt, da, db), rho)
 
 
 class TestEigenvalues:

@@ -302,7 +302,7 @@ class TestMCTwirl:
         # 1000 within a few Python objects
         d = 8
         rho = random_density(d, d, np.random.default_rng(23))
-        for mode in ("uu", "uustar", "partial-A", "partial-B"):
+        for mode in ("uu", "uustar", "partial-A"):
             peaks = {}
             for n in (1000, 4000):
                 tracemalloc.start()
@@ -313,7 +313,7 @@ class TestMCTwirl:
                     tracemalloc.stop()
             assert peaks[4000] - peaks[1000] < 2**14, mode
 
-    @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A", "partial-B"])
+    @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A"])
     @pytest.mark.parametrize("d", [2, 3])
     def test_streamed_matches_one_shot(self, monkeypatch, mode, d):
         # a budget of 7 samples a chunk splits n = 50 into 7 full chunks and
@@ -322,7 +322,7 @@ class TestMCTwirl:
         op = random_density(d, d, np.random.default_rng(29)).mat
         us = HaarSampler(30, d).sample_batch(n)
         eye = np.eye(d)[None]
-        a, b = {"uu": (us, us), "uustar": (us, us.conj()), "partial-A": (us, eye), "partial-B": (eye, us)}[mode]
+        a, b = {"uu": (us, us), "uustar": (us, us.conj()), "partial-A": (us, eye)}[mode]
         want = linalg.conjugate_sum(op, a, b, 1.0 / n)
         monkeypatch.setattr(linalg, "CONJUGATE_SUM_CACHE_BYTES", 7 * 16 * d * d)
         sampler, drawn = HaarSampler(30, d), []
@@ -405,13 +405,13 @@ class TestMCTwirl:
             for g in (q, np.ascontiguousarray(q)):
                 assert np.array_equal(linalg._superoperator(g, w), _row_major_superoperator(g, w))
 
-    @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A", "partial-B"])
+    @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A"])
     def test_twirl_matches_row_major_superoperator(self, monkeypatch, mode):
         # two chunks and a tail of 11 samples at d = 3, unequal dims for the
         # partial modes; "uu" and "uustar" take the two-sided route and must
         # not move either
         d = 3
-        dims = {"partial-A": (3, 2), "partial-B": (2, 3)}.get(mode, (3, 3))
+        dims = (3, 2) if mode == "partial-A" else (3, 3)
         n = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 11
         op = random_density(*dims, np.random.default_rng(48)).mat
         got = mc_twirl_operator(op, mode, n, HaarSampler(49, d), dims)
@@ -419,7 +419,7 @@ class TestMCTwirl:
         monkeypatch.setattr(linalg, "_superoperator", _row_major_superoperator)
         assert np.array_equal(got, mc_twirl_operator(op, mode, n, HaarSampler(49, d), dims))
 
-    @pytest.mark.parametrize("mode, dims", [("uu", (3, 3)), ("uustar", (3, 3)), ("partial-A", (3, 2)), ("partial-B", (2, 3))])
+    @pytest.mark.parametrize("mode, dims", [("uu", (3, 3)), ("uustar", (3, 3)), ("partial-A", (3, 2))])
     def test_workspace_matches_chunked_loop(self, mode, dims):
         # the chunk loop written out with fresh stacks: two full chunks and
         # a tail of 11 samples
@@ -431,15 +431,14 @@ class TestMCTwirl:
         want = np.zeros((da * db, da * db), dtype=complex)
         for m in linalg._chunk_lengths(n, d * d):
             us = s.sample_batch(m)
-            a, b = {"partial-A": (us, np.eye(db)[None]), "partial-B": (np.eye(da)[None], us)}.get(mode, (us, us))
-            want += linalg.conjugate_sum(x, a, b, 1.0 / n)
+            want += linalg.conjugate_sum(x, us, np.eye(db)[None] if mode == "partial-A" else us, 1.0 / n)
         if mode == "uustar":
             want = partial_transpose_mat(want, da, db)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "mode, dims",
-        [("uu", (2, 2)), ("uu", (3, 2)), ("uustar", (2, 3)), ("partial-A", (2, 3)), ("partial-B", (3, 2))],
+        [("uu", (2, 2)), ("uu", (3, 2)), ("uustar", (2, 3)), ("partial-A", (2, 3))],
     )
     def test_rejects_a_sampler_of_another_dimension(self, mode, dims):
         # checked before the first draw: the sampler's stream has not moved
@@ -447,6 +446,14 @@ class TestMCTwirl:
         op = np.eye(dims[0] * dims[1]) / (dims[0] * dims[1])
         with pytest.raises(ValueError, match=rf"dims \({dims[0]}, {dims[1]}\) .* d = 3"):
             mc_twirl_operator(op, mode, 10, s, dims)
+        assert np.array_equal(s.sample_batch(5), HaarSampler(46, 3).sample_batch(5))
+
+    @pytest.mark.parametrize("mode", ["partial-B", "UU"])
+    def test_rejects_an_unknown_mode(self, mode):
+        # checked before the first draw: the sampler's stream has not moved
+        s = HaarSampler(46, 3)
+        with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
+            mc_twirl_operator(np.eye(9) / 9, mode, 10, s, (3, 3))
         assert np.array_equal(s.sample_batch(5), HaarSampler(46, 3).sample_batch(5))
 
     def test_seed_reproducibility(self):

@@ -93,7 +93,7 @@ def _dephasing_loop(seed):
         inputs, min_pt, rec_error = [], [], []
         for _ in range(POINTS):
             pure = random_pure(n, n, rng)
-            dephased = gaussian.dephase_truncated(pure, "A")
+            dephased = gaussian.dephase_truncated(pure)
             min_pt.append(gaussian.min_pt_eigenvalue(dephased))
             comps = gaussian.separable_decomposition_dephased(pure)
             rec = gaussian.reconstruct_decomposition(comps, n)
@@ -352,7 +352,7 @@ def _dense_sweep(v, n):
     dephased stack validated whole, its partial-transpose spectra through
     the component search, and the decomposition rebuilt as a dense matrix."""
     pure = linalg.validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
-    dephased = linalg.validate_density_stack(gaussian._dephase(pure, np.arange(n * n), n, "A"))
+    dephased = linalg.validate_density_stack(gaussian._dephase(pure, np.arange(n * n), n))
     weights, xi = gaussian._decompose(pure, n)
     rec = gaussian._separable_sum(weights, np.broadcast_to(np.eye(n), xi.shape), xi)
     return gaussian._min_pt_eigenvalues(dephased, n), np.max(np.abs(rec - dephased), axis=(1, 2))
