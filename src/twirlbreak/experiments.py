@@ -241,11 +241,13 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         double_neg = max(0.0, (1.0 / nu_min - 1.0) / 2)
         # single transmission: uniform dephasing of the truncated squeezed state
         lam = np.sqrt((mu - 1) / (mu + 1))
-        # on the state's support, n_fock indices, not the n_fock^2 x n_fock^2 matrix
-        idx, tmsv = gaussian.tmsv_support(lam, n_fock)
-        dephased = gaussian.dephase_support(idx, tmsv, n_fock)
+        # on the state's support, the n_fock indices |kk>, not the n_fock^2 x
+        # n_fock^2 matrix: its k-blocks are 1x1, and the n_fock^2 - n_fock
+        # other eigenvalues of the output's partial transpose are exact zeros
+        _, tmsv = gaussian.tmsv_support(lam, n_fock)
+        _, spectra = gaussian.dephased_blocks(tmsv[None], n_fock)
         # one solve gives both the least PT eigenvalue and the negativity
-        pt_spectrum = gaussian.pt_spectrum_support(idx, dephased, n_fock)
+        pt_spectrum = np.sort(np.concatenate([spectra.ravel(), np.zeros(n_fock * (n_fock - 1))]))
         min_pt = float(pt_spectrum[0])
         rows.append(
             ResultRow(

@@ -249,35 +249,28 @@ def truncated_tmsv(lam: float, n: int) -> DensityOperator:
     return DensityOperator(mat, n, n)
 
 
-def _dephase(mats: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
-    """Zero every entry of a (..., len(idx), len(idx)) stack of matrices on the
-    basis indices idx (k n + l) whose mode-A index k differs between its row
-    and its column."""
-    k = idx // n
+def _dephase(mats: np.ndarray, n: int) -> np.ndarray:
+    """The dense reference's dephasing rule: zero every entry of a (..., n^2,
+    n^2) stack of matrices on the basis k n + l whose mode-A index k differs
+    between its row and its column."""
+    k = np.arange(n * n) // n
     return np.where(k[:, None] == k, mats, 0.0)
 
 
-def dephase_support(idx: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
-    """dephase_truncated of the state that is block on the basis indices idx
-    and zero elsewhere: the validated block of the output on the same indices."""
-    return validate_density_stack(_dephase(block[None], idx, n))[0]
-
-
-def pt_spectrum_support(idx: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
-    """The ascending n^2 eigenvalues of the side-B partial transpose of the
-    matrix that is block on the sorted basis indices idx and zero elsewhere:
-    each nonzero entry (kl, k'l') moves to (kl', k'l), the indices it reaches
-    get hermitian_eigenvalues of the block on them, every other an exact 0."""
-    k, l = np.divmod(idx, n)
-    nonzero = block != 0
-    rows, cols = (k[:, None] * n + l)[nonzero], (k * n + l[:, None])[nonzero]
-    reached = np.zeros(n * n, dtype=bool)
-    reached[rows] = reached[cols] = True
-    support = np.flatnonzero(reached)
-    position = np.cumsum(reached) - 1  # of each reached index in support
-    pt = np.zeros((len(support), len(support)), dtype=complex)
-    pt[position[rows], position[cols]] = block[nonzero]
-    return np.sort(np.concatenate([hermitian_eigenvalues(pt), np.zeros(n * n - len(support))]))
+def dephased_blocks(mats: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform side-A dephasing of a validated (m, n c, n c) stack on a basis
+    ordered by the mode-A index k, c indices per k (c = n on the Fock basis
+    k n + l, c = 1 on the squeezed vacuum's support |kk>).  Each output
+    sum_k |k><k| x B_k is kept as the k-blocks B_k that the dephasing keeps,
+    an (m, n, c, c) view of the input, and validated from them.  Returns
+    the blocks and the (m, n, c) spectra of the output's partial transpose
+    sum_k |k><k| x B_k^T, one batched eigvalsh of the transposed blocks; on
+    the n^2-dimensional two-mode space its other n^2 - n c eigenvalues are
+    exact zeros."""
+    c = mats.shape[-1] // n
+    blocks = mats.reshape(-1, n, c, n, c).diagonal(axis1=1, axis2=3).transpose(0, 3, 1, 2)
+    _validate_blocks([blocks])
+    return blocks, np.linalg.eigvalsh(blocks.swapaxes(-1, -2))
 
 
 def _min_pt_eigenvalues(mats: np.ndarray, n: int) -> np.ndarray:
@@ -313,29 +306,28 @@ def _separable_sum(weights: np.ndarray, kets_a: np.ndarray, kets_b: np.ndarray) 
 
 def dephasing_sweep(vectors, n: int):
     """Uniform side-A dephasing of a (m, n^2) stack of unit two-mode state
-    vectors, cutoff n per mode.  Each input is validated as a density matrix;
-    each dephased output sum_k |k><k| x B_k is validated from its support,
-    the n diagonal blocks B_k[l, l'] = rho[kl, kl'] that the dephasing keeps
-    (an (m, n, n, n) stack).  Returns, per state, the least eigenvalue of the
-    output's partial transpose sum_k |k><k| x B_k^T, from the spectra of the
-    transposed blocks, and the largest entry error of the blocks rebuilt
-    from the separable decomposition (which recovers the state vector from
-    the density matrix)."""
+    vectors, cutoff n per mode.  Each input is validated as a density matrix
+    and dephased by dephased_blocks, on the Fock basis (c = n: the blocks
+    B_k[l, l'] = rho[kl, kl'], an (m, n, n, n) stack).  Returns, per state,
+    the least eigenvalue of the output's partial transpose and the largest
+    entry error of the blocks rebuilt from the separable decomposition
+    (which recovers the state vector from the density matrix)."""
     v = np.asarray(vectors, dtype=complex)
     pure = validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
-    blocks = pure.reshape(-1, n, n, n, n).diagonal(axis1=1, axis2=3).transpose(0, 3, 1, 2)
-    _validate_blocks([blocks])
+    blocks, pt_spectra = dephased_blocks(pure, n)
     weights, xi = _decompose(pure, n)
     scaled = xi * weights[:, :, None]
     rec_error = np.max(np.abs(scaled[..., :, None] * xi.conj()[..., None, :] - blocks), axis=(1, 2, 3))
-    return np.linalg.eigvalsh(blocks.swapaxes(-1, -2))[..., 0].min(axis=1), rec_error
+    return pt_spectra[..., 0].min(axis=1), rec_error
 
 
 def dephase_truncated(rho: DensityOperator) -> DensityOperator:
-    """Uniform phase-rotation average of mode A: zeroes every element with
-    k != k' (the closed-form theta integral); trace preserving."""
+    """Uniform phase-rotation average of mode A on the dense n^2 x n^2
+    matrix, the reference's rule (_dephase) that shares no code with
+    dephased_blocks: zeroes every element with k != k' (the closed-form
+    theta integral); trace preserving."""
     n = _cutoff(rho)
-    return DensityOperator(_dephase(rho.mat, np.arange(n * n), n), n, n)
+    return DensityOperator(_dephase(rho.mat, n), n, n)
 
 
 def separable_decomposition_dephased(rho: DensityOperator):

@@ -8,12 +8,11 @@ from twirlbreak.gaussian import (
     BONA_FIDE_TOL,
     OMEGA,
     CovarianceMatrix,
-    dephase_support,
+    dephased_blocks,
     dephase_truncated,
     epr_cm,
     is_separable_two_mode,
     min_pt_eigenvalue,
-    pt_spectrum_support,
     pt_symplectic_eigenvalues,
     quasi_normal_cm,
     quasi_normal_sweep,
@@ -31,8 +30,8 @@ from twirlbreak.linalg import (
     DensityOperator,
     hermitian_eigenvalues,
     negativity_from_spectrum,
+    partial_trace_multi,
     partial_transpose,
-    partial_transpose_mat,
 )
 from twirlbreak.states import random_density, random_pure
 
@@ -352,10 +351,24 @@ class TestSeparableDecomposition:
         expected /= expected.sum()
         assert np.max(np.abs(np.sort(weights)[::-1] - np.sort(expected)[::-1])) < 1e-12
         # cross-check against the diagonal of the A marginal
-        from twirlbreak.linalg import partial_trace_multi
-
         marginal = partial_trace_multi(state.mat, [n, n], keep=[0])
         assert np.max(np.abs(np.sort(np.diag(marginal).real) - np.sort(weights))) < 1e-12
+
+    def test_weights_are_the_a_marginal_and_kets_are_unit(self):
+        # d_k = <k|Tr_B rho|k> and |xi(k)| = 1 split each component's weight
+        # off its ket; the reconstruction alone cannot tell, and a random
+        # state's coefficient matrix, unlike the squeezed vacuum's, is not
+        # diagonal, so row sums differ from column sums
+        rng = np.random.default_rng(12)
+        for n in (2, 3, 5):
+            for _ in range(4):
+                state = random_pure(n, n, rng)
+                comps = separable_decomposition_dephased(state)
+                marginal = partial_trace_multi(state.mat, [n, n], keep=[0])
+                assert [int(np.argmax(np.abs(ket))) for _, ket, _ in comps] == list(range(n))
+                weights = np.array([dk for dk, _, _ in comps])
+                assert np.max(np.abs(weights - np.diag(marginal).real)) < 1e-14
+                assert np.max(np.abs([np.linalg.norm(xi) - 1.0 for _, _, xi in comps])) < 1e-14
 
     def test_reconstruction_matches_channel(self):
         rng = np.random.default_rng(2)
@@ -406,8 +419,9 @@ def _bits(x) -> bytes:
 
 
 class TestSupportForm:
-    """The bosonic rows' support form (indices and the block on them) against
-    the dense reference on the n^2 x n^2 matrix, bit for bit."""
+    """The bosonic rows' k-block route on the squeezed vacuum's support (the
+    indices |kk>, one per k-block) against the dense reference on the n^2 x
+    n^2 matrix, bit for bit."""
 
     @pytest.mark.parametrize("n", [1, 2, 8, 19, 30])
     @pytest.mark.parametrize("lam", [0.0, 0.3, 0.8])
@@ -418,44 +432,21 @@ class TestSupportForm:
             return
         idx, block = tmsv_support(lam, n)
         dense = dephase_truncated(truncated_tmsv(lam, n))
-        dephased = dephase_support(idx, block, n)
-        assert _bits(dephased) == _bits(dense.mat[np.ix_(idx, idx)])
+        blocks, spectra = dephased_blocks(block[None], n)
+        assert blocks.shape == (1, n, 1, 1) and spectra.shape == (1, n, 1)
+        assert _bits(np.diag(blocks.ravel())) == _bits(dense.mat[np.ix_(idx, idx)])
         want = hermitian_eigenvalues(partial_transpose(dense))
-        got = pt_spectrum_support(idx, dephased, n)
+        # the run_bosonic_scenario spectrum: the n^2 - n other eigenvalues are exact zeros
+        got = np.sort(np.concatenate([spectra.ravel(), np.zeros(n * (n - 1))]))
         assert _bits(got) == _bits(want)
         # the row fields dephased_min_pt_eigenvalue and single_transmission_negativity
         assert _bits(float(got[0])) == _bits(float(want[0]))
         assert _bits(negativity_from_spectrum(got)) == _bits(negativity_from_spectrum(want))
 
-    def test_undephased_tmsv_pt_fills_every_index(self):
-        # PT sends |kk><k'k'| to |kk'><k'k|: the support of n indices becomes all n^2
-        lam, n = 0.5, 6
-        idx, block = tmsv_support(lam, n)
-        got = pt_spectrum_support(idx, block, n)
-        assert _bits(got) == _bits(hermitian_eigenvalues(partial_transpose(truncated_tmsv(lam, n))))
-        assert np.count_nonzero(got) == n * n
-        assert got[0] < -0.1  # entangled
-
-    def test_random_block_matches_dense(self):
-        rng = np.random.default_rng(7)
-        n = 4
-        idx = np.sort(rng.choice(n * n, size=7, replace=False))
-        block = random_density(7, 1, rng).mat
-        dense = np.zeros((n * n, n * n), dtype=complex)
-        dense[np.ix_(idx, idx)] = block
-        dephased = dephase_support(idx, block, n)
-        # keep <k l|rho|k' l'> where k = k'
-        kept = np.eye(n, dtype=bool)[:, None, :, None]
-        reference = np.where(kept, dense.reshape(n, n, n, n), 0.0).reshape(n * n, n * n)
-        assert _bits(dephased) == _bits(reference[np.ix_(idx, idx)])
-        for m, ref in ((block, dense), (dephased, reference)):
-            want = hermitian_eigenvalues(partial_transpose_mat(ref, n, n))
-            assert _bits(pt_spectrum_support(idx, m, n)) == _bits(want)
-
     def test_rejects_block_without_unit_trace(self):
-        idx, block = tmsv_support(0.3, 8)
+        _, block = tmsv_support(0.3, 8)
         with pytest.raises(ValueError, match="does not have unit trace"):
-            dephase_support(idx, 2 * block, 8)
+            dephased_blocks(2 * block[None], 8)
 
 
 class TestCovarianceMatrixValidation:

@@ -1,6 +1,8 @@
 """Every name a package module imports from a sibling module is used there:
 a deletion cannot leave a dead import behind.  __init__.py is exempt, since
-its imports are the package's re-exports."""
+its imports are the package's re-exports.  Every private name a package
+module defines at its top level is read by some package module: a deleted
+route cannot leave its helper behind as code that only the tests call."""
 
 import ast
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 import twirlbreak
 
-MODULES = sorted(p for p in Path(twirlbreak.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(twirlbreak.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def _unused_relative_imports(source: str) -> list[str]:
@@ -26,6 +29,33 @@ def _unused_relative_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private names (one leading underscore) that a module's top-level
+    functions, classes and assignments bind, in order."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """The names a module reads: as a name, as an attribute (linalg._x) or
+    by importing it from a sibling."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
 def test_finds_a_module_per_source_file():
     assert {p.stem for p in MODULES} >= {"channels", "gaussian", "linalg", "twirl", "verification"}
 
@@ -38,3 +68,15 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_relative_import(path):
     assert _unused_relative_imports(path.read_text()) == []
+
+
+def test_detects_an_unread_private_definition():
+    tree = ast.parse("_A = 1\n_B: int = 2\n\ndef _f():\n    return _A\n\nclass _C:\n    pass\n")
+    assert [name for name in _private_definitions(tree) if name not in _reads(tree)] == ["_B", "_f", "_C"]
+
+
+def test_every_private_definition_is_read_by_the_package():
+    trees = {path.name: ast.parse(path.read_text()) for path in PACKAGE}
+    read = set().union(*map(_reads, trees.values()))
+    defined = [(module, name) for module, tree in trees.items() for name in _private_definitions(tree)]
+    assert [f"{module}:{name}" for module, name in defined if name not in read] == []

@@ -1,12 +1,14 @@
-"""The verify suite: its check list, and the stacked dephasing and EB-threshold
-sweeps against the per-point loops they replaced."""
+"""The verify suite: its check list, the stacked dephasing and EB-threshold
+sweeps against the per-point loops they replaced, and the one dephasing rule
+that verify and the bosonic scenario share."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twirlbreak import channels, gaussian, linalg, verification
+from twirlbreak import channels, experiments, gaussian, linalg, verification
 from twirlbreak.states import random_pure
 
 CHECK_NAMES = [
@@ -177,26 +179,40 @@ def _sweep_outputs(monkeypatch, chunk_size):
         if chunk_size is not None:
             mp.setattr(verification, "_chunk_lengths", _fixed_chunks(chunk_size))
         dephasing = _recorded(mp, gaussian, "dephasing_sweep")
-        choi = _recorded(mp, channels, "choi_pt_spectra")
-        results = verification.check_eb_threshold(cfg) + verification.check_dephasing(cfg)
+        results = verification.check_dephasing(cfg)
     inputs = np.concatenate([np.abs(args[0]).ravel() for args, _ in dephasing])
     per_point = [inputs] + [np.concatenate([out[i] for _, out in dephasing]) for i in (0, 1)]
-    return results, per_point, np.concatenate([out for _, out in choi])
+    return results, per_point
 
 
 @pytest.mark.parametrize("chunk_size", [1, 3, 7])
-def test_sweeps_do_not_depend_on_chunk_size(monkeypatch, chunk_size):
-    results, per_point, spectra = _sweep_outputs(monkeypatch, None)
-    forced, forced_per_point, forced_spectra = _sweep_outputs(monkeypatch, chunk_size)
+def test_dephasing_sweep_does_not_depend_on_chunk_size(monkeypatch, chunk_size):
+    results, per_point = _sweep_outputs(monkeypatch, None)
+    forced, forced_per_point = _sweep_outputs(monkeypatch, chunk_size)
     assert len(per_point[1]) == len(forced_per_point[1]) == len(CUTOFFS) * POINTS
-    assert len(spectra) == len(forced_spectra) == CHANNELS
     for a, b in zip(per_point, forced_per_point):
         assert np.max(np.abs(a - b)) <= 1e-15
-    assert np.max(np.abs(spectra - forced_spectra)) <= 1e-15
     assert [r.name for r in results] == [r.name for r in forced]
     assert [r.passed for r in results] == [r.passed for r in forced]
     for r, f in zip(results, forced):
         assert abs(r.residual - f.residual) <= 1e-15
+
+
+def test_bosonic_rows_and_verify_share_the_dephasing_rule(monkeypatch):
+    # one k-block rule serves both, so verify checks the rule the scenario
+    # runs: on the squeezed vacuum's support |kk> (one index per k-block)
+    # and on the full Fock basis (n indices per k-block)
+    calls = _recorded(monkeypatch, gaussian, "dephased_blocks")
+    config = Path(__file__).resolve().parent.parent / "configs" / "bosonic.json"
+    rows = experiments.run_bosonic_scenario(experiments.ExperimentConfig.from_file("bosonic", config))
+    cutoffs = [row.params["fock_cutoff"] for row in rows if row.params["mode"] == "anticorrelated"]
+    assert [(args[0].shape, args[1]) for args, _ in calls] == [((1, n, n), n) for n in cutoffs]
+    calls.clear()
+    verification.check_dephasing(verification.VerifyConfig())
+    shapes = [(args[0].shape, args[1]) for args, _ in calls]
+    assert {n for _, n in shapes} == set(CUTOFFS)
+    assert all(shape[1:] == (n * n, n * n) for shape, n in shapes)
+    assert sum(shape[0] for shape, _ in shapes) == len(CUTOFFS) * POINTS
 
 
 def _bad_members():
@@ -352,7 +368,7 @@ def _dense_sweep(v, n):
     dephased stack validated whole, its partial-transpose spectra through
     the component search, and the decomposition rebuilt as a dense matrix."""
     pure = linalg.validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
-    dephased = linalg.validate_density_stack(gaussian._dephase(pure, np.arange(n * n), n))
+    dephased = linalg.validate_density_stack(gaussian._dephase(pure, n))
     weights, xi = gaussian._decompose(pure, n)
     rec = gaussian._separable_sum(weights, np.broadcast_to(np.eye(n), xi.shape), xi)
     return gaussian._min_pt_eigenvalues(dephased, n), np.max(np.abs(rec - dephased), axis=(1, 2))
