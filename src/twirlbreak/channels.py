@@ -61,7 +61,7 @@ class KrausChannel:
 
     def __post_init__(self):
         ops = np.asarray(self.operators, dtype=complex)
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.size == 0:
             raise ValueError("need a non-empty stack of same-shape square Kraus operators")
         object.__setattr__(self, "operators", ops)
         s = np.einsum("kba,kbc->ac", ops.conj(), ops)

@@ -13,11 +13,33 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from . import channels, gaussian, states, twirl, verification
-from .linalg import PSD_TOL, DensityOperator, frobenius_distance, negativity, negativity_from_spectrum
+from .linalg import (
+    PSD_TOL,
+    DensityOperator,
+    frobenius_distance,
+    hermitian_eigenvalues,
+    negativity,
+    negativity_from_spectrum,
+    partial_transpose,
+)
 
 
 class ConfigError(ValueError):
     """Raised on malformed configs or channel files (CLI exit code 2)."""
+
+
+def _read_object(path: str, what: str) -> dict:
+    """The JSON object in the file at path; a file that cannot be read or
+    parsed, or that holds anything but an object, is a ConfigError naming
+    what the file is (a config, a channel file)."""
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return raw
 
 
 @dataclass
@@ -30,14 +52,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, scenario: str, path: str) -> "ExperimentConfig":
-        try:
-            with open(path) as f:
-                raw = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
-        return cls(scenario=scenario, params=raw)
+        return cls(scenario=scenario, params=_read_object(path, "config"))
 
     def get(self, key, default=None):
         self._read.add(key)
@@ -76,12 +91,17 @@ class ResultRow:
             raise ValueError("residuals must be nonnegative")
 
 
-def _probability_vector(cfg: ExperimentConfig) -> channels.ProbabilityVector:
-    p = cfg.require("p")
+def _pauli_vector(value, key: str) -> channels.ProbabilityVector:
+    """The Pauli probability vector (p_I, p_X, p_Y, p_Z) that the value of
+    key holds, a list of 4 numbers: a pauli config's p or a channel file's
+    pauli_p."""
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
+        raise ConfigError(f"{key} must be a list of 4 Pauli probabilities, got {value!r}")
+    entries = tuple(_number(x, f"{key} entry") for x in value)
     try:
-        return channels.ProbabilityVector(tuple(p))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid probability vector: {exc}") from exc
+        return channels.ProbabilityVector(entries)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {key}: {exc}") from exc
 
 
 def _number(value, key: str, integer: bool = False, minimum: int | None = None):
@@ -121,19 +141,18 @@ def _seed_and_samples(cfg: ExperimentConfig) -> tuple[int, int]:
 
 
 def run_pauli_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
-    p = _probability_vector(cfg)
-    if len(p) != 4:
-        raise ConfigError("pauli scenario needs a 4-entry probability vector")
+    p = _pauli_vector(cfg.require("p"), "p")
     gammas = _grid(cfg, "gamma_grid")
     cfg.reject_unread()
-    if max(p.p) > 0.5 + 1e-12:
-        print(
-            f"warning: max p_k = {max(p.p)} > 1/2, single transmission is NOT entanglement-breaking",
-            file=sys.stderr,
-        )
     single = channels.local_depolarizing(p)
     double = channels.correlated_pauli(p)
+    # the warning and every row's eb_verdict read one Choi PPT test
     eb, _ = channels.is_entanglement_breaking(single)
+    if not eb:
+        print(
+            f"warning: single transmission is NOT entanglement-breaking (Choi state NPT, max p_k = {max(p.p)})",
+            file=sys.stderr,
+        )
     rows = []
     for gamma in gammas:
         try:
@@ -181,11 +200,15 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         # single transmission leaves the product form I/d x Tr_A rho, for every d
         single_out = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
         single_neg = negativity(DensityOperator(single_out, d, d))
-        neg_double = negativity(double)
+        # the negativity and the PPT verdict (least eigenvalue >= -PSD_TOL,
+        # the rule of is_ppt) read one partial-transpose spectrum
+        pt_spectrum = hermitian_eigenvalues(partial_transpose(double))
+        neg_double = negativity_from_spectrum(pt_spectrum)
+        ppt = pt_spectrum[0] >= -PSD_TOL
         if d <= 2:
-            verdict = "EB" if neg_double <= PSD_TOL else "entanglement preserved"
+            verdict = "EB" if ppt else "entanglement preserved"
         else:
-            verdict = "PPT" if neg_double <= PSD_TOL else "NPT (entanglement preserved)"
+            verdict = "PPT" if ppt else "NPT (entanglement preserved)"
         rows.append(
             ResultRow(
                 scenario="qudit-twirl",
@@ -288,34 +311,18 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
 
 
 def load_channel_file(path: str) -> channels.KrausChannel:
-    """Parse the channel-description document: {"kraus": [...]} (matrices as
-    nested [re, im] pairs, row-major, acting on one system) or
-    {"pauli_p": [p0, p1, p2, p3]}."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read channel file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("channel file must be a JSON object")
+    """Parse the channel-description document, which holds exactly one key:
+    {"kraus": [...]} (matrices as nested [re, im] pairs, row-major, acting on
+    one system) or {"pauli_p": [p0, p1, p2, p3]}."""
+    doc = _read_object(path, "channel file")
+    if len(doc) != 1 or not doc.keys() <= {"kraus", "pauli_p"}:
+        raise ConfigError(f"channel file must hold exactly one key, 'kraus' or 'pauli_p', got {list(doc)}")
     if "pauli_p" in doc:
-        try:
-            p = channels.ProbabilityVector(tuple(doc["pauli_p"]))
-            return channels.local_depolarizing(p)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid pauli_p: {exc}") from exc
-    if "kraus" in doc:
-        try:
-            ops = np.array([[[complex(re, im) for re, im in row] for row in m] for m in doc["kraus"]])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed kraus matrices: {exc}") from exc
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or ops.shape[1] == 0:
-            raise ConfigError("kraus must be a non-empty list of same-shape square matrices")
-        try:
-            return channels.KrausChannel(ops)
-        except ValueError as exc:
-            raise ConfigError(f"invalid Kraus channel: {exc}") from exc
-    raise ConfigError("channel file must contain 'kraus' or 'pauli_p'")
+        return channels.local_depolarizing(_pauli_vector(doc["pauli_p"], "pauli_p"))
+    try:
+        return channels.KrausChannel([[[complex(re, im) for re, im in row] for row in m] for m in doc["kraus"]])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid kraus: {exc}") from exc
 
 
 def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -401,11 +408,7 @@ def dumps_document(doc: dict) -> str:
 def _csv_cell(v) -> str:
     if v is None:
         return ""  # the scenario does not measure this field
-    if isinstance(v, str):
-        return v
-    if isinstance(v, dict):
-        return json.dumps(v, default=float)
-    return format(v, ".17g")
+    return v if isinstance(v, str) else _fmt_value(v)
 
 
 def write_csv(rows: list[ResultRow], path: str) -> None:

@@ -262,15 +262,17 @@ def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
     size = _conjugate_sum_work(len(a), len(b), da, db)
     a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
     root_w = np.sqrt(weights)
-    step = _two_sided_step(k, d)
     if work is None:
         work = np.empty(size, dtype=complex)
+    chunks = _chunk_lengths(k, d * d)
+    step = max(chunks, default=0)  # the first chunk, the longest
     ends = np.cumsum([step * d * d, step * d * d, step * da * da])
     kt_buf, y_buf, a_buf, b_buf = np.split(work[:size], ends)
     out = np.zeros((d, d), dtype=complex)
-    for s in range(0, k, step):
-        chunk = slice(s, s + step)
-        m = min(step, k - s)
+    s = 0
+    for m in chunks:
+        chunk = slice(s, s + m)
+        s += m
         # kt[i, j, i', j', n] = sqrt(w_n) A_n[i, i'] B_n[j, j'], the term index
         # innermost, so the broadcast multiply runs along the terms
         a_t, b_t = a_buf[: m * da * da].reshape(da, da, m), b_buf[: m * db * db].reshape(db, db, m)
@@ -292,12 +294,6 @@ def _one_sided(ka: int, kb: int, da: int, db: int) -> bool:
     return min(ka, kb) == 1 and 16 * max(da, db) ** 4 <= CONJUGATE_SUM_CHUNK_BYTES
 
 
-def _two_sided_step(k: int, d: int) -> int:
-    """Terms per chunk of conjugate_sum's two-sided route, for k terms and
-    D = d: as many D x D products as fit in CONJUGATE_SUM_CACHE_BYTES."""
-    return min(k, max(1, CONJUGATE_SUM_CACHE_BYTES // (16 * d * d)))
-
-
 def _conjugate_sum_work(ka: int, kb: int, da: int, db: int) -> int:
     """Complex entries of scratch that conjugate_sum uses for stacks of ka and
     kb matrices of sizes d_A and d_B: none on the one-sided route; on the
@@ -307,7 +303,7 @@ def _conjugate_sum_work(ka: int, kb: int, da: int, db: int) -> int:
     if _one_sided(ka, kb, da, db):
         return 0
     d = da * db
-    return _two_sided_step(max(ka, kb), d) * (2 * d * d + da * da + db * db)
+    return max(_chunk_lengths(max(ka, kb), d * d), default=0) * (2 * d * d + da * da + db * db)
 
 
 def _superoperator(g, weights) -> np.ndarray:

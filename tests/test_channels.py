@@ -56,6 +56,13 @@ class TestKrausChannel:
         with pytest.raises(ValueError, match="completeness"):
             KrausChannel((0.9 * np.eye(2),))
 
+    @pytest.mark.parametrize(
+        "shape", [(0, 2, 2), (1, 0, 0), (2, 2), (1, 2, 3)], ids=["no-ops", "dim-0", "2d", "non-square"]
+    )
+    def test_rejects_bad_shape(self, shape):
+        with pytest.raises(ValueError, match="non-empty stack of same-shape square"):
+            KrausChannel(np.zeros(shape))
+
     def test_identity_channel(self):
         ch = KrausChannel((np.eye(2),))
         rho = werner_qubit(0.5)

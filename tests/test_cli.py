@@ -14,8 +14,8 @@ import pytest
 import twirlbreak
 from twirlbreak import experiments, gaussian, twirl
 from twirlbreak.cli import main
-from twirlbreak.experiments import ExperimentConfig, dumps_document, run_qudit_scenario
-from twirlbreak.linalg import DensityOperator, frobenius_distance, negativity, partial_transpose_mat
+from twirlbreak.experiments import ExperimentConfig, dumps_document, run_pauli_scenario, run_qudit_scenario
+from twirlbreak.linalg import PSD_TOL, DensityOperator, frobenius_distance, is_ppt, negativity, partial_transpose_mat
 from twirlbreak.states import isotropic, max_entangled_mat, werner_multi
 from twirlbreak.twirl import HaarSampler, mc_twirl
 
@@ -152,6 +152,34 @@ class TestScenarios:
             product = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
             assert row.single_transmission_negativity == negativity(DensityOperator(product, d, d))
 
+    @pytest.mark.parametrize(
+        "p, warned, verdict",
+        [
+            # max p is 5e-11 above 1/2, yet the Choi PT's least eigenvalue is within PSD_TOL
+            ([0.50000000005, 0.16666666665, 0.16666666665, 0.16666666665], False, "EB"),
+            ([0.6, 0.13333333333333333, 0.13333333333333333, 0.13333333333333334], True, "NOT-EB"),
+        ],
+        ids=["max-p-just-above-half", "max-p-0.6"],
+    )
+    def test_pauli_warning_follows_the_verdict(self, capsys, p, warned, verdict):
+        rows = run_pauli_scenario(ExperimentConfig("pauli", {"p": p, "gamma_grid": [0.5]}))
+        err = capsys.readouterr().err
+        assert ("NOT entanglement-breaking" in err) == warned
+        assert [r.eb_verdict for r in rows] == [verdict]
+
+    def test_qudit_verdict_is_the_ppt_test(self):
+        # the twirled isotropic state's partial transpose has three eigenvalues
+        # of about -5e-11 here: negativity 1.5e-10 > PSD_TOL, least eigenvalue
+        # within it, so the state is PPT by the rule of is_ppt
+        d, value = 3, 0.2500000001125
+        cfg = ExperimentConfig("qudit-twirl", {"d": d, "mode": "uustar", "param_grid": [value], "mc_samples": 100})
+        (row,) = run_qudit_scenario(cfg)
+        double = twirl.twirl_exact(isotropic(d, value), "uustar")
+        assert row.double_transmission_negativity == negativity(double)
+        assert row.double_transmission_negativity > PSD_TOL
+        assert is_ppt(double)
+        assert row.eb_verdict == "PPT"
+
     def test_bosonic_family_row_is_measured(self, capsys):
         code, out, _ = _run(capsys, "bosonic", "--config", f"{CONFIG_DIR}/bosonic.json")
         assert code == 0
@@ -167,6 +195,15 @@ class TestScenarios:
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"][0]["eb_verdict"] in ("EB", "NOT-EB")
+
+    def test_eb_test_on_the_boundary_channel(self, capsys, tmp_path):
+        # max p = 1/2, the threshold: the Choi state is PPT, least PT eigenvalue 0 up to rounding
+        cfg = _write(tmp_path, "cfg.json", {"channel_file": f"{CONFIG_DIR}/channel_eb_boundary.json"})
+        code, out, _ = _run(capsys, "eb-test", "--config", cfg)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert row["eb_verdict"] == "EB"
+        assert min(row["params"]["witness_spectrum"]) >= -PSD_TOL
 
     def test_verify_scenario(self, capsys):
         code, out, _ = _run(capsys, "verify", "--config", f"{CONFIG_DIR}/verify.json")
@@ -242,6 +279,28 @@ class TestOutputs:
             rows = list(csv.DictReader(f))
         assert rows and rows[0]["scenario"] == "pauli"
         assert float(rows[0]["single_transmission_negativity"]) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "scenario, config",
+        [("pauli", "pauli"), ("qudit-twirl", "qudit_isotropic_d3"), ("bosonic", "bosonic"), ("eb-test", "eb_test")],
+    )
+    def test_csv_cells_are_the_document_text(self, capsys, tmp_path, scenario, config):
+        # every number, the params cell's included, is written by the document's writer
+        path = str(tmp_path / "rows.csv")
+        code, out, _ = _run(capsys, scenario, "--config", f"{CONFIG_DIR}/{config}.json", "--csv", path)
+        assert code == 0
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == len(json.loads(out)["rows"])
+        for row in rows:
+            for name in ("params", "single_transmission_negativity", "double_transmission_negativity",
+                         "invariance_residual"):
+                if row[name]:
+                    assert f'"{name}": {row[name]}' in out
+
+    def test_csv_rejects_non_finite_params(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            experiments._csv_cell({"mu": float("nan")})
 
     def test_mc_samples_override(self, capsys, tmp_path):
         path = str(tmp_path / "fast.json")
@@ -433,8 +492,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "channel",
-        [{"kraus": []}, 7, {"pauli_p": 0.5}],
-        ids=["empty-kraus", "not-an-object", "scalar-pauli-p"],
+        [{"kraus": []}, 7, {"pauli_p": 0.5}, {"pauli_p": "1000"}, {"pauli_p": [True, False, False, False]}],
+        ids=["empty-kraus", "not-an-object", "scalar-pauli-p", "string-pauli-p", "bool-pauli-p"],
     )
     def test_bad_channel_file_is_config_error(self, capsys, tmp_path, channel):
         chan = _write(tmp_path, "chan.json", channel)
@@ -442,6 +501,37 @@ class TestExitCodes:
         code, _, err = _run(capsys, "eb-test", "--config", cfg)
         assert code == 2
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            {"pauli_p": [0.4, 0.2, 0.2, 0.2], "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+            {"pauli_p": [0.4, 0.2, 0.2, 0.2], "note": "x"},
+            {"pauli": [0.4, 0.2, 0.2, 0.2]},
+            {},
+        ],
+        ids=["both-keys", "extra-key", "misspelt-key", "no-key"],
+    )
+    def test_channel_file_holds_exactly_one_key(self, capsys, tmp_path, channel):
+        chan = _write(tmp_path, "chan.json", channel)
+        cfg = _write(tmp_path, "cfg.json", {"channel_file": chan})
+        code, out, err = _run(capsys, "eb-test", "--config", cfg)
+        assert code == 2
+        assert "config error: channel file must hold exactly one key" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("key", ["p", "pauli_p"])
+    @pytest.mark.parametrize("value", [[0.5, 0.5], [0.2] * 5], ids=["two", "five"])
+    def test_pauli_vector_needs_4_entries(self, capsys, tmp_path, key, value):
+        # one parser reads a pauli config's p and a channel file's pauli_p
+        if key == "p":
+            cfg = _write(tmp_path, "cfg.json", {"p": value, "gamma_grid": [0.5]})
+            code, _, err = _run(capsys, "pauli", "--config", cfg)
+        else:
+            cfg = _write(tmp_path, "cfg.json", {"channel_file": _write(tmp_path, "chan.json", {key: value})})
+            code, _, err = _run(capsys, "eb-test", "--config", cfg)
+        assert code == 2
+        assert f"config error: {key} must be a list of 4 Pauli probabilities, got {value!r}" in err
 
     @pytest.mark.parametrize("path", [0, True, ["a"]], ids=["zero", "true", "list"])
     def test_non_string_channel_file_is_config_error(self, capsys, tmp_path, path):
@@ -488,11 +578,13 @@ class TestExitCodes:
             ("bosonic", {"mu_grid": [1.0], "fock_cutoff": "x"}),
             ("verify", {"seed": 1.5}),
             ("verify", {"mc_samples": False}),
+            ("pauli", {"p": ["0.25", 0.25, 0.25, 0.25], "gamma_grid": [0.5]}),
+            ("pauli", {"p": [True, False, False, False], "gamma_grid": [0.5]}),
         ],
         ids=[
             "grid-entry", "d-string", "d-non-integral", "d-bool", "grid-null", "seed-string",
             "seed-negative", "mc-samples-zero", "fock-cutoff-string",
-            "verify-seed-non-integral", "mc-samples-bool",
+            "verify-seed-non-integral", "mc-samples-bool", "p-string-entry", "p-bool-entry",
         ],
     )
     def test_wrong_value_type_is_config_error(self, capsys, tmp_path, scenario, payload):
@@ -619,3 +711,11 @@ class TestExitCodes:
     def test_unknown_scenario_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["no-such-scenario", "--config", "x.json"])
+
+
+def test_every_config_is_named():
+    # an example config that no test, benchmark workload or other config
+    # names by its file name is one that nothing runs
+    readers = [*ROOT.glob("tests/*.py"), ROOT / "perfbench" / "workloads.py", *ROOT.glob("configs/*")]
+    for config in sorted(ROOT.glob("configs/*")):
+        assert any(config.name in path.read_text() for path in readers if path != config), config.name

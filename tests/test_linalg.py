@@ -289,7 +289,7 @@ class TestConjugateSum:
         # several two-sided chunks of terms plus a tail, worked in a scratch
         # filled with NaN so that an entry read before it is written shows
         d = da * db
-        k = 2 * linalg._two_sided_step(10**6, d) + 5
+        k = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 5
         rng = np.random.default_rng(36)
         a, b = HaarSampler(37, da).sample_batch(k), HaarSampler(38, db).sample_batch(k).conj()
         w = rng.dirichlet(np.ones(k))
