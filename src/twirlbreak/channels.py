@@ -10,7 +10,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    PSD_TOL,
     DensityOperator,
     as_unitary_stack,
     conjugate_sum,
@@ -19,6 +18,7 @@ from .linalg import (
     partial_trace_multi,
     partial_transpose_mat,
     permute_subsystems,
+    ppt_from_spectrum,
     validate_density_stack,
 )
 from .twirl import partial_twirl_exact_mat
@@ -163,23 +163,12 @@ def choi_pt_spectra(operators) -> np.ndarray:
     return hermitian_eigenvalues(partial_transpose_mat(choi_states(operators), d, d))
 
 
-def choi_test(ch: KrausChannel):
-    """Choi test: apply the channel, as E x I on a d x d space, to the
-    maximally entangled state and check PPT to PSD_TOL.
-
-    Returns (choi_matrix, ppt_verdict, witness_spectrum).  For d = 2 the PPT
-    verdict decides entanglement breaking exactly; for d >= 3 it is only the
-    necessary PPT/NPT statement.
-    """
-    choi = choi_states(ch.operators[None])[0]
-    spec = hermitian_eigenvalues(partial_transpose_mat(choi, ch.dim, ch.dim))
-    return choi, bool(spec[0] >= -PSD_TOL), spec
-
-
 def is_entanglement_breaking(ch: KrausChannel):
-    """(ppt_verdict, witness_spectrum) of choi_test(ch)."""
-    _, ppt, spec = choi_test(ch)
-    return ppt, spec
+    """The Choi test: (PPT verdict, ascending partial-transpose spectrum) of
+    the channel's Choi state.  For d = 2 the PPT verdict decides entanglement
+    breaking exactly; for d >= 3 it is only the necessary PPT/NPT statement."""
+    spec = choi_pt_spectra(ch.operators[None])[0]
+    return bool(ppt_from_spectrum(spec)), spec
 
 
 def is_product_form(mat: np.ndarray, dims) -> bool:

@@ -10,8 +10,9 @@ Usage (each subcommand takes only the flags it reads):
 --seed, --mc-samples and --fock-cutoff override the config key of the same
 name (seed, mc_samples, fock_cutoff).
 
-Exit codes: 0 success, 1 verification failure, 2 config/parse error or an
-output file that cannot be written.
+Exit codes: 0 success, 1 verification failure (a gate that fails, or a check
+group that raises: `verify` prints it as ERROR and runs the other groups),
+2 config/parse error or an output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -102,12 +103,14 @@ def main(argv=None) -> int:
         if args.scenario == "verify":
             doc = runner(cfg)
             _emit(dumps_document(doc), args.out)
-            failed = [c for c in doc["checks"] if not c["passed"]]
-            for c in failed:
-                print(
-                    f"FAIL {c['name']}: residual {c['residual']:.3e} > tol {c['tolerance']:.3e}",
-                    file=sys.stderr,
-                )
+            for c in doc["checks"]:
+                if "error" in c:
+                    print(f"ERROR {c['name']}: {c['error']}", file=sys.stderr)
+                elif not c["passed"]:
+                    print(
+                        f"FAIL {c['name']}: residual {c['residual']:.3e} > tol {c['tolerance']:.3e}",
+                        file=sys.stderr,
+                    )
             return 0 if doc["all_passed"] else 1
         rows = runner(cfg)
         doc = rows_to_document(rows, args.scenario, cfg.params)

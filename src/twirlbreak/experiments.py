@@ -7,6 +7,7 @@ import csv
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
@@ -14,13 +15,13 @@ import numpy as np
 
 from . import channels, gaussian, states, twirl, verification
 from .linalg import (
-    PSD_TOL,
     DensityOperator,
     frobenius_distance,
     hermitian_eigenvalues,
     negativity,
     negativity_from_spectrum,
     partial_transpose,
+    ppt_from_spectrum,
 )
 
 
@@ -49,10 +50,14 @@ class ExperimentConfig:
     scenario: str
     params: dict = field(default_factory=dict)
     _read: set = field(default_factory=set, init=False, repr=False, compare=False)
+    # the directory of the config file, which relative paths in it are read against
+    _dir: str = field(default="", init=False, repr=False, compare=False)
 
     @classmethod
     def from_file(cls, scenario: str, path: str) -> "ExperimentConfig":
-        return cls(scenario=scenario, params=_read_object(path, "config"))
+        cfg = cls(scenario=scenario, params=_read_object(path, "config"))
+        cfg._dir = os.path.dirname(path)
+        return cfg
 
     def get(self, key, default=None):
         self._read.add(key)
@@ -200,15 +205,8 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         # single transmission leaves the product form I/d x Tr_A rho, for every d
         single_out = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
         single_neg = negativity(DensityOperator(single_out, d, d))
-        # the negativity and the PPT verdict (least eigenvalue >= -PSD_TOL,
-        # the rule of is_ppt) read one partial-transpose spectrum
+        # the negativity and the PPT verdict read one partial-transpose spectrum
         pt_spectrum = hermitian_eigenvalues(partial_transpose(double))
-        neg_double = negativity_from_spectrum(pt_spectrum)
-        ppt = pt_spectrum[0] >= -PSD_TOL
-        if d <= 2:
-            verdict = "EB" if ppt else "entanglement preserved"
-        else:
-            verdict = "PPT" if ppt else "NPT (entanglement preserved)"
         rows.append(
             ResultRow(
                 scenario="qudit-twirl",
@@ -220,9 +218,9 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                     "single_verdict": "separable (product form)",
                 },
                 single_transmission_negativity=single_neg,
-                double_transmission_negativity=neg_double,
+                double_transmission_negativity=negativity_from_spectrum(pt_spectrum),
                 invariance_residual=residual,
-                eb_verdict=verdict,
+                eb_verdict="PPT" if ppt_from_spectrum(pt_spectrum) else "NPT (entanglement preserved)",
             )
         )
     return rows
@@ -269,9 +267,8 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         # other eigenvalues of the output's partial transpose are exact zeros
         _, tmsv = gaussian.tmsv_support(lam, n_fock)
         _, spectra = gaussian.dephased_blocks(tmsv[None], n_fock)
-        # one solve gives both the least PT eigenvalue and the negativity
+        # one solve gives the least PT eigenvalue, the negativity and the PPT verdict
         pt_spectrum = np.sort(np.concatenate([spectra.ravel(), np.zeros(n_fock * (n_fock - 1))]))
-        min_pt = float(pt_spectrum[0])
         rows.append(
             ResultRow(
                 scenario="bosonic",
@@ -280,12 +277,12 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                     "mode": "anticorrelated",
                     "fock_cutoff": n_fock,
                     "pt_symplectic_min": nu_min,
-                    "dephased_min_pt_eigenvalue": min_pt,
+                    "dephased_min_pt_eigenvalue": float(pt_spectrum[0]),
                 },
                 single_transmission_negativity=negativity_from_spectrum(pt_spectrum),
                 double_transmission_negativity=double_neg,
                 invariance_residual=residual,
-                eb_verdict="EB (dephased output PPT)" if min_pt >= -PSD_TOL else "NOT-EB",
+                eb_verdict="EB (dephased output PPT)" if ppt_from_spectrum(pt_spectrum) else "NOT-EB",
             )
         )
     # correlated environment: the whole invariant family is separable
@@ -330,23 +327,20 @@ def run_eb_test(cfg: ExperimentConfig) -> list[ResultRow]:
     if not isinstance(path, str):
         raise ConfigError(f"channel_file must be a string path, got {path!r}")
     cfg.reject_unread()
-    ch = load_channel_file(path)
+    ch = load_channel_file(os.path.join(cfg._dir, path))
     d = ch.dim
-    # the PPT verdict and the product-form test read one Choi state
-    choi, ppt, spec = channels.choi_test(ch)
-    product = channels.is_product_form(choi, (d, d))
-    if product:
+    ppt, spec = channels.is_entanglement_breaking(ch)
+    if channels.is_product_form(channels.choi_states(ch.operators[None])[0], (d, d)):
         verdict = "EB (product form)"
     elif d == 2:
         verdict = "EB" if ppt else "NOT-EB"
     else:
         verdict = "PPT" if ppt else "NPT"
-    neg = negativity_from_spectrum(spec)
     return [
         ResultRow(
             scenario="eb-test",
             params={"d": d, "witness_spectrum": [float(x) for x in spec]},
-            single_transmission_negativity=neg,
+            single_transmission_negativity=negativity_from_spectrum(spec),
             double_transmission_negativity=None,
             invariance_residual=None,
             eb_verdict=verdict,
@@ -362,8 +356,10 @@ def run_verify(cfg: ExperimentConfig) -> dict:
         "scenario": "verify",
         "seed": vcfg.seed,
         "mc_samples": vcfg.mc_samples,
+        # a group that raised has an error entry, which a passing run never has
         "checks": [
             {"name": r.name, "passed": r.passed, "residual": r.residual, "tolerance": r.tolerance}
+            | ({} if r.error is None else {"error": r.error})
             for r in results
         ],
         "all_passed": all(r.passed for r in results),

@@ -402,6 +402,13 @@ def negativity(rho: DensityOperator) -> float:
     return negativity_from_spectrum(hermitian_eigenvalues(partial_transpose(rho)))
 
 
+def ppt_from_spectrum(spectra):
+    """The PPT verdict read off an ascending partial-transpose spectrum already
+    computed, or off each of a (m, D) stack of them: least eigenvalue >=
+    -PSD_TOL, the rule that is_ppt certifies without a spectrum."""
+    return np.asarray(spectra)[..., 0] >= -PSD_TOL
+
+
 def negativity_from_spectrum(spectrum) -> float:
     """The negativity read off a partial-transpose spectrum already computed."""
     ev = np.asarray(spectrum)

@@ -8,15 +8,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, gaussian, states, twirl
-from .linalg import PSD_TOL, _chunk_lengths, conjugate_sum, frobenius_distance, negativity
+from .linalg import _chunk_lengths, conjugate_sum, frobenius_distance, negativity, ppt_from_spectrum
 
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One gate; or, with error set, a check group that raised, named by its
+    ALL_CHECKS name, failed, with no residual or tolerance."""
+
     name: str
     passed: bool
-    residual: float
-    tolerance: float
+    residual: float | None
+    tolerance: float | None
+    error: str | None = None
 
 
 @dataclass
@@ -51,7 +55,7 @@ def check_eb_threshold(cfg: VerifyConfig) -> list[CheckResult]:
     p = np.random.default_rng(cfg.seed).dirichlet(np.ones(4), size=200)
     spec = channels.choi_pt_spectra(channels.local_depolarizing_kraus(p))
     predicted = np.max(p, axis=1) <= 0.5 + 1e-12
-    verdicts_ok = bool(np.array_equal(spec[:, 0] >= -PSD_TOL, predicted))
+    verdicts_ok = bool(np.array_equal(ppt_from_spectrum(spec), predicted))
     worst = float(np.max(np.abs(spec - np.sort(0.5 - p, axis=1))))
     return [_result("eb-threshold", worst, 1e-10, verdicts_ok)]
 
@@ -270,7 +274,12 @@ ALL_CHECKS = (
 
 
 def run_all(cfg: VerifyConfig) -> list[CheckResult]:
+    """Every gate of ALL_CHECKS in order; a group that raises is reported as
+    one failed result carrying the exception, and the groups after it run."""
     results = []
-    for _, fn in ALL_CHECKS:
-        results.extend(fn(cfg))
+    for group, fn in ALL_CHECKS:
+        try:
+            results.extend(fn(cfg))
+        except Exception as exc:
+            results.append(CheckResult(group, False, None, None, f"{type(exc).__name__}: {exc}"))
     return results

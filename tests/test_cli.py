@@ -12,10 +12,18 @@ import numpy as np
 import pytest
 
 import twirlbreak
-from twirlbreak import experiments, gaussian, twirl
+from twirlbreak import channels, experiments, gaussian, twirl
 from twirlbreak.cli import main
 from twirlbreak.experiments import ExperimentConfig, dumps_document, run_pauli_scenario, run_qudit_scenario
-from twirlbreak.linalg import PSD_TOL, DensityOperator, frobenius_distance, is_ppt, negativity, partial_transpose_mat
+from twirlbreak.linalg import (
+    PSD_TOL,
+    DensityOperator,
+    frobenius_distance,
+    is_ppt,
+    negativity,
+    partial_transpose_mat,
+    validate_density_stack,
+)
 from twirlbreak.states import isotropic, max_entangled_mat, werner_multi
 from twirlbreak.twirl import HaarSampler, mc_twirl
 
@@ -180,6 +188,16 @@ class TestScenarios:
         assert is_ppt(double)
         assert row.eb_verdict == "PPT"
 
+    def test_qubit_verdict_is_the_ppt_test(self):
+        # d = 2 reads the verdict of every d: the field names the twirled
+        # state's separability, not a channel property
+        grid = [-1.0, 0.5]
+        cfg = ExperimentConfig("qudit-twirl", {"d": 2, "mode": "uu", "param_grid": grid, "mc_samples": 100})
+        rows = run_qudit_scenario(cfg)
+        assert [row.eb_verdict for row in rows] == ["NPT (entanglement preserved)", "PPT"]
+        for row, value in zip(rows, grid):
+            assert is_ppt(twirl.twirl_exact(werner_multi(2, value), "uu")) == (row.eb_verdict == "PPT")
+
     def test_bosonic_family_row_is_measured(self, capsys):
         code, out, _ = _run(capsys, "bosonic", "--config", f"{CONFIG_DIR}/bosonic.json")
         assert code == 0
@@ -198,12 +216,22 @@ class TestScenarios:
 
     def test_eb_test_on_the_boundary_channel(self, capsys, tmp_path):
         # max p = 1/2, the threshold: the Choi state is PPT, least PT eigenvalue 0 up to rounding
-        cfg = _write(tmp_path, "cfg.json", {"channel_file": f"{CONFIG_DIR}/channel_eb_boundary.json"})
+        cfg = _write(tmp_path, "cfg.json", {"channel_file": str(ROOT / "configs" / "channel_eb_boundary.json")})
         code, out, _ = _run(capsys, "eb-test", "--config", cfg)
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert row["eb_verdict"] == "EB"
         assert min(row["params"]["witness_spectrum"]) >= -PSD_TOL
+
+    def test_eb_test_reads_its_channel_file_from_any_directory(self, capsys, tmp_path, monkeypatch):
+        # channel_file is resolved against the config's directory, not the working one
+        monkeypatch.chdir(ROOT)
+        _, want, _ = _run(capsys, "eb-test", "--config", f"{CONFIG_DIR}/eb_test.json")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, "eb-test", "--config", str(ROOT / "configs" / "eb_test.json"))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rows"] == json.loads(want)["rows"]
+        assert json.loads(out)["rows"][0]["eb_verdict"] == "NOT-EB"
 
     def test_verify_scenario(self, capsys):
         code, out, _ = _run(capsys, "verify", "--config", f"{CONFIG_DIR}/verify.json")
@@ -211,6 +239,28 @@ class TestScenarios:
         doc = json.loads(out)
         assert doc["all_passed"] is True
         assert all(c["passed"] for c in doc["checks"])
+
+
+    def test_verify_reports_a_check_that_raises(self, capsys, monkeypatch, tmp_path):
+        # Choi states without their 1/d fail validation inside eb-threshold
+        def unnormalised(operators):
+            vecs = np.asarray(operators, dtype=complex).reshape(np.shape(operators)[:2] + (-1,))
+            return validate_density_stack(vecs.swapaxes(-1, -2) @ vecs.conj())
+
+        monkeypatch.setattr(channels, "choi_states", unnormalised)
+        out = tmp_path / "verify.json"
+        code, stdout, err = _run(capsys, "verify", "--config", f"{CONFIG_DIR}/verify.json", "--out", str(out))
+        message = "ValueError: density matrix does not have unit trace"
+        assert (code, stdout, err) == (1, "", f"ERROR eb-threshold: {message}\n")
+        doc = json.loads(out.read_text())
+        assert doc["all_passed"] is False
+        assert doc["checks"][0] == {
+            "name": "eb-threshold", "passed": False, "residual": None, "tolerance": None, "error": message
+        }
+        # the groups after it still ran, and passed
+        golden = json.loads((ROOT / "tests" / "golden" / "verify.json").read_text())
+        assert [c["name"] for c in doc["checks"]] == [c["name"] for c in golden["checks"]]
+        assert all(c["passed"] and "error" not in c for c in doc["checks"][1:])
 
 
 class TestOutputs:

@@ -2,7 +2,8 @@
 a deletion cannot leave a dead import behind.  __init__.py is exempt, since
 its imports are the package's re-exports.  Every private name a package
 module defines at its top level is read by some package module: a deleted
-route cannot leave its helper behind as code that only the tests call."""
+route cannot leave its helper behind as code that only the tests call.  Only
+linalg reads PSD_TOL: every PSD and PPT verdict is one linalg rule."""
 
 import ast
 from pathlib import Path
@@ -73,6 +74,11 @@ def test_no_unused_relative_import(path):
 def test_detects_an_unread_private_definition():
     tree = ast.parse("_A = 1\n_B: int = 2\n\ndef _f():\n    return _A\n\nclass _C:\n    pass\n")
     assert [name for name in _private_definitions(tree) if name not in _reads(tree)] == ["_B", "_f", "_C"]
+
+
+def test_only_linalg_reads_the_psd_tolerance():
+    readers = [path.name for path in PACKAGE if "PSD_TOL" in _reads(ast.parse(path.read_text()))]
+    assert readers == ["linalg.py"]
 
 
 def test_every_private_definition_is_read_by_the_package():

@@ -534,6 +534,15 @@ class TestPsdCertificate:
         least = np.linalg.eigvalsh(partial_transpose(rho))[0]
         assert abs(least - target) < 1e-13
         assert is_ppt(rho) == (least >= -linalg.PSD_TOL)
+        assert linalg.ppt_from_spectrum(hermitian_eigenvalues(partial_transpose(rho))) == is_ppt(rho)
+
+    def test_ppt_from_spectrum_at_the_tolerance(self):
+        # exactly -PSD_TOL is PPT, the next float below it is not
+        at = np.array([-linalg.PSD_TOL, 0.5, 0.5 + linalg.PSD_TOL])
+        below = np.array([np.nextafter(-linalg.PSD_TOL, -np.inf), 0.5, 0.5 + linalg.PSD_TOL])
+        assert linalg.ppt_from_spectrum(at)
+        assert not linalg.ppt_from_spectrum(below)
+        assert np.array_equal(linalg.ppt_from_spectrum(np.stack([at, below, at])), [True, False, True])
 
     def test_validation_and_is_ppt_solve_no_spectrum(self, monkeypatch):
         # a dense state, one with a 3x3 block and six 1x1 blocks, and a

@@ -2,14 +2,15 @@
 
 Each case rewrites one line of a package function (linalg.conjugate_sum or
 the superoperator behind its one-sided route, the dephasing rule
-gaussian.dephased_blocks, the exact partial twirl), installs the rewritten
-function wherever the package imported the original, and runs only the
-check groups of verification.ALL_CHECKS it targets: some other groups raise
-on a broken kernel before they report (a member that is not a density
-matrix), which says nothing about the gates.  The named gates must each
-fail; on the code as written they pass (tests/test_acceptance.py).  The
-Pauli dilation gate is not named for a dropped conjugate: every P x P is
-real, so it passes that defect.
+gaussian.dephased_blocks, the exact partial twirl, the Choi states),
+installs the rewritten function wherever the package imported the original,
+and runs, through verification.run_all, only the check groups of
+ALL_CHECKS it targets, to keep the cases fast.  The named gates must each
+fail; on the code as written they pass (tests/test_acceptance.py).  A group
+that raises on a defect (a member that is not a density matrix) is one
+failed result under the group's name, as `verify` reports it.  The Pauli
+dilation gate is not named for a dropped conjugate: every P x P is real, so
+it passes that defect.
 """
 
 import inspect
@@ -18,7 +19,7 @@ import textwrap
 
 import pytest
 
-from twirlbreak import gaussian, linalg, twirl, verification
+from twirlbreak import channels, gaussian, linalg, twirl, verification
 
 # (module, function, line as written, defective line, groups to run, gates that must fail)
 MUTANTS = {
@@ -86,6 +87,16 @@ MUTANTS = {
             "partial-haar-mc(d=3)",
         ],
     ),
+    # unnormalised Choi states fail validation, so the group raises and
+    # fails as a whole
+    "choi-states-without-1-over-d": (
+        channels,
+        "choi_states",
+        "@ vecs.conj() / d)",
+        "@ vecs.conj())",
+        ["eb-threshold"],
+        ["eb-threshold"],
+    ),
 }
 
 
@@ -102,15 +113,15 @@ def _install_mutant(monkeypatch, module, name, line, defect):
             monkeypatch.setattr(module, name, namespace[name])
 
 
-def _run_groups(groups):
+def _run_groups(monkeypatch, groups):
     checks = dict(verification.ALL_CHECKS)
-    cfg = verification.VerifyConfig()
-    return {r.name: r.passed for group in groups for r in checks[group](cfg)}
+    monkeypatch.setattr(verification, "ALL_CHECKS", tuple((group, checks[group]) for group in groups))
+    return {r.name: r.passed for r in verification.run_all(verification.VerifyConfig())}
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_verify_fails_the_mutant(monkeypatch, mutant):
     module, name, line, defect, groups, gates = MUTANTS[mutant]
     _install_mutant(monkeypatch, module, name, line, defect)
-    passed = _run_groups(groups)
+    passed = _run_groups(monkeypatch, groups)
     assert [gate for gate in gates if passed[gate]] == []

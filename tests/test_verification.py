@@ -215,6 +215,42 @@ def test_bosonic_rows_and_verify_share_the_dephasing_rule(monkeypatch):
     assert sum(shape[0] for shape, _ in shapes) == len(CUTOFFS) * POINTS
 
 
+def test_every_ppt_verdict_reads_the_linalg_rule(monkeypatch):
+    # the scenario rows and the EB-threshold gate take their PPT verdicts
+    # from linalg.ppt_from_spectrum, on the spectra they report
+    calls = []
+
+    def recorder(spectra):
+        out = linalg.ppt_from_spectrum(spectra)
+        calls.append((np.asarray(spectra), out))
+        return out
+
+    for module in (channels, experiments, verification):
+        monkeypatch.setattr(module, "ppt_from_spectrum", recorder)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+
+    def run(scenario, runner, config):
+        calls.clear()
+        return runner(experiments.ExperimentConfig.from_file(scenario, configs / config))
+
+    # pauli, through is_entanglement_breaking: one verdict for every row
+    rows = run("pauli", experiments.run_pauli_scenario, "pauli.json")
+    assert len(calls) == 1
+    assert {row.eb_verdict for row in rows} == {"EB" if calls[0][1] else "NOT-EB"}
+    rows = run("qudit-twirl", experiments.run_qudit_scenario, "qudit_werner_d3.json")
+    assert [row.eb_verdict for row in rows] == ["PPT" if out else "NPT (entanglement preserved)" for _, out in calls]
+    rows = [row for row in run("bosonic", experiments.run_bosonic_scenario, "bosonic.json") if "mu" in row.params]
+    assert [row.eb_verdict for row in rows] == ["EB (dephased output PPT)" if out else "NOT-EB" for _, out in calls]
+    assert [row.params["dephased_min_pt_eigenvalue"] for row in rows] == [spec[0] for spec, _ in calls]
+    (row,) = run("eb-test", experiments.run_eb_test, "eb_test.json")
+    ((spec, out),) = calls
+    assert (row.params["witness_spectrum"], row.eb_verdict) == (list(spec), "EB" if out else "NOT-EB")
+    calls.clear()
+    (result,) = verification.check_eb_threshold(verification.VerifyConfig())
+    assert [spec.shape for spec, _ in calls] == [(200, 4)]
+    assert result.passed
+
+
 def _bad_members():
     non_hermitian = np.eye(4, dtype=complex) / 4
     non_hermitian[0, 1] = 0.1
