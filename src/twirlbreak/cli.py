@@ -10,9 +10,10 @@ Usage (each subcommand takes only the flags it reads):
 --seed, --mc-samples and --fock-cutoff override the config key of the same
 name (seed, mc_samples, fock_cutoff).
 
-Exit codes: 0 success, 1 verification failure (a gate that fails, or a check
-group that raises: `verify` prints it as ERROR and runs the other groups),
-2 config/parse error or an output file that cannot be written.
+Exit codes: 0 success, 1 verification failure (a gate that fails; a gate
+whose residual is not finite, or a check group that raises: `verify` prints
+these as ERROR and runs the other gates), 2 config/parse error or an output
+file that cannot be written.
 """
 
 from __future__ import annotations

@@ -90,9 +90,10 @@ class ResultRow:
 
     def __post_init__(self):
         negativities = (self.single_transmission_negativity, self.double_transmission_negativity)
-        if any(v is not None and v < 0 for v in negativities):
+        # written as not v >= 0, so that a NaN is refused too
+        if any(v is not None and not v >= 0 for v in negativities):
             raise ValueError("negativities must be nonnegative")
-        if self.invariance_residual is not None and self.invariance_residual < 0:
+        if self.invariance_residual is not None and not self.invariance_residual >= 0:
             raise ValueError("residuals must be nonnegative")
 
 
@@ -245,6 +246,12 @@ def _fock_cutoff(mu: float, cutoff: int) -> int:
     return int(need)
 
 
+def _gaussian_negativity(nu_min: float) -> float:
+    """max(0, (1/nu_min - 1)/2) from the least PT symplectic eigenvalue
+    (Vidal & Werner, PRA 65, 032314, 2002); NaN for a NaN nu_min."""
+    return float(np.max([0.0, (1.0 / nu_min - 1.0) / 2]))
+
+
 def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     mus = _grid(cfg, "mu_grid")
     cutoff = _number(cfg.get("fock_cutoff", 8), "fock_cutoff", integer=True, minimum=1)
@@ -258,8 +265,6 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
         cm = gaussian.epr_cm(mu)
         residual = gaussian.rotation_residual(cm, gaussian.ROTATION_ANGLES, -1.0)
         nu_min, _ = gaussian.pt_symplectic_eigenvalues(cm)
-        # Gaussian negativity (Vidal & Werner, PRA 65, 032314, 2002)
-        double_neg = max(0.0, (1.0 / nu_min - 1.0) / 2)
         # single transmission: uniform dephasing of the truncated squeezed state
         lam = np.sqrt((mu - 1) / (mu + 1))
         # on the state's support, the n_fock indices |kk>, not the n_fock^2 x
@@ -280,7 +285,7 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                     "dephased_min_pt_eigenvalue": float(pt_spectrum[0]),
                 },
                 single_transmission_negativity=negativity_from_spectrum(pt_spectrum),
-                double_transmission_negativity=double_neg,
+                double_transmission_negativity=_gaussian_negativity(nu_min),
                 invariance_residual=residual,
                 eb_verdict="EB (dephased output PPT)" if ppt_from_spectrum(pt_spectrum) else "NOT-EB",
             )
@@ -299,7 +304,7 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                 "all_separable": all_sep,
             },
             single_transmission_negativity=None,
-            double_transmission_negativity=max(0.0, (1.0 / nu_min - 1.0) / 2),
+            double_transmission_negativity=_gaussian_negativity(nu_min),
             invariance_residual=fam_residual,
             eb_verdict="separable family" if all_sep else "UNEXPECTED: entangled point",
         )

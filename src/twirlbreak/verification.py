@@ -13,8 +13,9 @@ from .linalg import _chunk_lengths, conjugate_sum, frobenius_distance, negativit
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One gate; or, with error set, a check group that raised, named by its
-    ALL_CHECKS name, failed, with no residual or tolerance."""
+    """One gate.  With error set it failed with no residual: a gate whose
+    residual is not finite (NaN or inf), under its own name and tolerance, or
+    a check group that raised, under its ALL_CHECKS name, with no tolerance."""
 
     name: str
     passed: bool
@@ -33,10 +34,14 @@ class VerifyConfig:
         return 5.0 / np.sqrt(self.mc_samples)
 
 
-def _result(name: str, residual: float, tol: float, ok: bool = True) -> CheckResult:
-    """A check at the tolerance fixed where it is defined; ok carries any
-    verdict it makes besides residual <= tol."""
-    return CheckResult(name, ok and residual <= tol, float(residual), float(tol))
+def _result(name: str, residuals, tol: float, ok: bool = True) -> CheckResult:
+    """A gate at the tolerance fixed where it is defined, its residual the
+    largest of residuals (one number or a sequence); ok carries any verdict it
+    makes besides residual <= tol.  The max keeps a NaN, which fails the gate."""
+    residual = float(np.max(residuals)) + 0.0  # + 0.0 turns a -0.0 into 0.0
+    if not np.isfinite(residual):
+        return CheckResult(name, False, None, float(tol), f"non-finite residual {residual}")
+    return CheckResult(name, ok and residual <= tol, residual, float(tol))
 
 
 def _map_distance(d: int, f, *others) -> float:
@@ -56,8 +61,7 @@ def check_eb_threshold(cfg: VerifyConfig) -> list[CheckResult]:
     spec = channels.choi_pt_spectra(channels.local_depolarizing_kraus(p))
     predicted = np.max(p, axis=1) <= 0.5 + 1e-12
     verdicts_ok = bool(np.array_equal(ppt_from_spectrum(spec), predicted))
-    worst = float(np.max(np.abs(spec - np.sort(0.5 - p, axis=1))))
-    return [_result("eb-threshold", worst, 1e-10, verdicts_ok)]
+    return [_result("eb-threshold", np.abs(spec - np.sort(0.5 - p, axis=1)), 1e-10, verdicts_ok)]
 
 
 # 2. Headline effect: single transmission breaks, double preserves Werner states
@@ -110,20 +114,9 @@ def check_qudit_invariance(cfg: VerifyConfig) -> list[CheckResult]:
     for d in (2, 3, 4):
         werner = states.werner_multi(d, -0.9)
         iso = states.isotropic(d, 0.8)
-        out.append(
-            _result(
-                f"werner-exact-uu(d={d})",
-                frobenius_distance(twirl.twirl_exact(werner, "uu").mat, werner.mat),
-                1e-11,
-            )
-        )
-        out.append(
-            _result(
-                f"isotropic-exact-uustar(d={d})",
-                frobenius_distance(twirl.twirl_exact(iso, "uustar").mat, iso.mat),
-                1e-11,
-            )
-        )
+        exact_uu, exact_uustar = twirl.twirl_exact(werner, "uu"), twirl.twirl_exact(iso, "uustar")
+        out.append(_result(f"werner-exact-uu(d={d})", frobenius_distance(exact_uu.mat, werner.mat), 1e-11))
+        out.append(_result(f"isotropic-exact-uustar(d={d})", frobenius_distance(exact_uustar.mat, iso.mat), 1e-11))
         sampler = twirl.HaarSampler(cfg.seed + d, d)
         mc = twirl.mc_twirl(werner, "uu", cfg.mc_samples, sampler)
         out.append(
@@ -166,28 +159,28 @@ def check_partial_haar(cfg: VerifyConfig) -> list[CheckResult]:
     out = [_result("partial-haar-exact(d=2)", residual, 1e-11)]
     rng = np.random.default_rng(cfg.seed + 3)
     sampler = twirl.HaarSampler(cfg.seed + 4, 3)
-    worst = 0.0
+    residuals = []
     for _ in range(5):
         t = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         t /= np.linalg.norm(t)
         got = twirl.mc_twirl_operator(t, "partial-A", cfg.mc_samples, sampler, (3, 3))
         want = twirl.partial_twirl_exact_mat(t, (3, 3), "A")
-        worst = max(worst, float(np.linalg.norm(got - want)))
-    out.append(_result("partial-haar-mc(d=3)", worst, cfg.mc_tol))
+        residuals.append(np.linalg.norm(got - want))
+    out.append(_result("partial-haar-mc(d=3)", residuals, cfg.mc_tol))
     return out
 
 
 # 7. EPR invariance under anti-correlated rotations; PT symplectic spectrum
 def check_bosonic_invariance(cfg: VerifyConfig) -> list[CheckResult]:
-    worst_inv = worst_nu = 0.0
+    inv, nu = [], []
     for mu in (1.0, 1.5, 2.0, 5.0):
         cm = gaussian.epr_cm(mu)
-        worst_inv = max(worst_inv, gaussian.rotation_residual(cm, gaussian.ROTATION_ANGLES, -1.0))
+        inv.append(gaussian.rotation_residual(cm, gaussian.ROTATION_ANGLES, -1.0))
         nu_min, _ = gaussian.pt_symplectic_eigenvalues(cm)
-        worst_nu = max(worst_nu, abs(nu_min - (mu - np.sqrt(mu * mu - 1))))
+        nu.append(abs(nu_min - (mu - np.sqrt(mu * mu - 1))))
     return [
-        _result("epr-anticorrelated-invariance", worst_inv, 1e-12),
-        _result("epr-pt-symplectic-closed-form", worst_nu, 1e-10),
+        _result("epr-anticorrelated-invariance", inv, 1e-12),
+        _result("epr-pt-symplectic-closed-form", nu, 1e-10),
     ]
 
 
@@ -199,15 +192,14 @@ def check_invariant_family(cfg: VerifyConfig) -> list[CheckResult]:
         _result("correlated-family-dimension", abs(fam.dimension - 4), 0.0),
         _result("correlated-family-membership", worst, 1e-10),
         # PPT of every swept point, to the bona-fide tolerance
-        _result("correlated-family-separable", max(0.0, 1.0 - nu_min), gaussian.BONA_FIDE_TOL),
+        _result("correlated-family-separable", [0.0, 1.0 - nu_min], gaussian.BONA_FIDE_TOL),
     ]
 
 
 # 9. Uniform dephasing is entanglement-breaking (truncated Fock sector)
 def check_dephasing(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 5)
-    worst_pt = 0.0
-    worst_rec = 0.0
+    pt, rec = [0.0], []  # the PPT residual is clamped at 0.0
     for n in (4, 6, 8):
         for m in _chunk_lengths(100, n**4):
             # the draws of states.random_pure(n, n, rng), m at a time
@@ -215,11 +207,11 @@ def check_dephasing(cfg: VerifyConfig) -> list[CheckResult]:
             v = z[:, 0] + 1j * z[:, 1]
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             min_pt, rec_error = gaussian.dephasing_sweep(v, n)
-            worst_pt = max(worst_pt, float(np.max(-min_pt)))
-            worst_rec = max(worst_rec, float(np.max(rec_error)))
+            pt.append(np.max(-min_pt))
+            rec.append(np.max(rec_error))
     return [
-        _result("dephased-output-ppt", worst_pt, 1e-10),
-        _result("dephased-separable-decomposition", worst_rec, 1e-12),
+        _result("dephased-output-ppt", pt, 1e-10),
+        _result("dephased-separable-decomposition", rec, 1e-12),
     ]
 
 

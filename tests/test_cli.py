@@ -214,6 +214,16 @@ class TestScenarios:
         doc = json.loads(out)
         assert doc["rows"][0]["eb_verdict"] in ("EB", "NOT-EB")
 
+    def test_eb_test_row_is_its_closed_form(self, capsys):
+        # the shipped channel is Pauli, p = (0.6, 2/15, 2/15, 2/15): its Choi PT
+        # spectrum is sort(1/2 - p), whatever last bit the BLAS build's eigvalsh gives
+        code, out, _ = _run(capsys, "eb-test", "--config", f"{CONFIG_DIR}/eb_test.json")
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        want = [-0.1, 11 / 30, 11 / 30, 11 / 30]
+        assert row["params"]["witness_spectrum"] == pytest.approx(want, rel=0, abs=1e-15)
+        assert row["single_transmission_negativity"] == pytest.approx(0.1, rel=0, abs=1e-15)
+
     def test_eb_test_on_the_boundary_channel(self, capsys, tmp_path):
         # max p = 1/2, the threshold: the Choi state is PPT, least PT eigenvalue 0 up to rounding
         cfg = _write(tmp_path, "cfg.json", {"channel_file": str(ROOT / "configs" / "channel_eb_boundary.json")})

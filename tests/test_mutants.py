@@ -1,27 +1,41 @@
-"""Defects in the kernels and maps that the `verify` suite must fail.
+"""Defects in the package that the `verify` suite must fail.
 
-Each case rewrites one line of a package function (linalg.conjugate_sum or
-the superoperator behind its one-sided route, the dephasing rule
-gaussian.dephased_blocks, the exact partial twirl, the Choi states),
-installs the rewritten function wherever the package imported the original,
-and runs, through verification.run_all, only the check groups of
-ALL_CHECKS it targets, to keep the cases fast.  The named gates must each
-fail; on the code as written they pass (tests/test_acceptance.py).  A group
-that raises on a defect (a member that is not a density matrix) is one
-failed result under the group's name, as `verify` reports it.  The Pauli
-dilation gate is not named for a dropped conjugate: every P x P is real, so
-it passes that defect.
+Each case rewrites one line of a package function (a kernel, a map, a
+sampler's output, a Gaussian closed form or a check itself), installs the
+rewritten function wherever the package imported the original, the check
+table verification.ALL_CHECKS included, and runs, through
+verification.run_all, only the check groups of ALL_CHECKS it targets, to
+keep the cases fast.  On the code as written every gate passes
+(tests/test_acceptance.py).
+
+A case names the gates it must fail by name, each as its own result with its
+tolerance, and, separately, the check groups that raise on it (a member that
+is not a density matrix, say): such a group is one failed result under the
+group's name, as `verify` reports it, which hides which of its gates would
+fail.  A gate whose residual is NaN fails by name, its entry carrying the
+error in place of a residual, and the other gates of its group still report.
+Every gate pinned in tests/test_verification.py is failed by name by some
+case, or is an identity by construction, declared with its reason in
+IDENTITIES.  The Pauli dilation gate is not named for a dropped conjugate:
+every P x P is real, so it passes that defect.
 """
 
 import inspect
+import json
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
+from test_verification import CHECK_NAMES
 from twirlbreak import channels, gaussian, linalg, twirl, verification
+from twirlbreak.cli import main
 
-# (module, function, line as written, defective line, groups to run, gates that must fail)
+HEADLINE = [f"headline-{{}}(gamma={gamma})" for gamma in (0.4, 0.6, 0.9)]
+
+# (module, function, line as written, defective line, groups to run,
+#  gates that must fail by name, groups that raise)
 MUTANTS = {
     "two-sided-conjugate-dropped": (
         linalg,
@@ -30,6 +44,7 @@ MUTANTS = {
         "kt",
         ["2design", "pt-conjugation", "dilations"],
         ["clifford-span-IV", "pt-conjugation-identity", "twirl-dilation-vs-kraus"],
+        [],
     ),
     "one-sided-conjugate-dropped": (
         linalg,
@@ -38,6 +53,7 @@ MUTANTS = {
         "g_bar = flat[chunk].copy()",
         ["2design", "partial-haar"],
         ["clifford-partial-twirl-basis", "partial-haar-exact(d=2)", "partial-haar-mc(d=3)"],
+        [],
     ),
     "stacks-swapped": (
         linalg,
@@ -54,6 +70,7 @@ MUTANTS = {
             "partial-haar-mc(d=3)",
             "twirl-dilation-vs-kraus",
         ],
+        [],
     ),
     "weights-not-square-rooted": (
         linalg,
@@ -62,6 +79,7 @@ MUTANTS = {
         "root_w = weights",
         ["2design", "dilations"],
         ["clifford-span-IV", "pauli-dilation-vs-kraus", "twirl-dilation-vs-kraus"],
+        [],
     ),
     # side-B dephasing is entanglement-breaking too, so its outputs still
     # pass validation and the PPT gate; only the side-A decomposition fails
@@ -72,6 +90,7 @@ MUTANTS = {
         "diagonal(axis1=2, axis2=4)",
         ["dephasing"],
         ["dephased-separable-decomposition"],
+        [],
     ),
     "partial-twirl-factors-swapped": (
         twirl,
@@ -86,6 +105,7 @@ MUTANTS = {
             "single-transmission-product-mc(d=4)",
             "partial-haar-mc(d=3)",
         ],
+        [],
     ),
     # unnormalised Choi states fail validation, so the group raises and
     # fails as a whole
@@ -95,33 +115,267 @@ MUTANTS = {
         "@ vecs.conj() / d)",
         "@ vecs.conj())",
         ["eb-threshold"],
+        [],
         ["eb-threshold"],
     ),
+    # 61 of the 200 draws have max p in (0.4, 0.5], so their verdicts flip
+    "eb-threshold-moved": (
+        verification,
+        "check_eb_threshold",
+        "0.5 + 1e-12",
+        "0.4 + 1e-12",
+        ["eb-threshold"],
+        ["eb-threshold"],
+        [],
+    ),
+    # every eigenvalue counts, so a PPT output reads the trace norm 1
+    "negativity-sign-filter-dropped": (
+        linalg,
+        "negativity_from_spectrum",
+        "np.abs(ev[ev < 0])",
+        "np.abs(ev)",
+        ["headline-effect"],
+        [gate.format(kind) for gate in HEADLINE for kind in ("single-neg", "double-neg")],
+        [],
+    ),
+    # the environment reaches side A only: a single transmission
+    "second-side-controls-dropped": (
+        channels,
+        "apply_dilation",
+        "dc.u_blocks, dc.v_blocks,",
+        "dc.u_blocks, np.eye(rho.dim_b)[None],",
+        ["headline-effect"],
+        [gate.format(kind) for gate in HEADLINE for kind in ("double-invariance", "double-neg")],
+        [],
+    ),
+    # without the phase fixed, {H, S} close on the 192 phase multiples of
+    # the 24 Cliffords, which twirl alike: only the count tells them apart
+    "clifford-phase-not-fixed": (
+        twirl,
+        "_phase_canonical",
+        "ph = flat[idx] / abs(flat[idx])",
+        "ph = 1.0",
+        ["2design"],
+        ["clifford-cardinality"],
+        [],
+    ),
+    # Tr(op) read for Tr(V op): the output is the normalised symmetric projector
+    "uu-twirl-trace-for-swap": (
+        twirl,
+        "twirl_uu_exact_mat",
+        '"ijji->"',
+        '"ijij->"',
+        ["qudit-invariance"],
+        [f"werner-exact-uu(d={d})" for d in (2, 3, 4)],
+        [],
+    ),
+    # Tr(op) / d read for <psi|op|psi>
+    "uustar-twirl-trace-for-overlap": (
+        twirl,
+        "twirl_uustar_exact_mat",
+        "q = np.sum(np.asarray(op)[:: d + 1, :: d + 1]) / d",
+        "q = np.trace(op) / d",
+        ["qudit-invariance"],
+        [f"isotropic-exact-uustar(d={d})" for d in (2, 3, 4)],
+        [],
+    ),
+    "rotation-residual-nan": (
+        gaussian,
+        "rotation_residual",
+        "return float(np.max(np.abs(s @ v.m @ s.swapaxes(-1, -2) - v.m)))",
+        'return float("nan")',
+        ["bosonic-invariance"],
+        ["epr-anticorrelated-invariance"],
+        [],
+    ),
+    # the sign ignored: both modes turn the same way
+    "co-rotation": (
+        gaussian,
+        "rotation_residual",
+        "sign * np.asarray(angles)",
+        "np.asarray(angles)",
+        ["bosonic-invariance"],
+        ["epr-anticorrelated-invariance"],
+        [],
+    ),
+    "pt-symplectic-nan": (
+        gaussian,
+        "pt_symplectic_eigenvalues",
+        "return tuple(float(nu) for nu in _symplectic_pair(v.m, -1.0))",
+        'return (float("nan"), float("nan"))',
+        ["bosonic-invariance"],
+        ["epr-pt-symplectic-closed-form"],
+        [],
+    ),
+    "discriminant-sign-flipped": (
+        gaussian,
+        "_symplectic_pair",
+        "+ 4 * sign * det_w",
+        "- 4 * sign * det_w",
+        ["bosonic-invariance"],
+        ["epr-pt-symplectic-closed-form"],
+        [],
+    ),
+    # the anticorrelated family solved for the correlated one; the
+    # separability gate reads the quasi-normal grid, not the solved family
+    "families-swapped": (
+        gaussian,
+        "solve_invariant_cm",
+        'sign = 1.0 if mode == "correlated" else -1.0',
+        'sign = -1.0 if mode == "correlated" else 1.0',
+        ["invariant-family"],
+        ["correlated-family-membership"],
+        [],
+    ),
+    # S V S for S V S^T: a 6-dimensional solution space
+    "solver-rotation-not-transposed": (
+        gaussian,
+        "solve_invariant_cm",
+        "s @ e @ s.swapaxes(-1, -2) - e",
+        "s @ e @ s - e",
+        ["invariant-family"],
+        ["correlated-family-dimension"],
+        [],
+    ),
+    # every grid point kept: the PT symplectic spectrum of a point that is
+    # not a state is NaN, and the least of them too
+    "bona-fide-always": (
+        gaussian,
+        "_is_bona_fide",
+        "return positive & (delta >= 2 - BONA_FIDE_TOL) & (det_v - delta + 1 >= -BONA_FIDE_TOL)",
+        "return np.ones(np.shape(positive), dtype=bool)",
+        ["invariant-family"],
+        ["correlated-family-separable"],
+        [],
+    ),
+    "dephasing-sweep-nan": (
+        gaussian,
+        "dephasing_sweep",
+        "return pt_spectra[..., 0].min(axis=1), rec_error",
+        "return np.full(len(v), np.nan), np.full(len(v), np.nan)",
+        ["dephasing"],
+        ["dephased-output-ppt", "dephased-separable-decomposition"],
+        [],
+    ),
+    "mc-twirl-nan": (
+        twirl,
+        "mc_twirl_operator",
+        'return partial_transpose_mat(out, da, db) if mode == "uustar" else out',
+        "return np.full_like(out, np.nan)",
+        ["partial-haar"],
+        ["partial-haar-mc(d=3)"],
+        [],
+    ),
+}
+
+# the cases whose named gates read a NaN residual
+NAN_MUTANTS = [
+    "rotation-residual-nan",
+    "pt-symplectic-nan",
+    "bona-fide-always",
+    "dephasing-sweep-nan",
+    "mc-twirl-nan",
+]
+
+_MC_IDENTITY = "every unitary fixes the twirled state: only a non-unitary sample fails it, not a biased sampler"
+
+# gates that hold by construction, and why: no defect of the code they read
+# fails them (a NaN handed to one still does)
+IDENTITIES = {
+    "pauli-env-classical": "DilatedChannel.env_state is built diagonal",
+    "twirl-env-classical": "DilatedChannel.env_state is built diagonal",
+    "dephased-output-ppt": "B^T has B's spectrum, on blocks already validated PSD; a dropped transpose passes",
+    **{f"werner-mc-uu(d={d})": _MC_IDENTITY for d in (2, 3, 4)},
+    **{f"isotropic-mc-uustar(d={d})": _MC_IDENTITY for d in (2, 3, 4)},
 }
 
 
 def _install_mutant(monkeypatch, module, name, line, defect):
-    """Replace module.<name>, in every package module that imported it, by a
-    copy compiled from its source with `line` rewritten as `defect`."""
+    """Replace module.<name>, in every package module that imported it and in
+    verification.ALL_CHECKS, by a copy compiled from its source with `line`
+    rewritten as `defect`."""
     original = getattr(module, name)
     source = textwrap.dedent(inspect.getsource(original))
     assert source.count(line) == 1, f"{name} no longer has the line {line!r}"
     namespace = dict(vars(module))
     exec(compile(source.replace(line, defect), module.__file__, "exec"), namespace)
+    mutant = namespace[name]
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] == "twirlbreak" and getattr(module, name, None) is original:
-            monkeypatch.setattr(module, name, namespace[name])
+            monkeypatch.setattr(module, name, mutant)
+    # the check table holds the check functions themselves
+    table = tuple((group, mutant if fn is original else fn) for group, fn in verification.ALL_CHECKS)
+    monkeypatch.setattr(verification, "ALL_CHECKS", table)
 
 
-def _run_groups(monkeypatch, groups):
+def _only_groups(monkeypatch, groups):
+    """Restrict ALL_CHECKS to groups.  The Clifford group is built afresh, so
+    that its per-process cache neither hides a defect in its construction nor
+    keeps the defective group after the case."""
     checks = dict(verification.ALL_CHECKS)
     monkeypatch.setattr(verification, "ALL_CHECKS", tuple((group, checks[group]) for group in groups))
-    return {r.name: r.passed for r in verification.run_all(verification.VerifyConfig())}
+    monkeypatch.setattr(twirl, "_CLIFFORD_QUBIT", None)
+
+
+def _mutate(monkeypatch, mutant):
+    module, name, line, defect, groups, *_ = MUTANTS[mutant]
+    _install_mutant(monkeypatch, module, name, line, defect)
+    _only_groups(monkeypatch, groups)
+
+
+@pytest.fixture(scope="module")
+def group_gates():
+    """The gates each check group reports on the code as written."""
+    cfg = verification.VerifyConfig()
+    return {group: [r.name for r in fn(cfg)] for group, fn in verification.ALL_CHECKS}
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
 def test_verify_fails_the_mutant(monkeypatch, mutant):
-    module, name, line, defect, groups, gates = MUTANTS[mutant]
-    _install_mutant(monkeypatch, module, name, line, defect)
-    passed = _run_groups(monkeypatch, groups)
-    assert [gate for gate in gates if passed[gate]] == []
+    *_, gates, raises = MUTANTS[mutant]
+    _mutate(monkeypatch, mutant)
+    # outside the suite's warnings-as-errors a NaN only warns, as in `verify`
+    with np.errstate(invalid="ignore"):
+        results = verification.run_all(verification.VerifyConfig())
+    # a gate's result carries its tolerance; a group that raised has none
+    failed_by_name = {r.name for r in results if not r.passed and r.tolerance is not None}
+    assert [gate for gate in gates if gate not in failed_by_name] == []
+    assert [r.name for r in results if r.tolerance is None] == raises
+
+
+@pytest.mark.parametrize("mutant", NAN_MUTANTS)
+def test_a_nan_residual_fails_its_gate_by_name(monkeypatch, capsys, group_gates, mutant):
+    *_, groups, gates, _ = MUTANTS[mutant]
+    _mutate(monkeypatch, mutant)
+    with np.errstate(invalid="ignore"):
+        code = main(["verify", "--config", "configs/verify.json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    # every gate of the groups run still reports, under its own name
+    assert list(checks) == [gate for group in groups for gate in group_gates[group]]
+    for gate in gates:
+        assert checks[gate]["passed"] is False
+        assert checks[gate]["residual"] is None
+        assert checks[gate]["tolerance"] is not None
+        assert f"ERROR {gate}: non-finite residual nan" in err.splitlines()
+    assert all(c["residual"] is not None for name, c in checks.items() if name not in gates)
+
+
+def test_every_gate_is_failed_by_name_or_declared():
+    failed_by_name = {gate for *_, gates, _ in MUTANTS.values() for gate in gates}
+    # coverage through a group that raises, kept apart: the Choi defect's only
+    raised = {group for *_, raises in MUTANTS.values() for group in raises}
+    assert raised == {"eb-threshold"}
+    assert len(CHECK_NAMES) == 42
+    assert set(IDENTITIES) <= set(CHECK_NAMES)
+    assert [gate for gate in CHECK_NAMES if gate not in failed_by_name and gate not in IDENTITIES] == []
+
+
+def test_bosonic_refuses_a_nan_symplectic_eigenvalue(monkeypatch, capsys):
+    """A NaN nu makes a NaN negativity, which the row refuses: the command
+    raises, so it exits non-zero, before it prints anything."""
+    _mutate(monkeypatch, "pt-symplectic-nan")
+    with pytest.raises(ValueError, match="negativities must be nonnegative"):
+        main(["bosonic", "--config", "configs/bosonic.json"])
+    assert capsys.readouterr().out == ""

@@ -61,6 +61,20 @@ def test_check_names_and_order_are_pinned():
         assert r.passed == (r.residual <= r.tolerance), r.name
 
 
+def test_a_gate_reads_the_largest_residual_and_keeps_a_nan():
+    # the max of finite residuals, a -0.0 read as 0.0
+    result = verification._result
+    assert result("g", [1e-13, 3e-12, 2e-12], 1e-11) == verification.CheckResult("g", True, 3e-12, 1e-11)
+    assert result("g", 2.0, 1.0) == verification.CheckResult("g", False, 2.0, 1.0)
+    assert np.copysign(1.0, result("g", [-0.0], 0.0).residual) == 1.0
+    assert not result("g", 0.0, 1.0, ok=False).passed
+    # a NaN anywhere, or an infinity, fails the gate by its own name
+    for residuals in ([0.0, np.nan, 1.0], [np.nan, 0.0], 0.5 * np.array([1.0, np.nan]), [np.inf]):
+        r = result("g", residuals, 1e-10)
+        assert (r.name, r.passed, r.residual, r.tolerance) == ("g", False, None, 1e-10)
+        assert r.error.startswith("non-finite residual")
+
+
 def test_map_distance_reads_every_matrix_unit():
     # the transpose differs from the identity map only on the off-diagonal
     # units, each by sqrt(2); a map equal to f reads exactly 0
