@@ -12,8 +12,10 @@ name (seed, mc_samples, fock_cutoff).
 
 Exit codes: 0 success, 1 verification failure (a gate that fails; a gate
 whose residual is not finite, or a check group that raises: `verify` prints
-these as ERROR and runs the other gates), 2 config/parse error or an output
-file that cannot be written.
+these as ERROR and runs the other gates) or a result value that a row or the
+JSON writer refuses (a NaN negativity, a non-finite number: one `error:`
+line, nothing on stdout, no --out or --csv file), 2 config/parse error or an
+output file that cannot be written.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from pathlib import Path
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    RefusedValueError,
     dumps_document,
     rows_to_document,
     run_bosonic_scenario,
@@ -114,14 +117,19 @@ def main(argv=None) -> int:
                     )
             return 0 if doc["all_passed"] else 1
         rows = runner(cfg)
-        doc = rows_to_document(rows, args.scenario, cfg.params)
-        if args.csv:  # before the document, so stdout stays empty if it fails
+        text = dumps_document(rows_to_document(rows, args.scenario, cfg.params))
+        # the CSV after the document is serialized, so a refused value writes no
+        # file, and before it is emitted, so a failed write prints nothing
+        if args.csv:
             _write_file(args.csv, lambda p: write_csv(rows, p))
-        _emit(dumps_document(doc), args.out)
+        _emit(text, args.out)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except RefusedValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except _WriteError as exc:
         print(exc, file=sys.stderr)
         return 2

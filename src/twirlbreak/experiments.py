@@ -29,6 +29,12 @@ class ConfigError(ValueError):
     """Raised on malformed configs or channel files (CLI exit code 2)."""
 
 
+class RefusedValueError(ValueError):
+    """Raised on a result value that a row or the JSON writer refuses: a
+    negative or NaN negativity or residual, a non-finite number (CLI exit
+    code 1)."""
+
+
 def _read_object(path: str, what: str) -> dict:
     """The JSON object in the file at path; a file that cannot be read or
     parsed, or that holds anything but an object, is a ConfigError naming
@@ -92,9 +98,9 @@ class ResultRow:
         negativities = (self.single_transmission_negativity, self.double_transmission_negativity)
         # written as not v >= 0, so that a NaN is refused too
         if any(v is not None and not v >= 0 for v in negativities):
-            raise ValueError("negativities must be nonnegative")
+            raise RefusedValueError("negativities must be nonnegative")
         if self.invariance_residual is not None and not self.invariance_residual >= 0:
-            raise ValueError("residuals must be nonnegative")
+            raise RefusedValueError("residuals must be nonnegative")
 
 
 def _pauli_vector(value, key: str) -> channels.ProbabilityVector:
@@ -380,7 +386,7 @@ def _fmt_value(v) -> str:
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         if not math.isfinite(v):
-            raise ValueError(f"cannot serialize the non-finite number {v!r}: JSON has none")
+            raise RefusedValueError(f"cannot serialize the non-finite number {v!r}: JSON has none")
         # 17 significant digits round-trips IEEE doubles
         return format(float(v), ".17g")
     if isinstance(v, str):

@@ -13,6 +13,7 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
+    _chunk_lengths,
     _validate_blocks,
     hermitian_eigenvalues,
     partial_transpose_mat,
@@ -207,13 +208,26 @@ def quasi_normal_sweep(family: InvariantFamily, n_per_axis: int) -> tuple[int, f
     """Quasi-normal CMs on the grid alpha, beta in [1, 3], omega, phi in
     [-1.5, 1.5] (n_per_axis points per axis).  Returns, over the bona-fide
     points: their count, their worst residual from `family`, and their least
-    partially transposed symplectic eigenvalue (>= 1 iff all are separable)."""
+    partially transposed symplectic eigenvalue (>= 1 iff all are separable).
+    The grid is streamed in the flat (alpha, beta, omega, phi) order, in
+    chunks of _chunk_lengths (a real 4x4 CM is worth 8 complex entries), and
+    the three are carried from chunk to chunk with a max and a min that keep
+    a NaN, so the working set does not grow with n_per_axis and the result
+    does not depend on the split."""
     diag = np.linspace(1.0, 3.0, n_per_axis)
     coupling = np.linspace(-1.5, 1.5, n_per_axis)
-    m = _quasi_normal_stack(*np.meshgrid(diag, diag, coupling, coupling, indexing="ij", sparse=True))
-    m = m[_is_bona_fide(m)]
-    nu_min, _ = _symplectic_pair(m, -1.0)
-    return len(m), float(np.max(family.residual(m), initial=0.0)), float(np.min(nu_min, initial=np.inf))
+    axes = (diag, diag, coupling, coupling)
+    count, worst, nu_least, start = 0, 0.0, np.inf, 0
+    for size in _chunk_lengths(n_per_axis**4, 8):
+        index = np.unravel_index(np.arange(start, start + size), (n_per_axis,) * 4)
+        start += size
+        m = _quasi_normal_stack(*(axis[i] for axis, i in zip(axes, index)))
+        m = m[_is_bona_fide(m)]
+        nu_min, _ = _symplectic_pair(m, -1.0)
+        count += len(m)
+        worst = np.max(family.residual(m), initial=worst)
+        nu_least = np.min(nu_min, initial=nu_least)
+    return count, float(worst), float(nu_least)
 
 
 # -- truncated-Fock uniform dephasing ------------------------------------------

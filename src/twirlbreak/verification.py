@@ -187,12 +187,13 @@ def check_bosonic_invariance(cfg: VerifyConfig) -> list[CheckResult]:
 # 8. Correlated-rotation invariant family: 4 parameters, all separable
 def check_invariant_family(cfg: VerifyConfig) -> list[CheckResult]:
     fam = gaussian.solve_invariant_cm("correlated")
-    _, worst, nu_min = gaussian.quasi_normal_sweep(fam, 10)
+    swept, worst, nu_min = gaussian.quasi_normal_sweep(fam, 10)
+    # an empty sweep reads 0.0 and inf, which would pass: both gates need a point
     return [
         _result("correlated-family-dimension", abs(fam.dimension - 4), 0.0),
-        _result("correlated-family-membership", worst, 1e-10),
+        _result("correlated-family-membership", worst, 1e-10, ok=swept > 0),
         # PPT of every swept point, to the bona-fide tolerance
-        _result("correlated-family-separable", [0.0, 1.0 - nu_min], gaussian.BONA_FIDE_TOL),
+        _result("correlated-family-separable", [0.0, 1.0 - nu_min], gaussian.BONA_FIDE_TOL, ok=swept > 0),
     ]
 
 

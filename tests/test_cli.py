@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import twirlbreak
-from twirlbreak import channels, experiments, gaussian, twirl
+from twirlbreak import channels, cli, experiments, gaussian, twirl
 from twirlbreak.cli import main
 from twirlbreak.experiments import ExperimentConfig, dumps_document, run_pauli_scenario, run_qudit_scenario
 from twirlbreak.linalg import (
@@ -610,6 +610,19 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"cannot write {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_refused_value_exits_1_and_writes_nothing(self, capsys, tmp_path, monkeypatch, flag):
+        # a row that holds a NaN parameter, which the document writer refuses
+        def nan_row(cfg):
+            return [experiments.ResultRow("pauli", {"gamma": float("nan")}, 0.0, 0.0, 0.0, "EB")]
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "pauli", (nan_row, ("--csv",)))
+        path = tmp_path / "result"
+        code, out, err = _run(capsys, "pauli", "--config", f"{CONFIG_DIR}/pauli.json", flag, str(path))
+        assert (code, out) == (1, "")
+        assert err == "error: cannot serialize the non-finite number nan: JSON has none\n"
+        assert not path.exists()
 
     def test_pauli_gamma_out_of_range_is_config_error(self, capsys, tmp_path):
         cfg = _write(tmp_path, "cfg.json", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": [0.5, 2.0]})

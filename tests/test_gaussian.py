@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,7 @@ from twirlbreak.gaussian import (
     tmsv_support,
     truncated_tmsv,
 )
-from twirlbreak import gaussian
+from twirlbreak import gaussian, linalg
 from twirlbreak.linalg import (
     DensityOperator,
     hermitian_eigenvalues,
@@ -167,12 +169,30 @@ class TestSeparability:
         assert abs(got_nu_min - nu_min) < 1e-12
         assert got_nu_min >= 1.0 - 1e-10
 
-    @pytest.mark.parametrize("n, count", [(6, 320), (10, 2776)])
-    def test_sweep_counts_pinned(self, n, count):
+    # n = 1 and 2 keep no point: no coupling on their grids is 0
+    @pytest.mark.parametrize("n, count", [(1, 0), (2, 0), (6, 320), (10, 2776)])
+    def test_sweep_counts_pinned(self, monkeypatch, n, count):
+        # 97 grid points a chunk: several chunks with a short tail at n = 6
+        # and 10, the first ones empty (alpha = 1 admits only C = 0)
+        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CACHE_BYTES", 97 * 8 * 16)
+        for mode in ("correlated", "anticorrelated"):
+            fam = solve_invariant_cm(mode)
+            assert quasi_normal_sweep(fam, n) == _one_shot_sweep(fam, n), mode
         got_count, worst, nu_min = quasi_normal_sweep(solve_invariant_cm("correlated"), n)
         assert got_count == count
         assert worst < 1e-12
         assert nu_min >= 1.0
+
+    def test_sweep_memory_does_not_grow_with_the_grid(self):
+        fam = solve_invariant_cm("correlated")
+        peaks = []
+        for n in (10, 20):
+            tracemalloc.start()
+            quasi_normal_sweep(fam, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # one chunk of 4096 points peaks at ~1.8 MiB; the whole n = 20 grid would take 60 MiB
+        assert peaks[1] - peaks[0] < 64 * 1024
 
     def test_reduced_form_closed_condition(self):
         # for blocks alpha I / alpha I / gamma I: bona-fide implies separable
@@ -189,6 +209,17 @@ class TestSeparability:
                     continue
                 assert abs(gamma) <= np.sqrt(alpha * alpha - 1) + 1e-12
                 assert is_separable_two_mode(cm)
+
+
+def _one_shot_sweep(family, n_per_axis):
+    """quasi_normal_sweep on the whole grid as one stack, the reference for
+    the streamed sweep."""
+    diag = np.linspace(1.0, 3.0, n_per_axis)
+    coupling = np.linspace(-1.5, 1.5, n_per_axis)
+    m = gaussian._quasi_normal_stack(*np.meshgrid(diag, diag, coupling, coupling, indexing="ij", sparse=True))
+    m = m[gaussian._is_bona_fide(m)]
+    nu_min, _ = gaussian._symplectic_pair(m, -1.0)
+    return len(m), float(np.max(family.residual(m), initial=0.0)), float(np.min(nu_min, initial=np.inf))
 
 
 def _bona_fide_reference(m):

@@ -248,6 +248,16 @@ MUTANTS = {
         ["correlated-family-separable"],
         [],
     ),
+    # no grid point kept: an empty sweep reads residual 0.0 and nu_min inf
+    "bona-fide-never": (
+        gaussian,
+        "_is_bona_fide",
+        "return positive & (delta >= 2 - BONA_FIDE_TOL) & (det_v - delta + 1 >= -BONA_FIDE_TOL)",
+        "return np.zeros(np.shape(positive), dtype=bool)",
+        ["invariant-family"],
+        ["correlated-family-membership", "correlated-family-separable"],
+        [],
+    ),
     "dephasing-sweep-nan": (
         gaussian,
         "dephasing_sweep",
@@ -374,8 +384,8 @@ def test_every_gate_is_failed_by_name_or_declared():
 
 def test_bosonic_refuses_a_nan_symplectic_eigenvalue(monkeypatch, capsys):
     """A NaN nu makes a NaN negativity, which the row refuses: the command
-    raises, so it exits non-zero, before it prints anything."""
+    prints one error line on stderr and exits 1, with nothing on stdout."""
     _mutate(monkeypatch, "pt-symplectic-nan")
-    with pytest.raises(ValueError, match="negativities must be nonnegative"):
-        main(["bosonic", "--config", "configs/bosonic.json"])
-    assert capsys.readouterr().out == ""
+    code = main(["bosonic", "--config", "configs/bosonic.json"])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (1, "", "error: negativities must be nonnegative\n")
