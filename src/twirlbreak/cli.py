@@ -15,18 +15,22 @@ whose residual is not finite, or a check group that raises: `verify` prints
 these as ERROR and runs the other gates) or a result value that a row or the
 JSON writer refuses (a NaN negativity, a non-finite number: one `error:`
 line, nothing on stdout, no --out or --csv file), 2 config/parse error or an
-output file that cannot be written.
+output file that cannot be written (then no output file is created or
+changed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
+import os
 import sys
-from pathlib import Path
 
 from .experiments import (
     ConfigError,
     ExperimentConfig,
+    csv_text,
     RefusedValueError,
     dumps_document,
     rows_to_document,
@@ -35,7 +39,6 @@ from .experiments import (
     run_pauli_scenario,
     run_qudit_scenario,
     run_verify,
-    write_csv,
 )
 
 # each subcommand's runner and the optional flags it reads, besides --config and --out
@@ -83,18 +86,38 @@ class _WriteError(Exception):
     """An output file that cannot be written (exit code 2)."""
 
 
-def _write_file(path: str, write) -> None:
-    """write(path), with an OSError raised as a one-line _WriteError."""
+def _write_files(texts: dict) -> None:
+    """Write each {path: text} all or nothing: every text goes to a new file
+    beside its path, and these replace their paths only once all are
+    written.  A path that cannot be written (a directory, in a missing or
+    read-only directory) raises a one-line _WriteError, with no path
+    created or changed."""
+    staged = []
     try:
-        write(path)
+        for path, text in texts.items():
+            # a directory would fail only at the replace, after other paths changed
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            head, tail = os.path.split(path)
+            tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+            with open(tmp, "x", newline="") as f:
+                staged.append(tmp)
+                f.write(text)
+        for tmp, path in zip(staged, texts):
+            os.replace(tmp, path)
     except OSError as exc:
         raise _WriteError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        _write_file(out_path, lambda p: Path(p).write_text(text))
-    else:
+def _emit(text: str, out_path: str | None, files: dict) -> None:
+    """Write the files and the document, to out_path or else to stdout, which
+    is written only once the files are."""
+    _write_files({**files, out_path: text} if out_path else files)
+    if not out_path:
         sys.stdout.write(text)
 
 
@@ -106,7 +129,7 @@ def main(argv=None) -> int:
         _apply_overrides(cfg, args)
         if args.scenario == "verify":
             doc = runner(cfg)
-            _emit(dumps_document(doc), args.out)
+            _emit(dumps_document(doc), args.out, {})
             for c in doc["checks"]:
                 if "error" in c:
                     print(f"ERROR {c['name']}: {c['error']}", file=sys.stderr)
@@ -117,12 +140,10 @@ def main(argv=None) -> int:
                     )
             return 0 if doc["all_passed"] else 1
         rows = runner(cfg)
+        # both documents are serialized before any is written, so a refused
+        # value writes no file
         text = dumps_document(rows_to_document(rows, args.scenario, cfg.params))
-        # the CSV after the document is serialized, so a refused value writes no
-        # file, and before it is emitted, so a failed write prints nothing
-        if args.csv:
-            _write_file(args.csv, lambda p: write_csv(rows, p))
-        _emit(text, args.out)
+        _emit(text, args.out, {args.csv: csv_text(rows)} if args.csv else {})
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -4,6 +4,7 @@ distribution settings, plus machine-readable result serialization."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import numbers
@@ -296,23 +297,25 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
                 eb_verdict="EB (dephased output PPT)" if ppt_from_spectrum(pt_spectrum) else "NOT-EB",
             )
         )
-    # correlated environment: the whole invariant family is separable
+    # correlated environment: det C >= 0 on the whole invariant family, so
+    # every state in it is separable (the verify gate's rule)
     fam = gaussian.solve_invariant_cm("correlated")
-    swept, fam_residual, nu_min = gaussian.quasi_normal_sweep(fam, 6)
-    all_sep = nu_min >= 1.0 - gaussian.BONA_FIDE_TOL
+    form_min = gaussian.det_c_form_min(fam)
+    all_sep = form_min >= -gaussian.BONA_FIDE_TOL
     rows.append(
         ResultRow(
             scenario="bosonic",
             params={
                 "mode": "correlated",
                 "family_dimension": fam.dimension,
-                "swept_points": swept,
+                "det_c_form_min": form_min,
                 "all_separable": all_sep,
             },
             single_transmission_negativity=None,
-            double_transmission_negativity=_gaussian_negativity(nu_min),
-            invariance_residual=fam_residual,
-            eb_verdict="separable family" if all_sep else "UNEXPECTED: entangled point",
+            double_transmission_negativity=None,
+            # the largest residual of the four quasi-normal directions
+            invariance_residual=float(np.max(fam.residual(gaussian._quasi_normal_stack(*np.eye(4))))),
+            eb_verdict="separable family" if all_sep else "UNEXPECTED: det C < 0 on a member",
         )
     )
     return rows
@@ -418,9 +421,11 @@ def _csv_cell(v) -> str:
     return v if isinstance(v, str) else _fmt_value(v)
 
 
-def write_csv(rows: list[ResultRow], path: str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f.name for f in fields(ResultRow)])
-        for r in rows:
-            w.writerow([_csv_cell(v) for v in asdict(r).values()])
+def csv_text(rows: list[ResultRow]) -> str:
+    """The rows as a flat CSV document, one header line of the field names."""
+    f = io.StringIO(newline="")
+    w = csv.writer(f)
+    w.writerow([f.name for f in fields(ResultRow)])
+    for r in rows:
+        w.writerow([_csv_cell(v) for v in asdict(r).values()])
+    return f.getvalue()

@@ -101,14 +101,18 @@ def rotation_residual(v: CovarianceMatrix, angles, sign: float) -> float:
     return float(np.max(np.abs(s @ v.m @ s.swapaxes(-1, -2) - v.m)))
 
 
+def _epr_stack(mu) -> np.ndarray:
+    """(..., 4, 4) stack of EPR CMs over an array of mu >= 1: mu I on the
+    diagonal blocks, sqrt(mu^2 - 1) Z on the cross blocks."""
+    mu = np.asarray(mu, dtype=float)[..., None, None]
+    return mu * np.eye(4) + np.sqrt(mu * mu - 1.0) * np.kron([[0, 1], [1, 0]], np.diag([1.0, -1.0]))
+
+
 def epr_cm(mu: float) -> CovarianceMatrix:
     """CM of a two-mode squeezed vacuum (EPR) state."""
     if mu < 1:
         raise ValueError("mu must be >= 1")
-    z = np.diag([1.0, -1.0])
-    c = np.sqrt(mu * mu - 1.0)
-    m = np.block([[mu * np.eye(2), c * z], [c * z, mu * np.eye(2)]])
-    return CovarianceMatrix(m)
+    return CovarianceMatrix(_epr_stack(mu))
 
 
 def _quasi_normal_stack(alpha, beta, omega, phi) -> np.ndarray:
@@ -204,30 +208,16 @@ def solve_invariant_cm(mode: str) -> InvariantFamily:
     return InvariantFamily(tuple(_from_params(null)), len(null), null.T @ null)
 
 
-def quasi_normal_sweep(family: InvariantFamily, n_per_axis: int) -> tuple[int, float, float]:
-    """Quasi-normal CMs on the grid alpha, beta in [1, 3], omega, phi in
-    [-1.5, 1.5] (n_per_axis points per axis).  Returns, over the bona-fide
-    points: their count, their worst residual from `family`, and their least
-    partially transposed symplectic eigenvalue (>= 1 iff all are separable).
-    The grid is streamed in the flat (alpha, beta, omega, phi) order, in
-    chunks of _chunk_lengths (a real 4x4 CM is worth 8 complex entries), and
-    the three are carried from chunk to chunk with a max and a min that keep
-    a NaN, so the working set does not grow with n_per_axis and the result
-    does not depend on the split."""
-    diag = np.linspace(1.0, 3.0, n_per_axis)
-    coupling = np.linspace(-1.5, 1.5, n_per_axis)
-    axes = (diag, diag, coupling, coupling)
-    count, worst, nu_least, start = 0, 0.0, np.inf, 0
-    for size in _chunk_lengths(n_per_axis**4, 8):
-        index = np.unravel_index(np.arange(start, start + size), (n_per_axis,) * 4)
-        start += size
-        m = _quasi_normal_stack(*(axis[i] for axis, i in zip(axes, index)))
-        m = m[_is_bona_fide(m)]
-        nu_min, _ = _symplectic_pair(m, -1.0)
-        count += len(m)
-        worst = np.max(family.residual(m), initial=worst)
-        nu_least = np.min(nu_min, initial=nu_least)
-    return count, float(worst), float(nu_least)
+def det_c_form_min(family: InvariantFamily) -> float:
+    """Least eigenvalue of the quadratic form x -> det C(sum_i x_i B_i) on the
+    family's basis B_i, C the cross block, polarised as Q_ij = [det C(B_i +
+    B_j) - det C(B_i) - det C(B_j)] / 2.  It is >= 0 iff det C >= 0 on every
+    member, and a two-mode Gaussian state with det C >= 0 is separable
+    (Simon, PRL 84, 2726, 2000)."""
+    c = np.asarray(family.basis)[:, :2, 2:]
+    det_sums = _det2(np.moveaxis(c[:, None] + c[None], (-2, -1), (0, 1)))
+    det_c = np.diag(det_sums) / 4  # det C(2 B_i) = 4 det C(B_i)
+    return float(np.linalg.eigvalsh((det_sums - det_c[:, None] - det_c[None]) / 2)[0])
 
 
 # -- truncated-Fock uniform dephasing ------------------------------------------
@@ -325,8 +315,17 @@ def dephasing_sweep(vectors, n: int):
     B_k[l, l'] = rho[kl, kl'], an (m, n, n, n) stack).  Returns, per state,
     the least eigenvalue of the output's partial transpose and the largest
     entry error of the blocks rebuilt from the separable decomposition
-    (which recovers the state vector from the density matrix)."""
+    (which recovers the state vector from the density matrix).  The states
+    are taken in chunks of _chunk_lengths, sized for the dense (m, n^2, n^2)
+    input stack, so the working set does not grow with m."""
     v = np.asarray(vectors, dtype=complex)
+    chunks = np.split(v, np.cumsum(_chunk_lengths(len(v), n**4))[:-1])
+    min_pt, rec_error = zip(*(_dephasing_chunk(chunk, n) for chunk in chunks))
+    return np.concatenate(min_pt), np.concatenate(rec_error)
+
+
+def _dephasing_chunk(v: np.ndarray, n: int):
+    """dephasing_sweep on one chunk, whose arrays are freed on return."""
     pure = validate_density_stack(v[:, :, None] * v.conj()[:, None, :])
     blocks, pt_spectra = dephased_blocks(pure, n)
     weights, xi = _decompose(pure, n)

@@ -196,10 +196,6 @@ class DensityOperator:
             )
         validate_density_stack(m[None])
 
-    @property
-    def dim(self) -> int:
-        return self.dim_a * self.dim_b
-
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product with A as the left (slow) factor."""

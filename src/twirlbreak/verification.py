@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, gaussian, states, twirl
-from .linalg import _chunk_lengths, conjugate_sum, frobenius_distance, negativity, ppt_from_spectrum
+from .linalg import conjugate_sum, frobenius_distance, negativity, ppt_from_spectrum
 
 
 @dataclass(frozen=True)
@@ -184,16 +184,29 @@ def check_bosonic_invariance(cfg: VerifyConfig) -> list[CheckResult]:
     ]
 
 
-# 8. Correlated-rotation invariant family: 4 parameters, all separable
+# 8. Correlated-rotation invariant family: 4 parameters, all separable; the
+# anticorrelated family holds the entangled EPR states
 def check_invariant_family(cfg: VerifyConfig) -> list[CheckResult]:
     fam = gaussian.solve_invariant_cm("correlated")
-    swept, worst, nu_min = gaussian.quasi_normal_sweep(fam, 10)
-    # an empty sweep reads 0.0 and inf, which would pass: both gates need a point
+    # with dimension 4, the quasi-normal directions alpha, beta, omega, phi
+    # span the family, and det C >= 0 on it certifies separability (Simon)
+    directions = gaussian._quasi_normal_stack(*np.eye(4))
+    epr = gaussian._epr_stack([1.5, 2.0, 5.0])
+    nu_min, _ = gaussian._symplectic_pair(epr, -1.0)
+    # A = B = a I, C = c I is bona fide iff c <= a - 1: test c = a - 1 -+ 1e-3
+    a, inside = np.repeat([1.5, 2.0, 3.0], 2), np.tile([True, False], 3)
+    cms = gaussian._quasi_normal_stack(a, a, a - 1 - np.where(inside, 1e-3, -1e-3), 0.0)
     return [
         _result("correlated-family-dimension", abs(fam.dimension - 4), 0.0),
-        _result("correlated-family-membership", worst, 1e-10, ok=swept > 0),
-        # PPT of every swept point, to the bona-fide tolerance
-        _result("correlated-family-separable", [0.0, 1.0 - nu_min], gaussian.BONA_FIDE_TOL, ok=swept > 0),
+        _result("correlated-family-membership", fam.residual(directions), 1e-10),
+        _result("correlated-family-separable", [0.0, -gaussian.det_c_form_min(fam)], gaussian.BONA_FIDE_TOL),
+        _result(
+            "epr-in-anticorrelated-family",
+            gaussian.solve_invariant_cm("anticorrelated").residual(epr),
+            1e-12,
+            ok=bool(np.all(nu_min < 1.0)),
+        ),
+        _result("bona-fide-boundary", np.count_nonzero(gaussian._is_bona_fide(cms) != inside), 0.0),
     ]
 
 
@@ -202,14 +215,14 @@ def check_dephasing(cfg: VerifyConfig) -> list[CheckResult]:
     rng = np.random.default_rng(cfg.seed + 5)
     pt, rec = [0.0], []  # the PPT residual is clamped at 0.0
     for n in (4, 6, 8):
-        for m in _chunk_lengths(100, n**4):
-            # the draws of states.random_pure(n, n, rng), m at a time
-            z = rng.standard_normal((m, 2, n * n))
-            v = z[:, 0] + 1j * z[:, 1]
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            min_pt, rec_error = gaussian.dephasing_sweep(v, n)
-            pt.append(np.max(-min_pt))
-            rec.append(np.max(rec_error))
+        # the draws of 100 calls of states.random_pure(n, n, rng)
+        z = rng.standard_normal((100, 2, n * n))
+        v = z[:, 0] + 1j * z[:, 1]
+        del z  # the sweep holds only v and one chunk's stacks
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        min_pt, rec_error = gaussian.dephasing_sweep(v, n)
+        pt.append(np.max(-min_pt))
+        rec.append(np.max(rec_error))
     return [
         _result("dephased-output-ppt", pt, 1e-10),
         _result("dephased-separable-decomposition", rec, 1e-12),

@@ -203,10 +203,20 @@ class TestScenarios:
         assert code == 0
         row = json.loads(out)["rows"][-1]
         assert row["params"]["mode"] == "correlated"
-        swept, residual, nu_min = gaussian.quasi_normal_sweep(gaussian.solve_invariant_cm("correlated"), 6)
-        assert row["params"]["swept_points"] == swept
-        assert row["invariance_residual"] == residual
-        assert row["double_transmission_negativity"] == max(0.0, (1.0 / nu_min - 1.0) / 2)
+        fam = gaussian.solve_invariant_cm("correlated")
+        form_min = gaussian.det_c_form_min(fam)
+        assert row["params"] == {
+            "mode": "correlated",
+            "family_dimension": 4,
+            "det_c_form_min": form_min,
+            "all_separable": form_min >= -gaussian.BONA_FIDE_TOL,
+        }
+        assert row["params"]["all_separable"] is True
+        # the quasi-normal directions alpha, beta, omega, phi
+        directions = [np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0])]
+        directions += [np.kron([[0, 1], [1, 0]], np.eye(2)), np.kron([[0, 1], [-1, 0]], [[0, 1], [-1, 0]])]
+        assert row["invariance_residual"] == max(fam.residual(m) for m in directions)
+        assert row["double_transmission_negativity"] is None
 
     def test_eb_test_scenario(self, capsys):
         code, out, _ = _run(capsys, "eb-test", "--config", f"{CONFIG_DIR}/eb_test.json")
@@ -610,6 +620,27 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"cannot write {path}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["--out", "--csv"])
+    @pytest.mark.parametrize("kind", ["missing-dir", "a-directory"])
+    def test_unwritable_output_changes_no_file(self, capsys, tmp_path, bad, kind):
+        # the good path holds a file already; the bad one is in a missing
+        # directory, or is a directory, which fails only when it is replaced
+        good_flag = "--csv" if bad == "--out" else "--out"
+        good = tmp_path / "good"
+        good.write_text("earlier contents\n")
+        bad_path = tmp_path / "missing" / "x" if kind == "missing-dir" else tmp_path / "a-directory"
+        if kind == "a-directory":
+            bad_path.mkdir()
+        code, out, err = _run(
+            capsys, "pauli", "--config", f"{CONFIG_DIR}/pauli.json", good_flag, str(good), bad, str(bad_path)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"cannot write {bad_path}: ")
+        assert err.count("\n") == 1
+        assert good.read_text() == "earlier contents\n"
+        # no temporary file is left behind
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["good"] if kind == "missing-dir" else [kind, "good"])
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_refused_value_exits_1_and_writes_nothing(self, capsys, tmp_path, monkeypatch, flag):

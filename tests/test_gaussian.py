@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,13 +9,13 @@ from twirlbreak.gaussian import (
     OMEGA,
     CovarianceMatrix,
     dephased_blocks,
+    det_c_form_min,
     dephase_truncated,
     epr_cm,
     is_separable_two_mode,
     min_pt_eigenvalue,
     pt_symplectic_eigenvalues,
     quasi_normal_cm,
-    quasi_normal_sweep,
     reconstruct_decomposition,
     rotation_matrix,
     rotation_residual,
@@ -27,7 +25,7 @@ from twirlbreak.gaussian import (
     tmsv_support,
     truncated_tmsv,
 )
-from twirlbreak import gaussian, linalg
+from twirlbreak import gaussian
 from twirlbreak.linalg import (
     DensityOperator,
     hermitian_eigenvalues,
@@ -148,7 +146,7 @@ class TestSeparability:
         assert is_separable_two_mode(CovarianceMatrix(np.eye(4)))
 
     def test_quasi_normal_sweep_separable(self):
-        # the stacked sweep against the per-point route it replaced
+        # the stacked grid reference against the per-point route
         fam = solve_invariant_cm("correlated")
         count, worst, nu_min = 0, 0.0, np.inf
         for alpha in np.linspace(1.0, 3.0, 5):
@@ -163,36 +161,25 @@ class TestSeparability:
                         worst = max(worst, fam.residual(cm.m))
                         nu_min = min(nu_min, pt_symplectic_eigenvalues(cm)[0])
                         assert is_separable_two_mode(cm)
-        got_count, got_worst, got_nu_min = quasi_normal_sweep(fam, 5)
-        assert got_count == count
-        assert abs(got_worst - worst) < 1e-12
-        assert abs(got_nu_min - nu_min) < 1e-12
-        assert got_nu_min >= 1.0 - 1e-10
+        m = _bona_fide_grid(5)
+        got_nu_min, _ = gaussian._symplectic_pair(m, -1.0)
+        assert len(m) == count
+        assert abs(np.max(fam.residual(m)) - worst) < 1e-12
+        assert abs(np.min(got_nu_min) - nu_min) < 1e-12
+        assert np.min(got_nu_min) >= 1.0 - 1e-10
 
     # n = 1 and 2 keep no point: no coupling on their grids is 0
     @pytest.mark.parametrize("n, count", [(1, 0), (2, 0), (6, 320), (10, 2776)])
-    def test_sweep_counts_pinned(self, monkeypatch, n, count):
-        # 97 grid points a chunk: several chunks with a short tail at n = 6
-        # and 10, the first ones empty (alpha = 1 admits only C = 0)
-        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CACHE_BYTES", 97 * 8 * 16)
-        for mode in ("correlated", "anticorrelated"):
-            fam = solve_invariant_cm(mode)
-            assert quasi_normal_sweep(fam, n) == _one_shot_sweep(fam, n), mode
-        got_count, worst, nu_min = quasi_normal_sweep(solve_invariant_cm("correlated"), n)
-        assert got_count == count
-        assert worst < 1e-12
-        assert nu_min >= 1.0
-
-    def test_sweep_memory_does_not_grow_with_the_grid(self):
-        fam = solve_invariant_cm("correlated")
-        peaks = []
-        for n in (10, 20):
-            tracemalloc.start()
-            quasi_normal_sweep(fam, n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-        # one chunk of 4096 points peaks at ~1.8 MiB; the whole n = 20 grid would take 60 MiB
-        assert peaks[1] - peaks[0] < 64 * 1024
+    def test_sweep_counts_pinned(self, n, count):
+        # the quasi-normal grid that the det C certificate replaced, kept as a
+        # reference on real CMs: every bona-fide point is in the family, has
+        # det C = omega^2 + phi^2 >= 0 and is PPT
+        m = _bona_fide_grid(n)
+        assert len(m) == count
+        assert np.all(solve_invariant_cm("correlated").residual(m) < 1e-12)
+        assert np.all(np.linalg.det(m[:, :2, 2:]) >= 0)
+        nu_min, _ = gaussian._symplectic_pair(m, -1.0)
+        assert np.all(nu_min >= 1.0 - BONA_FIDE_TOL)
 
     def test_reduced_form_closed_condition(self):
         # for blocks alpha I / alpha I / gamma I: bona-fide implies separable
@@ -211,15 +198,41 @@ class TestSeparability:
                 assert is_separable_two_mode(cm)
 
 
-def _one_shot_sweep(family, n_per_axis):
-    """quasi_normal_sweep on the whole grid as one stack, the reference for
-    the streamed sweep."""
+def _bona_fide_grid(n_per_axis):
+    """The bona-fide quasi-normal CMs on the grid alpha, beta in [1, 3],
+    omega, phi in [-1.5, 1.5], n_per_axis points per axis."""
     diag = np.linspace(1.0, 3.0, n_per_axis)
     coupling = np.linspace(-1.5, 1.5, n_per_axis)
     m = gaussian._quasi_normal_stack(*np.meshgrid(diag, diag, coupling, coupling, indexing="ij", sparse=True))
-    m = m[gaussian._is_bona_fide(m)]
-    nu_min, _ = gaussian._symplectic_pair(m, -1.0)
-    return len(m), float(np.max(family.residual(m), initial=0.0)), float(np.min(nu_min, initial=np.inf))
+    return m[gaussian._is_bona_fide(m)]
+
+
+def _det_c_form(family):
+    """The Gram matrix Q of x -> det C(sum_i x_i B_i) on the family's basis,
+    from np.linalg.det and the form's values on the basis and its pairs."""
+    c = np.asarray(family.basis)[:, :2, 2:]
+    det_c = np.linalg.det(c)
+    return (np.linalg.det(c[:, None] + c[None]) - det_c[:, None] - det_c[None]) / 2
+
+
+class TestDetCForm:
+    @pytest.mark.parametrize(
+        "mode, spectrum", [("correlated", [0.0, 0.0, 0.5, 0.5]), ("anticorrelated", [-0.5, -0.5, 0.0, 0.0])]
+    )
+    def test_spectrum_pinned(self, mode, spectrum):
+        fam = solve_invariant_cm(mode)
+        got = np.linalg.eigvalsh(_det_c_form(fam))
+        assert got == pytest.approx(spectrum, rel=0, abs=1e-14)
+        assert abs(det_c_form_min(fam) - got[0]) < 1e-14
+
+    @pytest.mark.parametrize("mode", ["correlated", "anticorrelated"])
+    def test_bounds_det_c_on_random_members(self, mode):
+        fam = solve_invariant_cm(mode)
+        x = np.random.default_rng(5).standard_normal((1000, fam.dimension))
+        det_c = np.linalg.det(np.einsum("mi,ijk->mjk", x, np.asarray(fam.basis))[:, :2, 2:])
+        assert np.all(det_c >= det_c_form_min(fam) * np.sum(x * x, axis=1) - 1e-12)
+        # the anticorrelated family holds members with det C < 0, the EPR states among them
+        assert np.any(det_c < -0.1) == (mode == "anticorrelated")
 
 
 def _bona_fide_reference(m):

@@ -3,7 +3,8 @@ a deletion cannot leave a dead import behind.  __init__.py is exempt, since
 its imports are the package's re-exports.  Every private name a package
 module defines at its top level is read by some package module: a deleted
 route cannot leave its helper behind as code that only the tests call.  Only
-linalg reads PSD_TOL: every PSD and PPT verdict is one linalg rule."""
+linalg reads PSD_TOL: every PSD and PPT verdict is one linalg rule.  Only the
+kernels (linalg, twirl, gaussian) read the chunk budget _chunk_lengths."""
 
 import ast
 from pathlib import Path
@@ -79,6 +80,12 @@ def test_detects_an_unread_private_definition():
 def test_only_linalg_reads_the_psd_tolerance():
     readers = [path.name for path in PACKAGE if "PSD_TOL" in _reads(ast.parse(path.read_text()))]
     assert readers == ["linalg.py"]
+
+
+def test_only_the_kernels_read_the_chunk_budget():
+    # callers hand whole stacks to the kernels, which split them into chunks
+    readers = [path.name for path in PACKAGE if "_chunk_lengths" in _reads(ast.parse(path.read_text()))]
+    assert readers == ["gaussian.py", "linalg.py", "twirl.py"]
 
 
 def test_every_private_definition_is_read_by_the_package():

@@ -216,15 +216,16 @@ MUTANTS = {
         ["epr-pt-symplectic-closed-form"],
         [],
     ),
-    # the anticorrelated family solved for the correlated one; the
-    # separability gate reads the quasi-normal grid, not the solved family
+    # the anticorrelated family solved for the correlated one: its members
+    # leave the quasi-normal directions, its det C form is indefinite, and
+    # the EPR states leave the family solved as the anticorrelated one
     "families-swapped": (
         gaussian,
         "solve_invariant_cm",
         'sign = 1.0 if mode == "correlated" else -1.0',
         'sign = -1.0 if mode == "correlated" else 1.0',
         ["invariant-family"],
-        ["correlated-family-membership"],
+        ["correlated-family-membership", "correlated-family-separable", "epr-in-anticorrelated-family"],
         [],
     ),
     # S V S for S V S^T: a 6-dimensional solution space
@@ -237,31 +238,39 @@ MUTANTS = {
         ["correlated-family-dimension"],
         [],
     ),
-    # every grid point kept: the PT symplectic spectrum of a point that is
-    # not a state is NaN, and the least of them too
+    # every CM judged a state, those just outside the boundary included
     "bona-fide-always": (
         gaussian,
         "_is_bona_fide",
         "return positive & (delta >= 2 - BONA_FIDE_TOL) & (det_v - delta + 1 >= -BONA_FIDE_TOL)",
         "return np.ones(np.shape(positive), dtype=bool)",
         ["invariant-family"],
-        ["correlated-family-separable"],
+        ["bona-fide-boundary"],
         [],
     ),
-    # no grid point kept: an empty sweep reads residual 0.0 and nu_min inf
+    # no CM judged a state, those just inside the boundary included
     "bona-fide-never": (
         gaussian,
         "_is_bona_fide",
         "return positive & (delta >= 2 - BONA_FIDE_TOL) & (det_v - delta + 1 >= -BONA_FIDE_TOL)",
         "return np.zeros(np.shape(positive), dtype=bool)",
         ["invariant-family"],
-        ["correlated-family-membership", "correlated-family-separable"],
+        ["bona-fide-boundary"],
+        [],
+    ),
+    "det-c-form-nan": (
+        gaussian,
+        "det_c_form_min",
+        "return float(np.linalg.eigvalsh((det_sums - det_c[:, None] - det_c[None]) / 2)[0])",
+        'return float("nan")',
+        ["invariant-family"],
+        ["correlated-family-separable"],
         [],
     ),
     "dephasing-sweep-nan": (
         gaussian,
         "dephasing_sweep",
-        "return pt_spectra[..., 0].min(axis=1), rec_error",
+        "return np.concatenate(min_pt), np.concatenate(rec_error)",
         "return np.full(len(v), np.nan), np.full(len(v), np.nan)",
         ["dephasing"],
         ["dephased-output-ppt", "dephased-separable-decomposition"],
@@ -282,7 +291,7 @@ MUTANTS = {
 NAN_MUTANTS = [
     "rotation-residual-nan",
     "pt-symplectic-nan",
-    "bona-fide-always",
+    "det-c-form-nan",
     "dephasing-sweep-nan",
     "mc-twirl-nan",
 ]
@@ -377,7 +386,7 @@ def test_every_gate_is_failed_by_name_or_declared():
     # coverage through a group that raises, kept apart: the Choi defect's only
     raised = {group for *_, raises in MUTANTS.values() for group in raises}
     assert raised == {"eb-threshold"}
-    assert len(CHECK_NAMES) == 42
+    assert len(CHECK_NAMES) == 44
     assert set(IDENTITIES) <= set(CHECK_NAMES)
     assert [gate for gate in CHECK_NAMES if gate not in failed_by_name and gate not in IDENTITIES] == []
 

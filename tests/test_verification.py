@@ -40,6 +40,8 @@ CHECK_NAMES = [
     "correlated-family-dimension",
     "correlated-family-membership",
     "correlated-family-separable",
+    "epr-in-anticorrelated-family",
+    "bona-fide-boundary",
     "dephased-output-ppt",
     "dephased-separable-decomposition",
     "pauli-env-classical",
@@ -55,7 +57,7 @@ CHANNELS = 200
 
 def test_check_names_and_order_are_pinned():
     results = verification.run_all(verification.VerifyConfig())
-    assert len(CHECK_NAMES) == 42
+    assert len(CHECK_NAMES) == 44
     assert [r.name for r in results] == CHECK_NAMES
     for r in results:
         assert r.passed == (r.residual <= r.tolerance), r.name
@@ -191,7 +193,7 @@ def _sweep_outputs(monkeypatch, chunk_size):
     cfg = verification.VerifyConfig()
     with monkeypatch.context() as mp:
         if chunk_size is not None:
-            mp.setattr(verification, "_chunk_lengths", _fixed_chunks(chunk_size))
+            mp.setattr(gaussian, "_chunk_lengths", _fixed_chunks(chunk_size))
         dephasing = _recorded(mp, gaussian, "dephasing_sweep")
         results = verification.check_dephasing(cfg)
     inputs = np.concatenate([np.abs(args[0]).ravel() for args, _ in dephasing])
