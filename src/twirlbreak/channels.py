@@ -17,7 +17,6 @@ from .linalg import (
     kron,
     partial_trace_multi,
     partial_transpose_mat,
-    permute_subsystems,
     ppt_from_spectrum,
     validate_density_stack,
 )
@@ -74,12 +73,6 @@ class KrausChannel:
         return self.operators.shape[1]
 
 
-def _controlled(blocks: np.ndarray) -> np.ndarray:
-    """sum_k |k><k| x U_k from the (K, d, d) stack of blocks U_k."""
-    k, d, _ = blocks.shape
-    return np.einsum("ij,iab->iajb", np.eye(k), blocks).reshape(k * d, k * d)
-
-
 @dataclass(frozen=True)
 class DilatedChannel:
     """Unitary dilation with a classical correlated environment.
@@ -88,7 +81,9 @@ class DilatedChannel:
     sum_k |k><k| x U_k on E1 x A and sum_k |k><k| x V_k on E2 x B.  Only p
     and the K blocks U_k, V_k are stored, so the environment is diagonal
     (classical) by construction; tracing it out leaves
-    sum_k p_k (U_k x V_k) rho (U_k x V_k)^dag.
+    sum_k p_k (U_k x V_k) rho (U_k x V_k)^dag.  The dense forms built for
+    the reference keep the environment's order: the control unitary is
+    stored on E1 x E2 x A x B.
     """
 
     probabilities: ProbabilityVector
@@ -119,8 +114,12 @@ class DilatedChannel:
 
     @cached_property
     def control_unitary(self) -> np.ndarray:
-        """The dense control unitary on E1 x A x E2 x B (read-only)."""
-        u = kron(_controlled(self.u_blocks), _controlled(self.v_blocks))
+        """The dense control unitary sum_{k,l} |k,l><k,l| x U_k x V_l, the
+        controls on E1 x A and E2 x B stored on E1 x E2 x A x B (read-only)."""
+        k, (da, db) = self.env_dim, self.system_dims
+        eye = np.eye(k)
+        u = np.einsum("km,ln,kac,lbd->klabmncd", eye, eye, self.u_blocks, self.v_blocks)
+        u = u.reshape(k * k * da * db, k * k * da * db)
         u.flags.writeable = False
         return u
 
@@ -207,18 +206,15 @@ def apply_dilation(dc: DilatedChannel, rho: DensityOperator) -> DensityOperator:
 
 def apply_dilation_dense(dc: DilatedChannel, op: np.ndarray) -> np.ndarray:
     """Reference for apply_dilation at small K on any (D, D) operator, states or
-    not: embed op with the environment, conjugate by the dense control unitary,
-    trace out the environment."""
+    not: embed op with the environment, as env x op on E1 x E2 x A x B,
+    conjugate by the dense control unitary, trace out the environment."""
     da, db = dc.system_dims
     if np.shape(op) != (da * db, da * db):
         raise ValueError("operator dimensions do not match the dilation")
     k = dc.env_dim
     u = dc.control_unitary
-    # env x op lives on (E1, E2, A, B); reorder to (E1, A, E2, B)
-    total = kron(dc.env_state.mat, op)
-    total = permute_subsystems(total, [k, k, da, db], [0, 2, 1, 3])
-    total = u @ total @ u.conj().T
-    return partial_trace_multi(total, [k, da, k, db], keep=[1, 3])
+    total = u @ kron(dc.env_state.mat, op) @ u.conj().T
+    return partial_trace_multi(total, [k, k, da, db], keep=[2, 3])
 
 
 def env_is_classical(state: DensityOperator) -> bool:

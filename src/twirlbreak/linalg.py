@@ -102,8 +102,14 @@ def _component_blocks(m: np.ndarray) -> list:
 
 def _blocks_residual(blocks: list) -> float:
     """The Hermiticity residual max|M - M^dag| inside finite blocks from
-    _component_blocks."""
-    return max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max(initial=0.0)) for b in blocks)
+    _component_blocks, read with one full-size temporary per array:
+    conj(M) - M^T, which is (M^dag - M) transposed, formed in place."""
+    worst = 0.0
+    for b in blocks:
+        t = b.conj()
+        t -= b.swapaxes(-1, -2)
+        worst = max(worst, float(np.abs(t).max(initial=0.0)))
+    return worst
 
 
 def _blocks_psd(blocks: list) -> bool:
@@ -326,21 +332,6 @@ def _swap_middle(m, d0, d1, d2, d3) -> np.ndarray:
     """m as a (d0, d1, d2, d3) tensor with its middle axes swapped, flattened
     to a (d0 d2, d1 d3) matrix."""
     return m.reshape(d0, d1, d2, d3).transpose(0, 2, 1, 3).reshape(d0 * d2, d1 * d3)
-
-
-def permute_subsystems(mat: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder the tensor factors of a square matrix.
-
-    ``dims`` are the current factor dimensions; ``perm[i]`` is the index
-    of the current factor placed at output position i.
-    """
-    dims = list(dims)
-    n = len(dims)
-    t = np.asarray(mat).reshape(dims + dims)
-    axes = list(perm) + [n + p for p in perm]
-    t = t.transpose(axes)
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
 
 
 def partial_trace_multi(mat: np.ndarray, dims, keep) -> np.ndarray:

@@ -237,6 +237,22 @@ class TestDilation:
         assert u.shape == (64, 64)
         assert np.max(np.abs(u @ u.conj().T - np.eye(64))) < 1e-14
 
+    def test_control_unitary_is_stored_environment_first(self):
+        # sum_{k,l} |k,l><k,l| x U_k x V_l on E1 x E2 x A x B: block (k, l)
+        # of the environment diagonal is U_k x V_l, every other block is zero
+        k, da, db = 3, 2, 3
+        us = HaarSampler(11, da).sample_batch(k)
+        vs = HaarSampler(12, db).sample_batch(k)
+        u = DilatedChannel(ProbabilityVector((0.5, 0.3, 0.2)), us, vs).control_unitary
+        assert u.shape == (k * k * da * db, k * k * da * db)
+        blocks = u.reshape(k, k, da * db, k, k, da * db)
+        for e1, e2, f1, f2 in np.ndindex(k, k, k, k):
+            block = blocks[e1, e2, :, f1, f2, :]
+            if (e1, e2) == (f1, f2):
+                assert np.max(np.abs(block - np.kron(us[e1], vs[e2]))) <= 1e-15
+            else:
+                assert not block.any()
+
     def test_dense_parts_built_once(self):
         dc = correlated_pauli(UNIFORM)
         assert dc.env_state is dc.env_state

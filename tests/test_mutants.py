@@ -16,8 +16,9 @@ fail.  A gate whose residual is NaN fails by name, its entry carrying the
 error in place of a residual, and the other gates of its group still report.
 Every gate pinned in tests/test_verification.py is failed by name by some
 case, or is an identity by construction, declared with its reason in
-IDENTITIES.  The Pauli dilation gate is not named for a dropped conjugate:
-every P x P is real, so it passes that defect.
+IDENTITIES.  The Pauli dilation gate is not named for a dropped conjugate,
+in the kernel or on V in the dense control: every P x P is real, so it
+passes those defects.
 """
 
 import inspect
@@ -79,6 +80,38 @@ MUTANTS = {
         "root_w = weights",
         ["2design", "dilations"],
         ["clifford-span-IV", "pauli-dilation-vs-kraus", "twirl-dilation-vs-kraus"],
+        [],
+    ),
+    # the dense reference's environment holds p_k on |k, k+1 mod K>: the
+    # controls pair U_k with V_(k+1), so both dilation gates fail
+    "environment-off-the-diagonal": (
+        channels,
+        "DilatedChannel",
+        "np.diag(self.probabilities.p).ravel()",
+        "np.roll(np.diag(self.probabilities.p), 1, axis=1).ravel()",
+        ["dilations"],
+        ["pauli-dilation-vs-kraus", "twirl-dilation-vs-kraus"],
+        [],
+    ),
+    # U_k x conj(V_l) in the control: P x conj(P) = +-P x P for every Pauli,
+    # so only the twirl's reference fails
+    "control-second-side-conjugated": (
+        channels,
+        "DilatedChannel",
+        "self.u_blocks, self.v_blocks)",
+        "self.u_blocks, self.v_blocks.conj())",
+        ["dilations"],
+        ["twirl-dilation-vs-kraus"],
+        [],
+    ),
+    # op x env embedded where the control expects env x op on E1 x E2 x A x B
+    "dense-embedding-reversed": (
+        channels,
+        "apply_dilation_dense",
+        "kron(dc.env_state.mat, op)",
+        "kron(op, dc.env_state.mat)",
+        ["dilations"],
+        ["pauli-dilation-vs-kraus", "twirl-dilation-vs-kraus"],
         [],
     ),
     # side-B dephasing is entanglement-breaking too, so its outputs still

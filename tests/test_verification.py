@@ -399,13 +399,19 @@ def test_dephasing_sweep_validates_its_input():
 
 def test_dephasing_memory_is_bounded_by_chunk_budget():
     # bound fixed from the layout: a chunk holds one dense (m, n^2, n^2)
-    # input stack within the budget, and its validation at most two and a
-    # half stacks of temporaries at once (the conjugate, the difference and
-    # its real modulus in the Hermiticity check; the shifted copy and the
-    # factor in the Cholesky); the dephased outputs are (m, n, n, n) blocks,
-    # 1/n of a stack each; an unchunked (100, 64, 64) stack alone takes 12.5
-    # budgets
+    # input stack within the budget, and its validation at most two stacks
+    # of temporaries at once (the shifted copy and the factor in the
+    # Cholesky; the Hermiticity check holds one and a half: the conjugate,
+    # with the transpose subtracted in place, and its real modulus); the
+    # dephased outputs are (m, n, n, n) blocks, 1/n of a stack each, and the
+    # drawn vectors of a cutoff 0.2 budgets at n = 8, within the last half
+    # budget; an unchunked (100, 64, 64) stack alone takes 12.5 budgets
     cfg = verification.VerifyConfig()
+    # numpy imports numpy.random on first use, ~0.6 MiB that a cold process
+    # would count inside the window; import it first, so the peak does not
+    # depend on which tests ran before
+    import numpy.random  # noqa: F401
+
     tracemalloc.start()
     try:
         verification.check_dephasing(cfg)
