@@ -3,12 +3,12 @@
 Usage (each subcommand takes only the flags it reads):
     twirlbreak pauli       --config <path> [--out <path>] [--csv <path>]
     twirlbreak qudit-twirl --config <path> [--out <path>] [--csv <path>] [--seed N] [--mc-samples N]
-    twirlbreak bosonic     --config <path> [--out <path>] [--csv <path>] [--fock-cutoff N]
+    twirlbreak bosonic     --config <path> [--out <path>] [--csv <path>]
     twirlbreak eb-test     --config <path> [--out <path>] [--csv <path>]
     twirlbreak verify      --config <path> [--out <path>] [--seed N] [--mc-samples N]
 
---seed, --mc-samples and --fock-cutoff override the config key of the same
-name (seed, mc_samples, fock_cutoff).
+--seed and --mc-samples override the config key of the same name (seed,
+mc_samples).
 
 Exit codes: 0 success, 1 verification failure (a gate that fails; a gate
 whose residual is not finite, or a check group that raises: `verify` prints
@@ -45,7 +45,7 @@ from .experiments import (
 _SUBCOMMANDS = {
     "pauli": (run_pauli_scenario, ("--csv",)),
     "qudit-twirl": (run_qudit_scenario, ("--csv", "--seed", "--mc-samples")),
-    "bosonic": (run_bosonic_scenario, ("--csv", "--fock-cutoff")),
+    "bosonic": (run_bosonic_scenario, ("--csv",)),
     "eb-test": (run_eb_test, ("--csv",)),
     "verify": (run_verify, ("--seed", "--mc-samples")),
 }
@@ -55,7 +55,6 @@ _FLAGS = {
     "--csv": (str, "also write a flat CSV of result rows"),
     "--seed": (int, "override the config seed"),
     "--mc-samples": (int, "override the Monte-Carlo sample count"),
-    "--fock-cutoff": (int, "override the Fock-space cutoff"),
 }
 
 

@@ -240,14 +240,16 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
 MAX_FOCK_CUTOFF = 40
 
 
-def _fock_cutoff(mu: float, cutoff: int) -> int:
-    """The Fock cutoff for the squeezed state at mu: cutoff, enlarged until the
-    truncation tail lam^(2n), lam^2 = (mu - 1)/(mu + 1), is below gaussian.TAIL_TOL.
+def _fock_cutoff(mu: float) -> int:
+    """The Fock cutoff for the squeezed state at mu: the least n >= 2 whose
+    truncation one mode short already has its tail lam^(2(n - 1)), lam^2 =
+    (mu - 1)/(mu + 1), within gaussian.TAIL_TOL.  The floor of 2 is the
+    vacuum's, whose dephased PT spectrum then keeps its least eigenvalue 0.
     One above MAX_FOCK_CUTOFF is a ConfigError."""
-    need = float(cutoff)
+    need = 2.0
     if mu > 1:
         # log1p keeps log(lam^2) < 0 where lam itself rounds to 1
-        need = max(need, np.ceil(np.log(gaussian.TAIL_TOL) / np.log1p(-2 / (mu + 1))) + 1)
+        need = np.ceil(np.log(gaussian.TAIL_TOL) / np.log1p(-2 / (mu + 1))) + 1
     if need > MAX_FOCK_CUTOFF:
         raise ConfigError(f"mu = {mu} needs Fock cutoff {need:g}, above the cap of {MAX_FOCK_CUTOFF}")
     return int(need)
@@ -261,12 +263,11 @@ def _gaussian_negativity(nu_min: float) -> float:
 
 def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     mus = _grid(cfg, "mu_grid")
-    cutoff = _number(cfg.get("fock_cutoff", 8), "fock_cutoff", integer=True, minimum=1)
     cfg.reject_unread()
     if min(mus) < 1:
         raise ConfigError("mu must be >= 1")
     # every row's cutoff is checked before any state is built
-    cutoffs = [_fock_cutoff(mu, cutoff) for mu in mus]
+    cutoffs = [_fock_cutoff(mu) for mu in mus]
     rows = []
     for mu, n_fock in zip(mus, cutoffs):
         cm = gaussian.epr_cm(mu)
@@ -382,27 +383,6 @@ def run_verify(cfg: ExperimentConfig) -> dict:
 
 # -- serialization ---------------------------------------------------------
 
-def _fmt_value(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        if not math.isfinite(v):
-            raise RefusedValueError(f"cannot serialize the non-finite number {v!r}: JSON has none")
-        # 17 significant digits round-trips IEEE doubles
-        return format(float(v), ".17g")
-    if isinstance(v, str):
-        return json.dumps(v)
-    if v is None:
-        return "null"
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_fmt_value(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_fmt_value(x)}" for k, x in v.items()) + "}"
-    raise TypeError(f"cannot serialize {type(v)}")
-
-
 def rows_to_document(rows: list[ResultRow], scenario: str, config_params: dict) -> dict:
     return {
         "scenario": scenario,
@@ -411,14 +391,23 @@ def rows_to_document(rows: list[ResultRow], scenario: str, config_params: dict) 
     }
 
 
+def _json(v) -> str:
+    """v as JSON text, each float as Python's shortest repr that reads back
+    as it; a non-finite number, which JSON has none of, is refused."""
+    try:
+        return json.dumps(v, allow_nan=False)
+    except ValueError:
+        raise RefusedValueError("cannot serialize a non-finite number: JSON has none") from None
+
+
 def dumps_document(doc: dict) -> str:
-    return _fmt_value(doc) + "\n"
+    return _json(doc) + "\n"
 
 
 def _csv_cell(v) -> str:
     if v is None:
         return ""  # the scenario does not measure this field
-    return v if isinstance(v, str) else _fmt_value(v)
+    return v if isinstance(v, str) else _json(v)
 
 
 def csv_text(rows: list[ResultRow]) -> str:

@@ -182,8 +182,11 @@ class InvariantFamily:
     """Null-space description of the CMs fixed by a family of rotations."""
 
     basis: tuple            # symmetric 4x4 matrices spanning the family
-    dimension: int
     projector: np.ndarray   # orthogonal projector onto the span, on the 10 free entries
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
     def residual(self, m: np.ndarray):
         """Distance of a symmetric matrix from the family's span; an array of
@@ -205,7 +208,7 @@ def solve_invariant_cm(mode: str) -> InvariantFamily:
     # one row per (angle, entry), one column per unit matrix
     _, sv, vt = np.linalg.svd(r.swapaxes(1, 2).reshape(-1, 10))
     null = vt[sv < 1e-10]
-    return InvariantFamily(tuple(_from_params(null)), len(null), null.T @ null)
+    return InvariantFamily(tuple(_from_params(null)), null.T @ null)
 
 
 def det_c_form_min(family: InvariantFamily) -> float:

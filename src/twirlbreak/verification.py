@@ -39,9 +39,10 @@ def _result(name: str, residuals, tol: float, ok: bool = True) -> CheckResult:
     largest of residuals (one number or a sequence); ok carries any verdict it
     makes besides residual <= tol.  The max keeps a NaN, which fails the gate."""
     residual = float(np.max(residuals)) + 0.0  # + 0.0 turns a -0.0 into 0.0
+    tol = float(tol)  # a numpy tol would make the verdict a numpy bool
     if not np.isfinite(residual):
-        return CheckResult(name, False, None, float(tol), f"non-finite residual {residual}")
-    return CheckResult(name, ok and residual <= tol, residual, float(tol))
+        return CheckResult(name, False, None, tol, f"non-finite residual {residual}")
+    return CheckResult(name, ok and residual <= tol, residual, tol)
 
 
 def _map_distance(d: int, f, *others) -> float:

@@ -24,11 +24,27 @@ from twirlbreak.linalg import (
     partial_transpose_mat,
     validate_density_stack,
 )
-from twirlbreak.states import isotropic, max_entangled_mat, werner_multi
+from twirlbreak.states import (
+    isotropic,
+    isotropic_entangled,
+    max_entangled_mat,
+    werner_multi,
+    werner_multi_entangled,
+    werner_qubit_entangled,
+)
 from twirlbreak.twirl import HaarSampler, mc_twirl
 
 CONFIG_DIR = "configs"
 ROOT = Path(__file__).resolve().parents[1]
+EPS = np.finfo(float).eps
+# each shipped scenario config and its subcommand
+SHIPPED = {
+    "pauli": "pauli",
+    "qudit_werner_d3": "qudit-twirl",
+    "qudit_isotropic_d3": "qudit-twirl",
+    "bosonic": "bosonic",
+    "eb_test": "eb-test",
+}
 
 
 def _run(capsys, *argv):
@@ -75,9 +91,55 @@ class TestScenarios:
         assert [r["params"]["mu"] for r in mu_rows] == [1, 1.5, 2, 5]
         for r in mu_rows:
             assert r["single_transmission_negativity"] <= 1e-10
-            # cutoff grows with squeezing so the truncation tail stays small
-            assert r["params"]["fock_cutoff"] >= 8
-        assert mu_rows[-1]["params"]["fock_cutoff"] > 8
+            # the least cutoff n >= 2 whose truncation one mode short keeps
+            # its tail lam^(2(n - 1)) within TAIL_TOL
+            mu, n = r["params"]["mu"], r["params"]["fock_cutoff"]
+            lam2 = (mu - 1) / (mu + 1)
+            assert lam2 ** (n - 1) <= gaussian.TAIL_TOL
+            assert n == 2 or lam2 ** (n - 2) > gaussian.TAIL_TOL
+        assert [r["params"]["fock_cutoff"] for r in mu_rows] == [2, 6, 8, 19]
+
+    @pytest.mark.parametrize("config", list(SHIPPED))
+    def test_shipped_rows_match_closed_forms(self, capsys, config):
+        # each bound is 8 D eps for a negativity read on a state of dimension
+        # D (times mu^4 for the EPR rows, below), fixed before any run
+        code, out, _ = _run(capsys, SHIPPED[config], "--config", f"{CONFIG_DIR}/{config}.json")
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            p, verdict = row["params"], row["eb_verdict"]
+            single, double = row["single_transmission_negativity"], row["double_transmission_negativity"]
+            if config == "pauli":
+                gamma, bound = p["gamma"], 8 * 4 * EPS
+                assert single <= bound
+                assert abs(double - max(0.0, (3 * gamma - 1) / 4)) <= bound
+                assert (double > bound) == werner_qubit_entangled(gamma)
+                assert verdict == ("EB" if max(p["p"]) <= 0.5 else "NOT-EB")
+            elif SHIPPED[config] == "qudit-twirl":
+                d, x = p["d"], p["param"]
+                bound = 8 * d * d * EPS
+                if p["mode"] == "uu":
+                    want, entangled = max(0.0, -(1 + x * d) / (d * (d + x))), werner_multi_entangled(d, x)
+                else:
+                    want, entangled = max(0.0, (d - 1) * ((d + 1) * x - 1) / (2 * d)), isotropic_entangled(d, x)
+                assert single <= bound
+                assert abs(double - want) <= bound
+                assert verdict == ("NPT (entanglement preserved)" if entangled else "PPT")
+            elif config == "bosonic" and p["mode"] == "correlated":
+                assert (single, double, verdict) == (None, None, "separable family")
+            elif config == "bosonic":
+                mu, n = p["mu"], p["fock_cutoff"]
+                assert single <= 8 * n * n * EPS
+                # nu_min = sqrt(det V / nu_+^2), and det V = 1 is a sum of
+                # terms of size mu^4, so it is rounded at eps mu^4
+                want = (mu + np.sqrt(mu * mu - 1) - 1) / 2
+                assert abs(double - want) <= 8 * 4 * EPS * mu**4
+                assert verdict == "EB (dephased output PPT)"
+            else:
+                channel_file = json.loads((ROOT / CONFIG_DIR / f"{config}.json").read_text())["channel_file"]
+                channel = json.loads((ROOT / CONFIG_DIR / channel_file).read_text())["pauli_p"]
+                assert abs(single - max(0.0, max(channel) - 0.5)) <= 8 * 4 * EPS
+                assert double is None
+                assert verdict == ("NOT-EB" if max(channel) > 0.5 else "EB")
 
     def test_bosonic_scenario_does_not_import_numpy_ma(self):
         # numpy.ma (pulled in lazily by np.unique, among others) costs about
@@ -412,11 +474,12 @@ class TestUnmeasuredFields:
 READS = {
     "pauli": ("--csv",),
     "qudit-twirl": ("--csv", "--seed", "--mc-samples"),
-    "bosonic": ("--csv", "--fock-cutoff"),
+    "bosonic": ("--csv",),
     "eb-test": ("--csv",),
     "verify": ("--seed", "--mc-samples"),
 }
-# --tol is read by no subcommand: verify's tolerances are fixed where each gate is defined
+# --tol and --fock-cutoff are read by no subcommand: verify's tolerances are
+# fixed where each gate is defined, and each bosonic row's Fock cutoff by its mu
 VALUES = {"--seed": 7, "--mc-samples": 200, "--tol": 0.5, "--fock-cutoff": 9}
 CONFIGS = {
     "pauli": "pauli",
@@ -652,7 +715,7 @@ class TestExitCodes:
         path = tmp_path / "result"
         code, out, err = _run(capsys, "pauli", "--config", f"{CONFIG_DIR}/pauli.json", flag, str(path))
         assert (code, out) == (1, "")
-        assert err == "error: cannot serialize the non-finite number nan: JSON has none\n"
+        assert err == "error: cannot serialize a non-finite number: JSON has none\n"
         assert not path.exists()
 
     def test_pauli_gamma_out_of_range_is_config_error(self, capsys, tmp_path):
@@ -699,28 +762,34 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "scenario, payload",
+        "scenario, payload, unknown",
         [
-            ("qudit-twirl", {"d": 2, "mode": "uu", "param_grid": [0.5], "mc_sample": 50, "sed": 5}),
-            ("bosonic", {"mu_grid": [1.0], "fock_cutof": 4}),
-            ("bosonic", {"mu_grid": [1.0], "n_angles": 32}),
-            ("pauli", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": [0.5], "seed": 1}),
+            (
+                "qudit-twirl",
+                {"d": 2, "mode": "uu", "param_grid": [0.5], "mc_sample": 50, "sed": 5},
+                "'mc_sample', 'sed'",
+            ),
+            ("bosonic", {"mu_grid": [1.0], "fock_cutof": 4}, "'fock_cutof'"),
+            ("bosonic", {"mu_grid": [1.0], "n_angles": 32}, "'n_angles'"),
+            ("pauli", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": [0.5], "seed": 1}, "'seed'"),
             # rejected before the (missing) channel file is read
-            ("eb-test", {"channel_file": "/nonexistent/chan.json", "mc_samples": 10}),
-            ("verify", {"fock_cutoff": 8}),
-            ("verify", {"tol": 0.5}),
+            ("eb-test", {"channel_file": "/nonexistent/chan.json", "mc_samples": 10}, "'mc_samples'"),
+            ("verify", {"fock_cutoff": 8}, "'fock_cutoff'"),
+            ("verify", {"tol": 0.5}, "'tol'"),
+            # each row's Fock cutoff comes from its mu alone
+            ("bosonic", {"mu_grid": [1.0], "fock_cutoff": 8}, "'fock_cutoff'"),
         ],
         ids=[
             "typos-mc-samples-seed", "typo-fock-cutoff", "stale-n-angles", "pauli-seed", "eb-test-key", "verify-key",
-            "verify-tol",
+            "verify-tol", "bosonic-fock-cutoff",
         ],
     )
-    def test_unknown_key_is_config_error(self, capsys, tmp_path, scenario, payload):
+    def test_unknown_key_is_config_error(self, capsys, tmp_path, scenario, payload, unknown):
         # a key the scenario does not read would otherwise be echoed as if applied
         cfg = _write(tmp_path, "cfg.json", payload)
         code, out, err = _run(capsys, scenario, "--config", cfg)
         assert code == 2
-        assert "config error: unknown config key" in err
+        assert err == f"config error: unknown config key(s) {unknown} for scenario {scenario!r}\n"
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -741,14 +810,11 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
-        "payload, flags, message",
-        [
-            ({"mu_grid": [1.0, 20.0]}, [], "mu = 20.0 needs Fock cutoff 71, above the cap of 40"),
-            ({"mu_grid": [1.0]}, ["--fock-cutoff", "41"], "mu = 1.0 needs Fock cutoff 41, above the cap of 40"),
-        ],
-        ids=["mu-20", "fock-cutoff-41"],
+        "payload, message",
+        [({"mu_grid": [1.0, 20.0]}, "mu = 20.0 needs Fock cutoff 71, above the cap of 40")],
+        ids=["mu-20"],
     )
-    def test_fock_cutoff_above_cap_is_config_error(self, capsys, tmp_path, monkeypatch, payload, flags, message):
+    def test_fock_cutoff_above_cap_is_config_error(self, capsys, tmp_path, monkeypatch, payload, message):
         def forbidden(*args, **kwargs):
             raise AssertionError("the cutoff is checked before any state is built")
 
@@ -756,25 +822,24 @@ class TestExitCodes:
         monkeypatch.setattr(gaussian, "truncated_tmsv", forbidden)
         monkeypatch.setattr(gaussian, "tmsv_support", forbidden)
         cfg = _write(tmp_path, "cfg.json", payload)
-        code, out, err = _run(capsys, "bosonic", "--config", cfg, *flags)
+        code, out, err = _run(capsys, "bosonic", "--config", cfg)
         assert code == 2
         assert f"config error: {message}" in err
         assert out == ""
 
     def test_fock_cutoff_cap_is_inclusive(self):
         assert experiments.MAX_FOCK_CUTOFF == 40
-        assert experiments._fock_cutoff(1.0, 40) == 40
-        # mu = 11 needs 39 by the tail rule, mu = 12 needs 43
-        assert experiments._fock_cutoff(11.0, 8) == 39
-        with pytest.raises(experiments.ConfigError, match="mu = 12.0 needs Fock cutoff 43"):
-            experiments._fock_cutoff(12.0, 8)
+        # mu = 11.3 needs exactly 40 by the tail rule, mu = 11.35 needs 41
+        assert experiments._fock_cutoff(11.3) == 40
+        with pytest.raises(experiments.ConfigError, match="mu = 11.35 needs Fock cutoff 41"):
+            experiments._fock_cutoff(11.35)
 
     def test_fock_cutoff_passes_the_tail_check(self):
         # the cutoff rule and tmsv_support read the same gaussian.TAIL_TOL; the
         # rule's +1 keeps even one mode fewer within the tail mass
         for mu in np.linspace(1.0, 11.0, 2845)[1:]:
             lam = np.sqrt((mu - 1) / (mu + 1))
-            n = experiments._fock_cutoff(mu, 1)
+            n = experiments._fock_cutoff(mu)
             gaussian.tmsv_support(lam, n)
             gaussian.tmsv_support(lam, n - 1)
 

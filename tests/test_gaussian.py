@@ -293,6 +293,8 @@ class TestSolveInvariantCm:
     def test_correlated_dimension_and_membership(self):
         fam = solve_invariant_cm("correlated")
         assert fam.dimension == 4
+        # the dimension is the basis's length, and the projector's rank
+        assert abs(np.trace(fam.projector) - fam.dimension) < 1e-12
         cm = quasi_normal_cm(2.0, 1.5, 0.4, 0.3)
         assert fam.residual(cm.m) < 1e-12
         assert fam.residual(np.eye(4)) < 1e-12

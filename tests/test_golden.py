@@ -46,15 +46,10 @@ def _write_output(name: str, path) -> None:
     assert cli.main([*RUNS[name], "--out", str(path)]) == 0, name
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _mismatches(want, got, path="$"):
     """One line per field where got differs from want: strings, ints, bools
-    and null exactly, floats within FLOAT_TOL (the writer prints an integral
-    float as an int, so a number on either side that is a float is compared
-    as a float)."""
+    and null exactly, floats within FLOAT_TOL.  The writer prints an integral
+    float as 1.0, so an int never matches a float."""
     if isinstance(want, dict) and isinstance(got, dict):
         if list(want) != list(got):
             yield f"{path}: keys {list(want)} != {list(got)}"
@@ -67,8 +62,8 @@ def _mismatches(want, got, path="$"):
             return
         for i, (w, g) in enumerate(zip(want, got)):
             yield from _mismatches(w, g, f"{path}[{i}]")
-    elif isinstance(want, float) or isinstance(got, float):
-        if not (_is_number(want) and _is_number(got)) or abs(want - got) > FLOAT_TOL * max(1.0, abs(want)):
+    elif isinstance(want, float) and isinstance(got, float):
+        if abs(want - got) > FLOAT_TOL * max(1.0, abs(want)):
             yield f"{path}: {want!r} != {got!r}"
     elif type(want) is not type(got) or want != got:
         yield f"{path}: {want!r} != {got!r}"
@@ -103,6 +98,8 @@ def test_comparison_reads_every_field():
     assert list(_mismatches(doc, {"a": [1, 0.5 + 2e-15, "x", None, True], "b": {"c": 2.0}})) != []
     assert list(_mismatches(doc, {"a": [1, 0.5, "y", None, True], "b": {"c": 2.0}})) != []
     assert list(_mismatches(doc, {"a": [1, 0.5, "x", None, 1], "b": {"c": 2.0}})) != []
+    assert list(_mismatches(doc, {"a": [1, 0.5, "x", None, True], "b": {"c": 2}})) != []
+    assert list(_mismatches(doc, {"a": [1.0, 0.5, "x", None, True], "b": {"c": 2.0}})) != []
     assert list(_mismatches(doc, {"a": [1, 0.5, "x", None], "b": {"c": 2.0}})) != []
     assert list(_mismatches(doc, {"b": {"c": 2.0}, "a": [1, 0.5, "x", None, True]})) != []
     # relative above 1, absolute below

@@ -63,6 +63,16 @@ def test_check_names_and_order_are_pinned():
         assert r.passed == (r.residual <= r.tolerance), r.name
 
 
+def test_every_verdict_is_a_python_bool():
+    # a numpy bool is no JSON value; the Monte-Carlo gates' tolerance
+    # 5/sqrt(n) is computed in numpy
+    doc = experiments.run_verify(experiments.ExperimentConfig("verify", {"mc_samples": 200}))
+    assert len(doc["checks"]) == 44
+    assert [c["name"] for c in doc["checks"] if type(c["passed"]) is not bool] == []
+    assert [c["name"] for c in doc["checks"] if type(c["tolerance"]) is not float] == []
+    assert type(doc["all_passed"]) is bool
+
+
 def test_a_gate_reads_the_largest_residual_and_keeps_a_nan():
     # the max of finite residuals, a -0.0 read as 0.0
     result = verification._result

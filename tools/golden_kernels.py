@@ -1,0 +1,119 @@
+"""Run the golden comparison of tests/test_golden.py under several OpenBLAS
+kernel classes, and report how far each output field spreads across them.
+
+    python3 tools/golden_kernels.py
+
+Each run is a child process with OPENBLAS_CORETYPE, or OPENBLAS_NUM_THREADS,
+set in that child's own environment; nothing else is changed.  A child
+writes the `--out` document of every golden run, compares it with its golden
+by `test_golden._mismatches`, and prints both as JSON.  The parent prints,
+per run, the kernel class that OpenBLAS reports and each mismatching field,
+then the spread across the runs of each float field that differs between
+them, largest first (max - min, divided by max(1, |value|) as the golden
+tolerance is).  Exit code 0 when every golden passes under every run, 1
+otherwise.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# run name -> what the child adds to its own environment
+RUNS = {
+    "default": {},
+    **{core: {"OPENBLAS_CORETYPE": core} for core in ("Haswell", "Zen", "Prescott", "Nehalem", "Sandybridge")},
+    "one-thread": {"OPENBLAS_NUM_THREADS": "1"},
+}
+
+
+def _corename() -> str:
+    """The kernel class of the OpenBLAS bundled with numpy, as it reports it."""
+    import numpy
+
+    for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
+def _child() -> None:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    import test_golden
+
+    os.chdir(ROOT)
+    report = {"core": _corename(), "docs": {}, "mismatches": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for stem in test_golden.RUNS:
+            out = Path(tmp) / f"{stem}.json"
+            test_golden._write_output(stem, out)
+            got = json.loads(out.read_text())
+            want = json.loads((test_golden.GOLDEN / f"{stem}.json").read_text())
+            report["docs"][stem] = got
+            report["mismatches"][stem] = list(test_golden._mismatches(want, got))
+    json.dump(report, sys.stdout)
+
+
+def _floats(doc, path="$"):
+    """(path, value) of each float in a parsed document."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _floats(value, f"{path}.{key}")
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from _floats(value, f"{path}[{i}]")
+    elif isinstance(doc, float):
+        yield path, doc
+
+
+def main() -> int:
+    if sys.argv[1:] == ["--child"]:
+        _child()
+        return 0
+    reports = {}
+    for name, extra in RUNS.items():
+        proc = subprocess.run(
+            [sys.executable, __file__, "--child"],
+            env={**os.environ, **extra},
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        if proc.returncode != 0:
+            print(f"{name}: the child failed\n{proc.stderr}", file=sys.stderr)
+            return 1
+        reports[name] = json.loads(proc.stdout)
+    failed = False
+    for name, report in reports.items():
+        lines = [f"{stem} {line}" for stem, found in report["mismatches"].items() for line in found]
+        failed |= bool(lines)
+        print(f"{name:<12} kernel {report['core']:<12} {'PASS' if not lines else 'FAIL'}")
+        for line in lines:
+            print(f"  {line}")
+    values: dict[str, list[float]] = {}
+    for report in reports.values():
+        for stem, doc in report["docs"].items():
+            for path, value in _floats(doc):
+                values.setdefault(f"{stem} {path}", []).append(value)
+    spreads = sorted(((max(v) - min(v)) / max(1.0, *map(abs, v)), key) for key, v in values.items())[::-1]
+    moved = [(spread, key) for spread, key in spreads if spread > 0]
+    print(f"{len(moved)} of {len(spreads)} float fields differ across the {len(reports)} runs; their spreads:")
+    for spread, key in moved:
+        print(f"  {spread:.3e}  {key}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
