@@ -43,7 +43,6 @@ from .gaussian import (
     is_separable_two_mode,
     pt_symplectic_eigenvalues,
     quasi_normal_cm,
-    rotation_matrix,
     separable_decomposition_dephased,
     solve_invariant_cm,
     symplectic_eigenvalues,

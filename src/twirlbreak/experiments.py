@@ -195,10 +195,8 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     grid = _grid(cfg, "param_grid")
     seed, n_mc = _seed_and_samples(cfg)
     cfg.reject_unread()
-    # one Haar stream per row, so a row does not depend on the rows before it
-    streams = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []
-    for value, stream in zip(grid, streams):
+    for value in grid:
         try:
             if mode == "uu":
                 rho = states.werner_multi(d, value)
@@ -208,7 +206,7 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
             raise ConfigError(f"invalid family parameter {value}: {exc}") from exc
         double = twirl.twirl_exact(rho, mode)
         residual = frobenius_distance(double.mat, rho.mat)
-        mc = twirl.mc_twirl(rho, mode, n_mc, twirl.HaarSampler(stream, d))
+        mc = twirl.mc_twirl(rho, mode, n_mc, twirl.HaarSampler(seed, d))
         mc_residual = frobenius_distance(mc.mat, rho.mat)
         # single transmission leaves the product form I/d x Tr_A rho, for every d
         single_out = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
@@ -271,7 +269,7 @@ def run_bosonic_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for mu, n_fock in zip(mus, cutoffs):
         cm = gaussian.epr_cm(mu)
-        residual = gaussian.rotation_residual(cm, gaussian.ROTATION_ANGLES, -1.0)
+        residual = gaussian.rotation_residual(cm, -1.0)
         nu_min, _ = gaussian.pt_symplectic_eigenvalues(cm)
         # single transmission: uniform dephasing of the truncated squeezed state
         lam = np.sqrt((mu - 1) / (mu + 1))

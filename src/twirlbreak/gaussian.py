@@ -22,9 +22,6 @@ from .linalg import (
 
 BONA_FIDE_TOL = 1e-10
 TAIL_TOL = 1e-3  # the share of its norm a truncated squeezed state may lose
-# the angles on which the bosonic scenario and verify read rotation residuals:
-# 32 equally spaced, offset so that none is the identity rotation
-ROTATION_ANGLES = np.linspace(0, 2 * np.pi, 32, endpoint=False) + 0.123
 
 _OMEGA_1 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 OMEGA = np.kron(np.eye(2), _OMEGA_1)  # omega + omega, one per mode
@@ -78,27 +75,20 @@ class CovarianceMatrix:
             raise ValueError("matrix violates the bona-fide condition V + i Omega >= 0")
 
 
-def rotation_matrix(theta) -> np.ndarray:
-    """[[cos, sin], [-sin, cos]]; a (..., 2, 2) stack for an array of angles."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+def _generator(sign: float) -> np.ndarray:
+    """G = J + sign J (direct sum), J = _OMEGA_1: R(theta) + R(sign theta) =
+    exp(theta G), with R(theta) = [[cos, sin], [-sin, cos]]."""
+    return np.kron(np.diag([1.0, sign]), _OMEGA_1)
 
 
-def _rotation_pair(theta_a, theta_b) -> np.ndarray:
-    """R(theta_a) + R(theta_b) (direct sum), stacked over the broadcast angles."""
-    r_a, r_b = rotation_matrix(theta_a), rotation_matrix(theta_b)
-    s = np.zeros(np.broadcast_shapes(r_a.shape, r_b.shape)[:-2] + (4, 4))
-    s[..., :2, :2] = r_a
-    s[..., 2:, 2:] = r_b
-    return s
-
-
-def rotation_residual(v: CovarianceMatrix, angles, sign: float) -> float:
-    """Largest entry of |S V S^T - V| over S = R(theta) + R(sign theta),
-    theta in angles: 0 when V is fixed by correlated (sign 1) or
-    anti-correlated (sign -1) phase rotations."""
-    s = _rotation_pair(angles, sign * np.asarray(angles))
-    return float(np.max(np.abs(s @ v.m @ s.swapaxes(-1, -2) - v.m)))
+def rotation_residual(v: CovarianceMatrix, sign: float) -> float:
+    """Largest entry of |G V + V G^T|, G = _generator(sign): 0 exactly when V
+    is fixed by every correlated (sign 1) or anti-correlated (sign -1) phase
+    rotation S, as d/dtheta S V S^T = S (G V + V G^T) S^T.  Each entry of G V
+    and V G^T is an entry of V up to sign, so the residual has no rounding
+    beyond one addition per entry."""
+    g = _generator(sign)
+    return float(np.max(np.abs(g @ v.m + v.m @ g.T)))
 
 
 def _epr_stack(mu) -> np.ndarray:
@@ -163,9 +153,6 @@ def is_separable_two_mode(v: CovarianceMatrix) -> bool:
 
 # -- invariant-family solver ---------------------------------------------------
 
-# generic angles, incommensurate with pi, to avoid accidental extra null space
-_SOLVER_ANGLES = np.array([0.37, 0.91, 1.43, 2.02, 2.68, 3.31, 4.17, 5.06])
-
 _TRIU = np.triu_indices(4)  # the 10 free entries of a symmetric 4x4 matrix
 
 
@@ -197,16 +184,18 @@ class InvariantFamily:
 
 
 def solve_invariant_cm(mode: str) -> InvariantFamily:
-    """Solve (R_theta + R_theta') V (R_theta + R_theta')^T = V over an angle
-    grid as a linear fixed-point system in the 10 independent CM entries."""
+    """Solve G V + V G^T = 0 (see rotation_residual), the condition for V to
+    be fixed by the whole rotation group, as a linear system in the 10
+    independent CM entries: its singular values are 0, up to rounding, or at
+    least sqrt 2, so the null space is read off without an angle grid."""
     if mode not in ("correlated", "anticorrelated"):
         raise ValueError("mode must be 'correlated' or 'anticorrelated'")
     sign = 1.0 if mode == "correlated" else -1.0
-    s = _rotation_pair(_SOLVER_ANGLES, sign * _SOLVER_ANGLES)[:, None]  # (angles, 1, 4, 4)
+    g = _generator(sign)
     e = _from_params(np.eye(10))  # the 10 unit symmetric matrices
-    r = (s @ e @ s.swapaxes(-1, -2) - e)[..., _TRIU[0], _TRIU[1]]  # (angles, unit, entry)
-    # one row per (angle, entry), one column per unit matrix
-    _, sv, vt = np.linalg.svd(r.swapaxes(1, 2).reshape(-1, 10))
+    # G V + V G^T is symmetric: one row per free entry, one column per unit matrix
+    r = (g @ e + e @ g.T)[:, _TRIU[0], _TRIU[1]]
+    _, sv, vt = np.linalg.svd(r.T)
     null = vt[sv < 1e-10]
     return InvariantFamily(tuple(_from_params(null)), null.T @ null)
 

@@ -171,12 +171,13 @@ def check_partial_haar(cfg: VerifyConfig) -> list[CheckResult]:
     return out
 
 
-# 7. EPR invariance under anti-correlated rotations; PT symplectic spectrum
+# 7. EPR invariance under anti-correlated rotations, exact on the rotation
+# generator (gaussian.rotation_residual); PT symplectic spectrum
 def check_bosonic_invariance(cfg: VerifyConfig) -> list[CheckResult]:
     inv, nu = [], []
     for mu in (1.0, 1.5, 2.0, 5.0):
         cm = gaussian.epr_cm(mu)
-        inv.append(gaussian.rotation_residual(cm, gaussian.ROTATION_ANGLES, -1.0))
+        inv.append(gaussian.rotation_residual(cm, -1.0))
         nu_min, _ = gaussian.pt_symplectic_eigenvalues(cm)
         nu.append(abs(nu_min - (mu - np.sqrt(mu * mu - 1))))
     return [

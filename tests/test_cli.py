@@ -387,18 +387,21 @@ class TestOutputs:
         assert a != b
 
     def test_qudit_rows_reproduce_alone(self, capsys, tmp_path):
-        # each row draws from its own Haar stream, spawned from the seed by row index
+        # every row draws from the config's one Haar stream, so a row's value
+        # does not depend on where it sits in param_grid
         grid = [-0.9, -0.5, 0.0, 0.5]
-        rows = []
-        for g in (grid, grid[:2]):
+
+        def residuals(g):
             cfg = {"d": 2, "mode": "uu", "param_grid": g, "seed": 5, "mc_samples": 200}
-            code, out, _ = _run(capsys, "qudit-twirl", "--config", _write(tmp_path, f"q{len(g)}.json", cfg))
+            code, out, _ = _run(capsys, "qudit-twirl", "--config", _write(tmp_path, "q.json", cfg))
             assert code == 0
-            rows.append([r["params"]["mc_residual"] for r in json.loads(out)["rows"]])
-        full, truncated = rows
-        assert truncated == full[:2]
+            return [r["params"]["mc_residual"] for r in json.loads(out)["rows"]]
+
+        full = residuals(grid)
+        assert full == [residuals([value])[0] for value in grid]
+        assert residuals(grid[::-1]) == full[::-1]
         rho = werner_multi(2, grid[3])
-        alone = mc_twirl(rho, "uu", 200, HaarSampler(np.random.SeedSequence(5).spawn(4)[3], 2))
+        alone = mc_twirl(rho, "uu", 200, HaarSampler(5, 2))
         assert full[3] == frobenius_distance(alone.mat, rho.mat)
 
     def test_csv_output(self, capsys, tmp_path):
@@ -731,34 +734,36 @@ class TestExitCodes:
         assert code == 2
         assert "config error" in err
 
+    # each message names the key whose value it refuses
     @pytest.mark.parametrize(
-        "scenario, payload",
+        "scenario, payload, key",
         [
-            ("pauli", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": ["x"]}),
-            ("qudit-twirl", {"d": "x", "mode": "uu", "param_grid": [0.5]}),
-            ("qudit-twirl", {"d": 3.7, "mode": "uu", "param_grid": [0.5]}),
-            ("qudit-twirl", {"d": True, "mode": "uu", "param_grid": [0.5]}),
-            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [None]}),
-            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "seed": "x"}),
-            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "seed": -1}),
-            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "mc_samples": 0}),
-            ("bosonic", {"mu_grid": [1.0], "fock_cutoff": "x"}),
-            ("verify", {"seed": 1.5}),
-            ("verify", {"mc_samples": False}),
-            ("pauli", {"p": ["0.25", 0.25, 0.25, 0.25], "gamma_grid": [0.5]}),
-            ("pauli", {"p": [True, False, False, False], "gamma_grid": [0.5]}),
+            ("pauli", {"p": [0.25, 0.25, 0.25, 0.25], "gamma_grid": ["x"]}, "gamma_grid entry"),
+            ("qudit-twirl", {"d": "x", "mode": "uu", "param_grid": [0.5]}, "d"),
+            ("qudit-twirl", {"d": 3.7, "mode": "uu", "param_grid": [0.5]}, "d"),
+            ("qudit-twirl", {"d": True, "mode": "uu", "param_grid": [0.5]}, "d"),
+            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [None]}, "param_grid entry"),
+            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "seed": "x"}, "seed"),
+            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "seed": -1}, "seed"),
+            ("qudit-twirl", {"d": 3, "mode": "uu", "param_grid": [0.5], "mc_samples": 0}, "mc_samples"),
+            ("bosonic", {"mu_grid": ["x"]}, "mu_grid entry"),
+            ("bosonic", {"mu_grid": [True]}, "mu_grid entry"),
+            ("verify", {"seed": 1.5}, "seed"),
+            ("verify", {"mc_samples": False}, "mc_samples"),
+            ("pauli", {"p": ["0.25", 0.25, 0.25, 0.25], "gamma_grid": [0.5]}, "p entry"),
+            ("pauli", {"p": [True, False, False, False], "gamma_grid": [0.5]}, "p entry"),
         ],
         ids=[
             "grid-entry", "d-string", "d-non-integral", "d-bool", "grid-null", "seed-string",
-            "seed-negative", "mc-samples-zero", "fock-cutoff-string",
+            "seed-negative", "mc-samples-zero", "mu-grid-string", "mu-grid-bool",
             "verify-seed-non-integral", "mc-samples-bool", "p-string-entry", "p-bool-entry",
         ],
     )
-    def test_wrong_value_type_is_config_error(self, capsys, tmp_path, scenario, payload):
+    def test_wrong_value_type_is_config_error(self, capsys, tmp_path, scenario, payload, key):
         cfg = _write(tmp_path, "cfg.json", payload)
         code, out, err = _run(capsys, scenario, "--config", cfg)
         assert code == 2
-        assert "config error" in err
+        assert err.startswith(f"config error: {key} must be ")
         assert out == ""
 
     @pytest.mark.parametrize(

@@ -17,7 +17,6 @@ from twirlbreak.gaussian import (
     pt_symplectic_eigenvalues,
     quasi_normal_cm,
     reconstruct_decomposition,
-    rotation_matrix,
     rotation_residual,
     separable_decomposition_dephased,
     solve_invariant_cm,
@@ -38,12 +37,39 @@ from twirlbreak.states import random_density, random_pure
 ANGLES = np.linspace(0, 2 * np.pi, 32, endpoint=False) + 0.123
 
 
-def rotate(m, theta_a, theta_b):
-    """S m S^T for S = R(theta_a) + R(theta_b) (direct sum), one angle pair."""
+def rot(theta):
+    """R(theta) = [[cos, sin], [-sin, cos]], the rotation of one mode's
+    quadratures, built here as the tests' independent reference."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, s], [-s, c]])
+
+
+def rotation(theta_a, theta_b):
+    """S = R(theta_a) + R(theta_b) (direct sum)."""
     s = np.zeros((4, 4))
-    s[:2, :2] = rotation_matrix(theta_a)
-    s[2:, 2:] = rotation_matrix(theta_b)
+    s[:2, :2] = rot(theta_a)
+    s[2:, 2:] = rot(theta_b)
+    return s
+
+
+def rotate(m, theta_a, theta_b):
+    """S m S^T for S = R(theta_a) + R(theta_b), one angle pair."""
+    s = rotation(theta_a, theta_b)
     return s @ m @ s.T
+
+
+def grid_residual(m, sign):
+    """Largest entry of |S m S^T - m| over S = R(theta) + R(sign theta), theta in ANGLES."""
+    return max(np.max(np.abs(rotate(m, th, sign * th) - m)) for th in ANGLES)
+
+
+def off_family(m, sign):
+    """m less its average over the rotation group: S m S^T has Fourier
+    frequencies |k| <= 2 in theta, so the mean over the 32 equally spaced
+    ANGLES is the exact average, the part of m that the group fixes."""
+    mean = np.mean([rotate(m, th, sign * th) for th in ANGLES], axis=0)
+    x = m - mean
+    return (x + x.T) / 2
 
 
 def eig_symplectic_reference(m):
@@ -53,42 +79,71 @@ def eig_symplectic_reference(m):
     return nus[0], nus[2]
 
 
-class TestRotationMatrix:
-    def test_zero(self):
-        assert np.array_equal(rotation_matrix(0.0), np.eye(2))
-
-    def test_quarter_turn(self):
-        assert np.allclose(rotation_matrix(np.pi / 2), [[0, 1], [-1, 0]], atol=1e-15)
-
-    def test_orthogonal(self):
-        r = rotation_matrix(0.7)
-        assert np.allclose(r @ r.T, np.eye(2), atol=1e-15)
-        assert abs(np.linalg.det(r) - 1.0) < 1e-15
+def _random_cm(rng):
+    """A A^T + I for a Gaussian A: V >= I, so V + i Omega >= 0."""
+    a = rng.standard_normal((4, 4))
+    return CovarianceMatrix(a @ a.T + np.eye(4))
 
 
 class TestApplyRotations:
-    def test_zero_angles(self):
-        assert rotation_residual(epr_cm(2.0), [0.0], 1.0) == 0.0
-
+    # finite rotations, built by the tests' own R(theta)
     def test_epr_anticorrelated_invariance(self):
         for mu in (1.0, 1.5, 2.0, 5.0):
-            assert rotation_residual(epr_cm(mu), ANGLES, -1.0) < 1e-12
+            assert grid_residual(epr_cm(mu).m, -1.0) < 1e-12
 
     def test_epr_correlated_changes(self):
-        assert rotation_residual(epr_cm(2.0), [0.7], 1.0) > 0.1
+        m = epr_cm(2.0).m
+        assert np.max(np.abs(rotate(m, 0.7, 0.7) - m)) > 0.1
 
 
 class TestRotationResidual:
-    def test_matches_per_angle_rotations(self):
-        cm = quasi_normal_cm(2.0, 1.5, 0.4, 0.3)
-        for sign in (1.0, -1.0):
-            want = max(np.max(np.abs(rotate(cm.m, th, sign * th) - cm.m)) for th in ANGLES)
-            assert abs(rotation_residual(cm, ANGLES, sign) - want) < 1e-15
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_generator_exponentiates_to_the_rotations(self, sign):
+        # expm's rounding grows with |theta| <= 2 pi through its squarings; a
+        # wrong generator is off by O(1)
+        g = gaussian._generator(sign)
+        for th in ANGLES:
+            assert np.max(np.abs(expm(th * g) - rotation(th, sign * th))) < 1e-12
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_the_derivative_of_the_rotations(self, sign):
+        # central difference at theta = 0: error O(h^2) + O(eps / h), ~1e-10 at h = 1e-5
+        h, rng = 1e-5, np.random.default_rng(17)
+        g = gaussian._generator(sign)
+        for _ in range(5):
+            cm = _random_cm(rng)
+            derivative = (rotate(cm.m, h, sign * h) - rotate(cm.m, -h, -sign * h)) / (2 * h)
+            scale = np.max(np.abs(cm.m))
+            assert np.max(np.abs(derivative - (g @ cm.m + cm.m @ g.T))) < 1e-8 * scale
+            assert abs(rotation_residual(cm, sign) - np.max(np.abs(derivative))) < 1e-8 * scale
 
     def test_epr_fixed_only_by_anticorrelated_rotations(self):
-        for mu in (1.5, 2.0, 5.0):
-            assert rotation_residual(epr_cm(mu), ANGLES, -1.0) < 1e-12
-            assert rotation_residual(epr_cm(mu), ANGLES, 1.0) > 0.1
+        # with sign 1, G V + V G^T has cross block sqrt(mu^2 - 1) (J Z - Z J),
+        # entries 0 and -2 sqrt(mu^2 - 1); with sign -1 it is exactly 0
+        for mu in (1.0, 1.5, 2.0, 5.0):
+            assert rotation_residual(epr_cm(mu), -1.0) == 0.0
+            assert abs(rotation_residual(epr_cm(mu), 1.0) - 2 * np.sqrt(mu * mu - 1)) < 1e-14 * mu
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_perturbation_off_the_family_reads_its_size(self, sign):
+        # a member with margin 0.5 I, moved by delta P, P off the family with
+        # max |P| = 1.  Each entry of G P + P G^T is a sum of two entries of
+        # P: the residual is <= 2 delta.  G acts on symmetric matrices as a
+        # skew map whose nonzero eigenvalues are +-i and +-2i, so |G P + P
+        # G^T|_F >= |P|_F >= 1, and as |X|_F <= 4 max |X| on 4x4 matrices the
+        # residual is >= delta / 4.  And |S P S^T - P|_F <= 2 |P|_F: the
+        # residual is >= 1/8 of the 32-angle grid's, so the gate is not weaker
+        member = (epr_cm(2.0).m if sign < 0 else quasi_normal_cm(2.0, 1.5, 0.4, 0.3).m) + 0.5 * np.eye(4)
+        rng = np.random.default_rng(29)
+        for _ in range(5):
+            x = rng.standard_normal((4, 4))
+            p = off_family(x + x.T, sign)
+            p /= np.max(np.abs(p))
+            for delta in (1e-2, 1e-6, 1e-10):
+                cm = CovarianceMatrix(member + delta * p)
+                got = rotation_residual(cm, sign)
+                assert delta / 4 - 1e-14 <= got <= 2 * delta + 1e-14
+                assert got >= grid_residual(cm.m, sign) / 8 - 1e-14
 
 
 class TestEprCm:
@@ -265,7 +320,7 @@ class TestBonaFideClosedForm:
 class TestQuasiNormalCm:
     def test_correlated_invariance(self):
         cm = quasi_normal_cm(2.0, 1.5, 0.4, 0.3)
-        assert rotation_residual(cm, ANGLES, 1.0) < 1e-12
+        assert rotation_residual(cm, 1.0) == 0.0
 
     def test_zero_coupling_is_thermal_product(self):
         cm = quasi_normal_cm(2.0, 3.0, 0.0, 0.0)
@@ -301,6 +356,7 @@ class TestSolveInvariantCm:
 
     def test_anticorrelated_contains_epr(self):
         fam = solve_invariant_cm("anticorrelated")
+        assert fam.dimension == 4
         for mu in (1.0, 2.0, 5.0):
             assert fam.residual(epr_cm(mu).m) < 1e-12
         assert fam.residual(np.eye(4)) < 1e-12
@@ -510,7 +566,9 @@ class TestCovarianceMatrixValidation:
 @given(st.floats(1.0, 10.0), st.floats(0.0, 2 * np.pi))
 @settings(max_examples=40, deadline=None)
 def test_epr_invariance_property(mu, theta):
-    assert rotation_residual(epr_cm(mu), [theta], -1.0) < 1e-11
+    m = epr_cm(mu).m
+    assert rotation_residual(epr_cm(mu), -1.0) == 0.0
+    assert np.max(np.abs(rotate(m, theta, -theta) - m)) < 1e-11
 
 
 @given(

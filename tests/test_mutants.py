@@ -215,7 +215,7 @@ MUTANTS = {
     "rotation-residual-nan": (
         gaussian,
         "rotation_residual",
-        "return float(np.max(np.abs(s @ v.m @ s.swapaxes(-1, -2) - v.m)))",
+        "return float(np.max(np.abs(g @ v.m + v.m @ g.T)))",
         'return float("nan")',
         ["bosonic-invariance"],
         ["epr-anticorrelated-invariance"],
@@ -225,8 +225,8 @@ MUTANTS = {
     "co-rotation": (
         gaussian,
         "rotation_residual",
-        "sign * np.asarray(angles)",
-        "np.asarray(angles)",
+        "g = _generator(sign)",
+        "g = _generator(1.0)",
         ["bosonic-invariance"],
         ["epr-anticorrelated-invariance"],
         [],
@@ -261,12 +261,12 @@ MUTANTS = {
         ["correlated-family-membership", "correlated-family-separable", "epr-in-anticorrelated-family"],
         [],
     ),
-    # S V S for S V S^T: a 6-dimensional solution space
+    # G V + V G for G V + V G^T: a 6-dimensional solution space
     "solver-rotation-not-transposed": (
         gaussian,
         "solve_invariant_cm",
-        "s @ e @ s.swapaxes(-1, -2) - e",
-        "s @ e @ s - e",
+        "g @ e + e @ g.T",
+        "g @ e + e @ g",
         ["invariant-family"],
         ["correlated-family-dimension"],
         [],

@@ -6,16 +6,20 @@ kernel classes, and report how far each output field spreads across them.
 Each run is a child process with OPENBLAS_CORETYPE, or OPENBLAS_NUM_THREADS,
 set in that child's own environment; nothing else is changed.  A child
 writes the `--out` document of every golden run, compares it with its golden
-by `test_golden._mismatches`, and prints both as JSON.  The parent prints,
-per run, the kernel class that OpenBLAS reports and each mismatching field,
-then the spread across the runs of each float field that differs between
-them, largest first (max - min, divided by max(1, |value|) as the golden
-tolerance is).  Exit code 0 when every golden passes under every run, 1
-otherwise.
+by `test_golden._mismatches`, and prints both as JSON.  It then runs the
+closed-form test of the shipped configs (CLOSED_FORMS) with pytest in the
+same process, so under the same kernel class, its report on stderr.  The
+parent prints, per run, the kernel class that OpenBLAS reports, whether the
+goldens and the closed forms pass and each mismatching field, then the
+spread across the runs of each float field that differs between them,
+largest first (max - min, divided by max(1, |value|) as the golden
+tolerance is).  Exit code 0 when every golden and the closed-form test pass
+under every run, 1 otherwise.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import json
@@ -26,6 +30,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CLOSED_FORMS = "tests/test_cli.py::TestScenarios::test_shipped_rows_match_closed_forms"
 
 # run name -> what the child adds to its own environment
 RUNS = {
@@ -63,6 +68,10 @@ def _child() -> None:
             want = json.loads((test_golden.GOLDEN / f"{stem}.json").read_text())
             report["docs"][stem] = got
             report["mismatches"][stem] = list(test_golden._mismatches(want, got))
+    import pytest
+
+    with contextlib.redirect_stdout(sys.stderr):
+        report["closed_forms"] = pytest.main(["-q", "-p", "no:cacheprovider", CLOSED_FORMS]) == 0
     json.dump(report, sys.stdout)
 
 
@@ -95,11 +104,14 @@ def main() -> int:
             print(f"{name}: the child failed\n{proc.stderr}", file=sys.stderr)
             return 1
         reports[name] = json.loads(proc.stdout)
+        if not reports[name]["closed_forms"]:
+            print(f"{name}: the closed-form test failed\n{proc.stderr}", file=sys.stderr)
     failed = False
     for name, report in reports.items():
         lines = [f"{stem} {line}" for stem, found in report["mismatches"].items() for line in found]
-        failed |= bool(lines)
-        print(f"{name:<12} kernel {report['core']:<12} {'PASS' if not lines else 'FAIL'}")
+        failed |= bool(lines) or not report["closed_forms"]
+        goldens, closed = ("PASS" if ok else "FAIL" for ok in (not lines, report["closed_forms"]))
+        print(f"{name:<12} kernel {report['core']:<12} goldens {goldens}  closed forms {closed}")
         for line in lines:
             print(f"  {line}")
     values: dict[str, list[float]] = {}
