@@ -114,7 +114,11 @@ def _write_files(texts: dict) -> None:
 
 def _emit(text: str, out_path: str | None, files: dict) -> None:
     """Write the files and the document, to out_path or else to stdout, which
-    is written only once the files are."""
+    is written only once the files are.  An out_path that names one of the
+    files (after os.path.realpath) is a _WriteError: one would overwrite the
+    other."""
+    if out_path and os.path.realpath(out_path) in map(os.path.realpath, files):
+        raise _WriteError(f"cannot write {out_path}: --out and --csv name the same file")
     _write_files({**files, out_path: text} if out_path else files)
     if not out_path:
         sys.stdout.write(text)

@@ -166,7 +166,7 @@ def _from_params(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class InvariantFamily:
-    """Null-space description of the CMs fixed by a family of rotations."""
+    """The CMs fixed by a family of rotations, as a basis and a projector."""
 
     basis: tuple            # symmetric 4x4 matrices spanning the family
     projector: np.ndarray   # orthogonal projector onto the span, on the 10 free entries
@@ -184,20 +184,20 @@ class InvariantFamily:
 
 
 def solve_invariant_cm(mode: str) -> InvariantFamily:
-    """Solve G V + V G^T = 0 (see rotation_residual), the condition for V to
-    be fixed by the whole rotation group, as a linear system in the 10
-    independent CM entries: its singular values are 0, up to rounding, or at
-    least sqrt 2, so the null space is read off without an angle grid."""
+    """The CMs fixed by every correlated or anticorrelated rotation.  As G^2 =
+    -I, G = _generator(sign), a rotation is S = cos(theta) I + sin(theta) G,
+    and S V S^T averages to (V + G V G^T) / 2.  On the 10 free entries, V ->
+    G V G^T is a signed permutation t with t t = I: (I + t) / 2 projects onto
+    the family, spanned by one row of I + t per orbit of the unit vectors
+    (an entry that t maps to itself it negates, so its row is 0)."""
     if mode not in ("correlated", "anticorrelated"):
         raise ValueError("mode must be 'correlated' or 'anticorrelated'")
-    sign = 1.0 if mode == "correlated" else -1.0
-    g = _generator(sign)
+    g = _generator(1.0 if mode == "correlated" else -1.0)
     e = _from_params(np.eye(10))  # the 10 unit symmetric matrices
-    # G V + V G^T is symmetric: one row per free entry, one column per unit matrix
-    r = (g @ e + e @ g.T)[:, _TRIU[0], _TRIU[1]]
-    _, sv, vt = np.linalg.svd(r.T)
-    null = vt[sv < 1e-10]
-    return InvariantFamily(tuple(_from_params(null)), null.T @ null)
+    t = (g @ e @ g.T)[:, _TRIU[0], _TRIU[1]]  # row k: T of unit matrix k, a signed unit row
+    rows = np.eye(10) + t
+    first = np.arange(10) <= np.abs(t).argmax(axis=1)  # the first unit vector of each orbit
+    return InvariantFamily(tuple(_from_params(rows[first & rows.any(axis=1)])), rows / 2)
 
 
 def det_c_form_min(family: InvariantFamily) -> float:

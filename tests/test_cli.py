@@ -708,6 +708,16 @@ class TestExitCodes:
         # no temporary file is left behind
         assert sorted(p.name for p in tmp_path.iterdir()) == (["good"] if kind == "missing-dir" else [kind, "good"])
 
+    @pytest.mark.parametrize("out", ["X", "./X"], ids=["same-spelling", "dot-slash"])
+    def test_out_and_csv_on_one_file_exits_2(self, capsys, tmp_path, monkeypatch, out):
+        # one document would overwrite the other, whichever way the path is spelt
+        config = str(ROOT / CONFIG_DIR / "pauli.json")
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = _run(capsys, "pauli", "--config", config, "--out", out, "--csv", "X")
+        assert (code, stdout) == (2, "")
+        assert err == f"cannot write {out}: --out and --csv name the same file\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_refused_value_exits_1_and_writes_nothing(self, capsys, tmp_path, monkeypatch, flag):
         # a row that holds a NaN parameter, which the document writer refuses

@@ -272,7 +272,7 @@ def _det_c_form(family):
 
 class TestDetCForm:
     @pytest.mark.parametrize(
-        "mode, spectrum", [("correlated", [0.0, 0.0, 0.5, 0.5]), ("anticorrelated", [-0.5, -0.5, 0.0, 0.0])]
+        "mode, spectrum", [("correlated", [0.0, 0.0, 1.0, 1.0]), ("anticorrelated", [-1.0, -1.0, 0.0, 0.0])]
     )
     def test_spectrum_pinned(self, mode, spectrum):
         fam = solve_invariant_cm(mode)
@@ -344,22 +344,80 @@ class TestQuasiNormalCm:
             quasi_normal_cm(0.99, 1.5, 0, 0)
 
 
+def _up_to_order_and_sign(mats):
+    """The matrices, each with its first nonzero entry made positive, sorted."""
+    flat = [m.ravel() for m in mats]
+    return sorted(tuple(f * np.sign(f[np.flatnonzero(f)[0]])) for f in flat)
+
+
+def _directions(c1, c2):
+    """A = I, B = I, C = c1 and C = c2, each alone in a symmetric 4x4 matrix."""
+    z = np.zeros((2, 2))
+    blocks = [(np.eye(2), z, z), (z, np.eye(2), z), (z, z, c1), (z, z, c2)]
+    return [np.block([[a, c], [c.T, b]]) for a, b, c in blocks]
+
+
+# the quasi-normal directions alpha, beta, omega, phi (C = I, C = J), and the
+# anticorrelated family's, with C = Z and C = X in their place
+FAMILY_DIRECTIONS = {
+    "correlated": _directions(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]])),
+    "anticorrelated": _directions(np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])),
+}
+
+
 class TestSolveInvariantCm:
     def test_correlated_dimension_and_membership(self):
         fam = solve_invariant_cm("correlated")
         assert fam.dimension == 4
-        # the dimension is the basis's length, and the projector's rank
-        assert abs(np.trace(fam.projector) - fam.dimension) < 1e-12
         cm = quasi_normal_cm(2.0, 1.5, 0.4, 0.3)
-        assert fam.residual(cm.m) < 1e-12
-        assert fam.residual(np.eye(4)) < 1e-12
+        assert fam.residual(cm.m) == 0.0
+        assert fam.residual(np.eye(4)) == 0.0
 
     def test_anticorrelated_contains_epr(self):
         fam = solve_invariant_cm("anticorrelated")
         assert fam.dimension == 4
         for mu in (1.0, 2.0, 5.0):
-            assert fam.residual(epr_cm(mu).m) < 1e-12
-        assert fam.residual(np.eye(4)) < 1e-12
+            assert fam.residual(epr_cm(mu).m) == 0.0
+        assert fam.residual(np.eye(4)) == 0.0
+
+    @pytest.mark.parametrize("mode", ["correlated", "anticorrelated"])
+    def test_basis_is_the_family_directions(self, mode):
+        fam = solve_invariant_cm(mode)
+        assert _up_to_order_and_sign(fam.basis) == _up_to_order_and_sign(FAMILY_DIRECTIONS[mode])
+
+    @pytest.mark.parametrize("mode", ["correlated", "anticorrelated"])
+    def test_projector_is_exact(self, mode):
+        # entries 0, +-1/2 and 1: products and two-term sums of them are exact
+        fam = solve_invariant_cm(mode)
+        p = fam.projector
+        assert set(np.unique(p)) <= {-0.5, 0.0, 0.5, 1.0}
+        assert np.array_equal(p @ p, p)
+        assert np.array_equal(p, p.T)
+        assert np.trace(p) == fam.dimension
+
+    @pytest.mark.parametrize("mode, sign", [("correlated", 1.0), ("anticorrelated", -1.0)])
+    def test_projector_is_the_average_over_the_rotations(self, mode, sign):
+        # S V S^T has the theta frequencies 0 and +-2 only, so its mean over 3
+        # equally spaced angles is the exact average over the whole group;
+        # row k is the average of the k-th unit symmetric matrix, on the 10
+        # free entries
+        iu = np.triu_indices(4)
+        angles = 2 * np.pi * np.arange(3) / 3 + 0.123
+        rows = []
+        for i, j in zip(*iu):
+            unit = np.zeros((4, 4))
+            unit[i, j] = unit[j, i] = 1.0
+            rows.append(np.mean([rotate(unit, th, sign * th) for th in angles], axis=0)[iu])
+        assert np.max(np.abs(solve_invariant_cm(mode).projector - np.array(rows))) <= 1e-15
+
+    def test_members_have_zero_residual(self):
+        # the stacks the gates read: each entry of x @ projector is x_i / 2 +
+        # s x_j / 2, with s x_j = x_i on a member, or 0 where every member is
+        # 0, so it is exact on any summation order
+        epr = gaussian._epr_stack([1.0, 1.5, 2.0, 5.0])
+        directions = gaussian._quasi_normal_stack(*np.eye(4))
+        assert np.array_equal(solve_invariant_cm("anticorrelated").residual(epr), np.zeros(4))
+        assert np.array_equal(solve_invariant_cm("correlated").residual(directions), np.zeros(4))
 
     def test_every_basis_element_is_invariant(self):
         for mode, sign in (("correlated", 1.0), ("anticorrelated", -1.0)):
@@ -373,10 +431,16 @@ class TestSolveInvariantCm:
         assert fam.residual(epr_cm(2.0).m) > 0.1
 
     def test_residual_of_a_stack(self):
+        # each entry of x @ projector has at most two nonzero terms, both
+        # exact halves: one rounding on any summation order, so the stacked
+        # and the single-row product agree bit for bit
         fam = solve_invariant_cm("correlated")
-        stack = np.stack([epr_cm(2.0).m, np.eye(4), quasi_normal_cm(2.0, 1.5, 0.4, 0.3).m])
+        x = np.random.default_rng(41).standard_normal((5, 4, 4))
+        members = [epr_cm(2.0).m, np.eye(4), quasi_normal_cm(2.0, 1.5, 0.4, 0.3).m]
+        stack = np.concatenate([members, x + x.swapaxes(1, 2)])
         got = fam.residual(stack)
-        assert got.shape == (3,)
+        assert got.shape == (8,)
+        assert np.all(got[3:] > 0.1)
         assert np.array_equal(got, [fam.residual(m) for m in stack])
 
 

@@ -255,20 +255,47 @@ MUTANTS = {
     "families-swapped": (
         gaussian,
         "solve_invariant_cm",
-        'sign = 1.0 if mode == "correlated" else -1.0',
-        'sign = -1.0 if mode == "correlated" else 1.0',
+        'g = _generator(1.0 if mode == "correlated" else -1.0)',
+        'g = _generator(-1.0 if mode == "correlated" else 1.0)',
         ["invariant-family"],
         ["correlated-family-membership", "correlated-family-separable", "epr-in-anticorrelated-family"],
         [],
     ),
-    # G V + V G for G V + V G^T: a 6-dimensional solution space
+    # G V G for G V G^T = -G V G: the 6-dimensional space that the quarter
+    # turn negates, the two entries it maps to themselves included
     "solver-rotation-not-transposed": (
         gaussian,
         "solve_invariant_cm",
-        "g @ e + e @ g.T",
-        "g @ e + e @ g",
+        "t = (g @ e @ g.T)",
+        "t = (g @ e @ g)",
+        ["invariant-family"],
+        [
+            "correlated-family-dimension",
+            "correlated-family-membership",
+            "correlated-family-separable",
+            "epr-in-anticorrelated-family",
+        ],
+        [],
+    ),
+    # both rows of each two-element orbit kept: a basis of 8, each direction
+    # twice up to sign
+    "solver-orbits-not-deduplicated": (
+        gaussian,
+        "solve_invariant_cm",
+        "rows[first & rows.any(axis=1)]",
+        "rows[rows.any(axis=1)]",
         ["invariant-family"],
         ["correlated-family-dimension"],
+        [],
+    ),
+    # I + t for (I + t) / 2: twice the projector, which moves every member
+    "solver-projector-not-halved": (
+        gaussian,
+        "solve_invariant_cm",
+        ", rows / 2)",
+        ", rows)",
+        ["invariant-family"],
+        ["correlated-family-membership", "epr-in-anticorrelated-family"],
         [],
     ),
     # every CM judged a state, those just outside the boundary included

@@ -7,13 +7,14 @@ Each run is a child process with OPENBLAS_CORETYPE, or OPENBLAS_NUM_THREADS,
 set in that child's own environment; nothing else is changed.  A child
 writes the `--out` document of every golden run, compares it with its golden
 by `test_golden._mismatches`, and prints both as JSON.  It then runs the
-closed-form test of the shipped configs (CLOSED_FORMS) with pytest in the
-same process, so under the same kernel class, its report on stderr.  The
+exact tests (EXACT_TESTS: the shipped rows against their closed forms, and
+the invariant families' projector and zero member residuals) with pytest in
+the same process, so under the same kernel class, its report on stderr.  The
 parent prints, per run, the kernel class that OpenBLAS reports, whether the
-goldens and the closed forms pass and each mismatching field, then the
+goldens and the exact tests pass and each mismatching field, then the
 spread across the runs of each float field that differs between them,
 largest first (max - min, divided by max(1, |value|) as the golden
-tolerance is).  Exit code 0 when every golden and the closed-form test pass
+tolerance is).  Exit code 0 when every golden and every exact test pass
 under every run, 1 otherwise.
 """
 
@@ -30,7 +31,12 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-CLOSED_FORMS = "tests/test_cli.py::TestScenarios::test_shipped_rows_match_closed_forms"
+# pytest node ids of the tests that pin results exactly, or to their closed forms
+EXACT_TESTS = (
+    "tests/test_cli.py::TestScenarios::test_shipped_rows_match_closed_forms",
+    "tests/test_gaussian.py::TestSolveInvariantCm::test_projector_is_exact",
+    "tests/test_gaussian.py::TestSolveInvariantCm::test_members_have_zero_residual",
+)
 
 # run name -> what the child adds to its own environment
 RUNS = {
@@ -71,7 +77,7 @@ def _child() -> None:
     import pytest
 
     with contextlib.redirect_stdout(sys.stderr):
-        report["closed_forms"] = pytest.main(["-q", "-p", "no:cacheprovider", CLOSED_FORMS]) == 0
+        report["exact_tests"] = pytest.main(["-q", "-p", "no:cacheprovider", *EXACT_TESTS]) == 0
     json.dump(report, sys.stdout)
 
 
@@ -104,14 +110,14 @@ def main() -> int:
             print(f"{name}: the child failed\n{proc.stderr}", file=sys.stderr)
             return 1
         reports[name] = json.loads(proc.stdout)
-        if not reports[name]["closed_forms"]:
-            print(f"{name}: the closed-form test failed\n{proc.stderr}", file=sys.stderr)
+        if not reports[name]["exact_tests"]:
+            print(f"{name}: an exact test failed\n{proc.stderr}", file=sys.stderr)
     failed = False
     for name, report in reports.items():
         lines = [f"{stem} {line}" for stem, found in report["mismatches"].items() for line in found]
-        failed |= bool(lines) or not report["closed_forms"]
-        goldens, closed = ("PASS" if ok else "FAIL" for ok in (not lines, report["closed_forms"]))
-        print(f"{name:<12} kernel {report['core']:<12} goldens {goldens}  closed forms {closed}")
+        failed |= bool(lines) or not report["exact_tests"]
+        goldens, exact = ("PASS" if ok else "FAIL" for ok in (not lines, report["exact_tests"]))
+        print(f"{name:<12} kernel {report['core']:<12} goldens {goldens}  exact tests {exact}")
         for line in lines:
             print(f"  {line}")
     values: dict[str, list[float]] = {}
