@@ -23,6 +23,7 @@ from .linalg import (
     negativity_from_spectrum,
     partial_transpose,
     ppt_from_spectrum,
+    validate_density_stack,
 )
 
 
@@ -195,19 +196,22 @@ def run_qudit_scenario(cfg: ExperimentConfig) -> list[ResultRow]:
     grid = _grid(cfg, "param_grid")
     seed, n_mc = _seed_and_samples(cfg)
     cfg.reject_unread()
-    rows = []
+    # every row's state is built before any sample is drawn
+    rhos = []
     for value in grid:
         try:
-            if mode == "uu":
-                rho = states.werner_multi(d, value)
-            else:
-                rho = states.isotropic(d, value)
+            rhos.append(states.werner_multi(d, value) if mode == "uu" else states.isotropic(d, value))
         except ValueError as exc:
             raise ConfigError(f"invalid family parameter {value}: {exc}") from exc
+    # one draw of the config's Haar stream serves every row, each row's
+    # twirl bit for bit the one it would get alone
+    probes = np.stack([rho.mat for rho in rhos])
+    mcs = validate_density_stack(twirl.mc_twirl_operator(probes, mode, n_mc, twirl.HaarSampler(seed, d), (d, d)))
+    rows = []
+    for value, rho, mc in zip(grid, rhos, mcs):
         double = twirl.twirl_exact(rho, mode)
         residual = frobenius_distance(double.mat, rho.mat)
-        mc = twirl.mc_twirl(rho, mode, n_mc, twirl.HaarSampler(seed, d))
-        mc_residual = frobenius_distance(mc.mat, rho.mat)
+        mc_residual = frobenius_distance(mc, rho.mat)
         # single transmission leaves the product form I/d x Tr_A rho, for every d
         single_out = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
         single_neg = negativity(DensityOperator(single_out, d, d))

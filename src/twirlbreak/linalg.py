@@ -222,12 +222,16 @@ def as_unitary_stack(us) -> np.ndarray:
 def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
     """sum_k w_k (A_k x B_k) op (A_k x B_k)^dag for stacks a (K, d_A, d_A),
     b (K, d_B, d_B) and nonnegative weights (K,); a stack of one matrix, or
-    one weight, is broadcast along K.
+    one weight, is broadcast along K.  op is one (D, D) operator or an
+    (m, D, D) stack of probes, D = d_A d_B, and the result has its shape:
+    each probe's sum is bit for bit the one its own call gives, as the
+    probes share the terms' layout but run the same products at the same
+    shapes.
 
     Every Kraus channel (b = the side-B identity, w = 1), twirl and classical-
     environment dilation here is this sum.  Two routes, picked from the
-    shapes; apart from op, the stacks and the (D, D) result, D = d_A d_B,
-    neither holds arrays that grow with K:
+    shapes; apart from op, the stacks and the result, neither holds arrays
+    that grow with K:
 
     - one-sided, when one stack as passed holds a single matrix F (the
       identity of a partial twirl or of a Kraus channel's side B) and
@@ -235,24 +239,27 @@ def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
       CONJUGATE_SUM_CHUNK_BYTES: the sum is then (sum_k w_k G_k x conj(G_k))
       x (F x conj(F)) acting on the realigned op, with the G side summed by
       one matrix product per chunk of terms; a chunk's weighted conjugates,
-      their product and the running sum fit in that budget;
+      their product and the running sum fit in that budget.  Both
+      superoperators are built once for all the probes;
     - two-sided otherwise: per chunk of terms, the Kronecker products
       K_k = sqrt(w_k) (A_k x B_k) are laid out once, with the term index
       innermost, so that one batched product gives every Y_k = K_k op and a
       second, single matrix product adds sum_k Y_k K_k^dag.  The products
       and Y each take CONJUGATE_SUM_CACHE_BYTES (or one term's D^2 entries,
-      if more); they and the chunk's weighted A and its B, term index
-      innermost, are views of one scratch array of _conjugate_sum_work
-      complex entries, reused by every chunk.  `work`, a contiguous complex
-      array of at least that many entries, is used as that scratch and
-      overwritten; without it the call allocates its own.  The one-sided
-      route needs no scratch and ignores `work`.
+      if more); a single probe then conjugates the products in place, while
+      a stack keeps them for the other probes and conjugates them once into
+      a third buffer of that size.  They and the chunk's weighted A and its
+      B, term index innermost, are views of one scratch array of
+      _conjugate_sum_work complex entries, reused by every chunk and probe.
+      `work`, a contiguous complex array of at least that many entries, is
+      used as that scratch and overwritten; without it the call allocates
+      its own.  The one-sided route needs no scratch and ignores `work`.
     """
     op = np.asarray(op, dtype=complex)
     k, da, db = max(len(a), len(b)), np.shape(a)[-1], np.shape(b)[-1]
     weights = np.broadcast_to(np.asarray(weights, dtype=float), (k,))
     d = da * db
-    if op.shape != (d, d):
+    if op.ndim not in (2, 3) or op.shape[-2:] != (d, d):
         raise ValueError(f"operator shape {op.shape} does not match the stacks ({d}, {d})")
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
@@ -261,16 +268,17 @@ def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
         wa, wb = (weights, np.ones(1)) if len(b) == 1 else (np.ones(1), weights)
         out = _superoperator(a, wa) @ _swap_middle(op, da, db, da, db) @ _superoperator(b, wb).T
         return _swap_middle(out, da, da, db, db)
-    size = _conjugate_sum_work(len(a), len(b), da, db)
+    probes = op if op.ndim == 3 else op[None]
+    size = _conjugate_sum_work(len(a), len(b), da, db, len(probes))
     a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
     root_w = np.sqrt(weights)
     if work is None:
         work = np.empty(size, dtype=complex)
     chunks = _chunk_lengths(k, d * d)
     step = max(chunks, default=0)  # the first chunk, the longest
-    ends = np.cumsum([step * d * d, step * d * d, step * da * da])
-    kt_buf, y_buf, a_buf, b_buf = np.split(work[:size], ends)
-    out = np.zeros((d, d), dtype=complex)
+    ends = np.cumsum([step * d * d, step * d * d, step * da * da, step * db * db])
+    kt_buf, y_buf, a_buf, b_buf, kc_buf = np.split(work[:size], ends)
+    out = np.zeros(probes.shape, dtype=complex)
     s = 0
     for m in chunks:
         chunk = slice(s, s + m)
@@ -282,12 +290,15 @@ def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
         np.copyto(b_t, b[chunk].transpose(1, 2, 0))
         kt = kt_buf[: m * d * d].reshape(da, db, da, db, m)
         np.multiply(a_t[:, None, :, None, :], b_t[None, :, None, :, :], out=kt)
-        # y[r, c, n] = (K_n op)[r, c]: one (D, D) @ (D, m) product per row r
-        y = np.matmul(op.T, kt.reshape(d, d, m), out=y_buf[: m * d * d].reshape(d, d, m))
-        np.conjugate(kt, out=kt)
-        # out[r, t] = sum over (c, n) of y[r, c, n] conj(K_n[t, c])
-        out += y.reshape(d, d * m) @ kt.reshape(d, d * m).T
-    return out
+        kc = kt if len(probes) < 2 else kc_buf[: m * d * d].reshape(kt.shape)
+        for i, (x, acc) in enumerate(zip(probes, out)):
+            # y[r, c, n] = (K_n x)[r, c]: one (D, D) @ (D, m) product per row r
+            y = np.matmul(x.T, kt.reshape(d, d, m), out=y_buf[: m * d * d].reshape(d, d, m))
+            if i == 0:
+                np.conjugate(kt, out=kc)
+            # acc[r, t] += sum over (c, n) of y[r, c, n] conj(K_n[t, c])
+            acc += y.reshape(d, d * m) @ kc.reshape(d, d * m).T
+    return out.reshape(op.shape)
 
 
 def _one_sided(ka: int, kb: int, da: int, db: int) -> bool:
@@ -296,16 +307,17 @@ def _one_sided(ka: int, kb: int, da: int, db: int) -> bool:
     return min(ka, kb) == 1 and 16 * max(da, db) ** 4 <= CONJUGATE_SUM_CHUNK_BYTES
 
 
-def _conjugate_sum_work(ka: int, kb: int, da: int, db: int) -> int:
+def _conjugate_sum_work(ka: int, kb: int, da: int, db: int, probes: int = 1) -> int:
     """Complex entries of scratch that conjugate_sum uses for stacks of ka and
-    kb matrices of sizes d_A and d_B: none on the one-sided route; on the
-    two-sided route, for a chunk of s terms, the Kronecker products and
-    their products with the operator (s D^2 entries each), then the
-    weighted A (s d_A^2) and the B (s d_B^2)."""
+    kb matrices of sizes d_A and d_B and a stack of `probes` operators: none
+    on the one-sided route; on the two-sided route, for a chunk of s terms,
+    the Kronecker products and their products with the operator (s D^2
+    entries each), the weighted A (s d_A^2) and the B (s d_B^2), then, for
+    more than one probe, the conjugated products (s D^2)."""
     if _one_sided(ka, kb, da, db):
         return 0
     d = da * db
-    return max(_chunk_lengths(max(ka, kb), d * d), default=0) * (2 * d * d + da * da + db * db)
+    return max(_chunk_lengths(max(ka, kb), d * d), default=0) * ((2 + (probes > 1)) * d * d + da * da + db * db)
 
 
 def _superoperator(g, weights) -> np.ndarray:
@@ -330,8 +342,9 @@ def _superoperator(g, weights) -> np.ndarray:
 
 def _swap_middle(m, d0, d1, d2, d3) -> np.ndarray:
     """m as a (d0, d1, d2, d3) tensor with its middle axes swapped, flattened
-    to a (d0 d2, d1 d3) matrix."""
-    return m.reshape(d0, d1, d2, d3).transpose(0, 2, 1, 3).reshape(d0 * d2, d1 * d3)
+    to a (d0 d2, d1 d3) matrix; each matrix of a (..., d0 d1, d2 d3) stack."""
+    lead = m.shape[:-2]
+    return m.reshape(lead + (d0, d1, d2, d3)).swapaxes(-3, -2).reshape(lead + (d0 * d2, d1 * d3))
 
 
 def partial_trace_multi(mat: np.ndarray, dims, keep) -> np.ndarray:

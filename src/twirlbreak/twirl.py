@@ -232,17 +232,23 @@ def _row_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -> np.ndarray:
     """Empirical twirl of a raw operator over n Haar samples: mode 'uu'
-    (U x U), 'uustar' (U x U*) or 'partial-A' (U x I).
+    (U x U), 'uustar' (U x U*) or 'partial-A' (U x I).  op is one (D, D)
+    operator or an (m, D, D) stack of probes, and the result has its shape:
+    every probe is twirled over the same n samples, drawn once, and each
+    result is bit for bit the one a call on that probe alone, with a fresh
+    sampler of the same seed, gives.
 
     The samples are drawn and summed in cache-sized chunks (_chunk_lengths),
     so memory does not grow with n; the sampler's stream does not depend on
-    the batch split, so neither do the samples.  The U x U* twirl is taken
-    as PT o (U x U twirl) o PT, so no conjugate copy of the samples is made.
-    Every chunk works in one workspace allocated per call, sized from the
-    first chunk: its samples, then a scratch that the sampler's draws and
-    Gram-Schmidt temporaries use first and conjugate_sum's two-sided
-    buffers reuse once the samples are drawn.  The sampler's d must be the
-    dimension of each twirled side.
+    the batch split, so neither do the samples.  Each chunk is drawn once
+    and summed by one conjugate_sum call over every probe.  The U x U*
+    twirl is taken as PT o (U x U twirl) o PT, so no conjugate copy of the
+    samples is made.  Every chunk works in one workspace allocated per call,
+    sized from the first chunk and the number of probes: its samples, then
+    a scratch that the sampler's draws and Gram-Schmidt temporaries use
+    first and conjugate_sum's two-sided buffers reuse once the samples are
+    drawn.  Apart from it, memory grows with m only through the m results.
+    The sampler's d must be the dimension of each twirled side.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -252,14 +258,15 @@ def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -
     both = mode != "partial-A"  # else side B's matrix is the identity
     if da != s.d or (both and db != s.d):
         raise ValueError(f"mode {mode!r} with dims ({da}, {db}) does not match a sampler of d = {s.d}")
+    op = np.asarray(op, dtype=complex)
     if mode == "uustar":
         op = partial_transpose_mat(op, da, db)
     chunks = _chunk_lengths(n, s.d * s.d)
     stack = chunks[0] * s.d * s.d
-    kernel = _conjugate_sum_work(chunks[0], chunks[0] if both else 1, da, db)
+    kernel = _conjugate_sum_work(chunks[0], chunks[0] if both else 1, da, db, len(op) if op.ndim == 3 else 1)
     work = np.empty(stack + max(stack, kernel), dtype=complex)
     eye = np.eye(db)[None]
-    out = np.zeros((da * db, da * db), dtype=complex)
+    out = np.zeros(op.shape, dtype=complex)
     for m in chunks:
         us = s.sample_batch(m, work=work)
         out += conjugate_sum(op, us, us if both else eye, 1.0 / n, work=work[m * s.d * s.d :])

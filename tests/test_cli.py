@@ -825,6 +825,25 @@ class TestExitCodes:
         assert out == ""
 
     @pytest.mark.parametrize(
+        "mode, grid, message",
+        [("uu", [0.5, -0.9, 2.0], "mu=2.0 outside [-1, 1]"), ("uustar", [0.0, 0.8, -1.0], "gamma=-1.0 outside")],
+        ids=["werner", "isotropic"],
+    )
+    def test_qudit_bad_last_entry_fails_before_any_draw(self, capsys, tmp_path, monkeypatch, mode, grid, message):
+        # every row's state is built before the one draw that serves them all
+        drawn, draw = [], twirl.HaarSampler.sample_batch
+
+        def record(sampler, n, work=None):
+            drawn.append(n)
+            return draw(sampler, n, work)
+
+        monkeypatch.setattr(twirl.HaarSampler, "sample_batch", record)
+        cfg = _write(tmp_path, "cfg.json", {"d": 3, "mode": mode, "param_grid": grid, "mc_samples": 100})
+        code, out, err = _run(capsys, "qudit-twirl", "--config", cfg)
+        assert (code, out, drawn) == (2, "", [])
+        assert err.startswith(f"config error: invalid family parameter {grid[-1]}: {message}")
+
+    @pytest.mark.parametrize(
         "payload, message",
         [({"mu_grid": [1.0, 20.0]}, "mu = 20.0 needs Fock cutoff 71, above the cap of 40")],
         ids=["mu-20"],

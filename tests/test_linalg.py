@@ -287,15 +287,66 @@ class TestConjugateSum:
     @pytest.mark.parametrize("da, db", [(3, 3), (2, 3)])
     def test_work_gives_the_same_bits(self, da, db):
         # several two-sided chunks of terms plus a tail, worked in a scratch
-        # filled with NaN so that an entry read before it is written shows
+        # filled with NaN so that an entry read before it is written shows;
+        # one operator, then a stack, which also fills the conjugates' buffer
         d = da * db
         k = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 5
         rng = np.random.default_rng(36)
         a, b = HaarSampler(37, da).sample_batch(k), HaarSampler(38, db).sample_batch(k).conj()
         w = rng.dirichlet(np.ones(k))
-        op = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        work = np.full(linalg._conjugate_sum_work(k, k, da, db), np.nan, dtype=complex)
-        assert np.array_equal(conjugate_sum(op, a, b, w, work=work), conjugate_sum(op, a, b, w))
+        ops = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        for op, probes in ((ops[0], 1), (ops, 3)):
+            work = np.full(linalg._conjugate_sum_work(k, k, da, db, probes), np.nan, dtype=complex)
+            assert np.array_equal(conjugate_sum(op, a, b, w, work=work), conjugate_sum(op, a, b, w))
+
+    def test_stack_scratch_adds_one_buffer(self):
+        # a single probe's scratch is the two-sided layout alone; a stack of
+        # any size adds one chunk of conjugated products, s D^2 entries
+        da, db, k = 3, 2, 1000
+        s, d = linalg._chunk_lengths(k, 36)[0], da * db
+        single = linalg._conjugate_sum_work(k, k, da, db)
+        assert single == s * (2 * d * d + da * da + db * db)
+        for probes in (2, 6):
+            assert linalg._conjugate_sum_work(k, k, da, db, probes) == single + s * d * d
+        assert linalg._conjugate_sum_work(k, 1, 3, 3, 6) == 0  # one-sided
+
+    @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A"])
+    def test_stack_matches_single_calls(self, monkeypatch, mode):
+        # two chunks of terms plus a tail on either route (the one-sided
+        # budget cut to the two-sided chunk length), unequal dims for
+        # partial-A; every probe of a stack, and a stack of one, is bit for
+        # bit its own 2-D call
+        da, db = (3, 2) if mode == "partial-A" else (3, 3)
+        d = da * db
+        step = linalg._chunk_lengths(10**6, d * d)[0]
+        monkeypatch.setattr(linalg, "CONJUGATE_SUM_CHUNK_BYTES", 2 * 16 * da**4 + step * 16 * da**2)
+        k = 2 * step + 5
+        rng = np.random.default_rng(39)
+        us = HaarSampler(40, da).sample_batch(k)
+        a, b = us, {"uu": us, "uustar": us.conj(), "partial-A": np.eye(db)[None]}[mode]
+        w = rng.dirichlet(np.ones(k))
+        ops = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        got = conjugate_sum(ops, a, b, w)
+        assert got.shape == ops.shape
+        for x, g in zip(ops, got):
+            assert np.array_equal(g, conjugate_sum(x, a, b, w))
+        assert np.array_equal(conjugate_sum(ops[:1], a, b, w), conjugate_sum(ops[0], a, b, w)[None])
+
+    @pytest.mark.parametrize("second", ["U", "I"])
+    def test_stack_matches_kron_reference(self, second):
+        # non-Hermitian complex probes, against the sum of np.kron terms;
+        # "U" takes the two-sided route, "I" the one-sided one
+        k, da, db = 30, 3, 2
+        rng = np.random.default_rng(41)
+        a = HaarSampler(42, da).sample_batch(k)
+        b = HaarSampler(43, db).sample_batch(k) if second == "U" else np.eye(db)[None]
+        w = rng.dirichlet(np.ones(k))
+        ops = rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6))
+        got = conjugate_sum(ops, a, b, w)
+        terms = [np.kron(a[n], b[n % len(b)]) for n in range(k)]
+        for x, g in zip(ops, got):
+            want = sum(w[n] * t @ x @ t.conj().T for n, t in enumerate(terms))
+            assert np.max(np.abs(g - want)) < 1e-14
 
     @pytest.mark.parametrize(
         "op, a, b, w",
@@ -304,6 +355,9 @@ class TestConjugateSum:
             (np.eye(4), np.ones((3, 2, 2)), np.ones((3, 2, 2)), np.ones(2)),  # weight count
             (np.eye(3), np.ones((3, 2, 2)), np.ones((3, 2, 2)), np.ones(3)),  # operator size
             (np.eye(4), np.ones((3, 2, 2)), np.ones((3, 2, 2)), -np.ones(3)),  # negative weight
+            (np.ones((1, 2, 4, 4)), np.ones((3, 2, 2)), np.ones((3, 2, 2)), np.ones(3)),  # a 4-D operator
+            (np.ones((2, 3, 3)), np.ones((3, 2, 2)), np.ones((3, 2, 2)), np.ones(3)),  # probe size
+            (np.ones((2, 3, 3)), np.ones((3, 2, 2)), np.eye(2)[None], np.ones(3)),  # probe size, one-sided
         ],
     )
     def test_rejects_inconsistent_input(self, op, a, b, w):

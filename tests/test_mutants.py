@@ -41,8 +41,8 @@ MUTANTS = {
     "two-sided-conjugate-dropped": (
         linalg,
         "conjugate_sum",
-        "np.conjugate(kt, out=kt)",
-        "kt",
+        "np.conjugate(kt, out=kc)",
+        "kc",
         ["2design", "pt-conjugation", "dilations"],
         ["clifford-span-IV", "pt-conjugation-identity", "twirl-dilation-vs-kraus"],
         [],

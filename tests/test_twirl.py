@@ -395,6 +395,48 @@ class TestMCTwirl:
             tracemalloc.stop()
         assert peak < bound
 
+    @pytest.mark.parametrize("mode, dims", [("uu", (3, 3)), ("uustar", (3, 3)), ("partial-A", (3, 2))])
+    def test_stack_matches_single_calls(self, monkeypatch, mode, dims):
+        # two full chunks and a tail of 11 samples; every probe of a stack,
+        # non-Hermitian and complex, and a stack of one, is bit for bit its
+        # own 2-D call with a fresh sampler, and the stack is drawn once
+        d, (da, db) = 3, dims
+        n = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 11
+        rng = np.random.default_rng(50)
+        ops = rng.standard_normal((4, da * db, da * db)) + 1j * rng.standard_normal((4, da * db, da * db))
+        sampler, drawn = HaarSampler(51, d), []
+        draw = sampler.sample_batch
+        monkeypatch.setattr(sampler, "sample_batch", lambda m, work=None: drawn.append(m) or draw(m, work=work))
+        got = mc_twirl_operator(ops, mode, n, sampler, dims)
+        assert drawn == linalg._chunk_lengths(n, d * d)
+        assert got.shape == ops.shape
+        for x, g in zip(ops, got):
+            assert np.array_equal(g, mc_twirl_operator(x, mode, n, HaarSampler(51, d), dims))
+        one = mc_twirl_operator(ops[:1], mode, n, HaarSampler(51, d), dims)
+        assert np.array_equal(one, mc_twirl_operator(ops[0], mode, n, HaarSampler(51, d), dims)[None])
+
+    def test_stack_workspace_peak(self):
+        # bound fixed from the layout: the single-probe workspace of
+        # test_workspace_peak with the stack's one extra buffer of conjugated
+        # products (_conjugate_sum_work for 6 probes), 2.11 MiB at d = 3; on
+        # top of it the m results of the twirl and of one conjugate_sum call
+        # and one D^2 product, numpy's iterator buffers of one buffered ufunc
+        # call and a chunk's L weights and their square roots
+        d, n, m = 3, 10_000, 6
+        chunk = linalg._chunk_lengths(n, d * d)[0]
+        stack = chunk * d * d
+        workspace = 16 * (stack + max(stack, linalg._conjugate_sum_work(chunk, chunk, d, d, m)))
+        bound = workspace + 16 * (2 * m + 1) * d**4 + 3 * 16 * np.getbufsize() + 2 * 8 * chunk
+        rho = np.stack([werner_multi(d, g).mat for g in np.linspace(-1, 1, m)])
+        mc_twirl_operator(rho, "uu", n, HaarSampler(43, d), (d, d))
+        tracemalloc.start()
+        try:
+            mc_twirl_operator(rho, "uu", n, HaarSampler(43, d), (d, d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
+
     def test_superoperator_matches_row_major_flattening(self):
         # the sum over the samples' (column, row) flattening, a view of the
         # sampler's layout, against the (row, column) flattening, which

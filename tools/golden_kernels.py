@@ -7,8 +7,9 @@ Each run is a child process with OPENBLAS_CORETYPE, or OPENBLAS_NUM_THREADS,
 set in that child's own environment; nothing else is changed.  A child
 writes the `--out` document of every golden run, compares it with its golden
 by `test_golden._mismatches`, and prints both as JSON.  It then runs the
-exact tests (EXACT_TESTS: the shipped rows against their closed forms, and
-the invariant families' projector and zero member residuals) with pytest in
+exact tests (EXACT_TESTS: the shipped rows against their closed forms, the
+invariant families' projector and zero member residuals, and each probe of
+a conjugate_sum or MC-twirl stack against its own call) with pytest in
 the same process, so under the same kernel class, its report on stderr.  The
 parent prints, per run, the kernel class that OpenBLAS reports, whether the
 goldens and the exact tests pass and each mismatching field, then the
@@ -36,6 +37,8 @@ EXACT_TESTS = (
     "tests/test_cli.py::TestScenarios::test_shipped_rows_match_closed_forms",
     "tests/test_gaussian.py::TestSolveInvariantCm::test_projector_is_exact",
     "tests/test_gaussian.py::TestSolveInvariantCm::test_members_have_zero_residual",
+    "tests/test_linalg.py::TestConjugateSum::test_stack_matches_single_calls",
+    "tests/test_twirl.py::TestMCTwirl::test_stack_matches_single_calls",
 )
 
 # run name -> what the child adds to its own environment
