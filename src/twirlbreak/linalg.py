@@ -246,11 +246,11 @@ def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
       innermost, so that one batched product gives every Y_k = K_k op and a
       second, single matrix product adds sum_k Y_k K_k^dag.  The products
       and Y each take CONJUGATE_SUM_CACHE_BYTES (or one term's D^2 entries,
-      if more); a single probe then conjugates the products in place, while
-      a stack keeps them for the other probes and conjugates them once into
-      a third buffer of that size.  They and the chunk's weighted A and its
-      B, term index innermost, are views of one scratch array of
-      _conjugate_sum_work complex entries, reused by every chunk and probe.
+      if more).  Each probe conjugates its Y in place and adds the conjugate
+      of conj(Y) K^T, so the products are only read.  They, Y and the
+      chunk's weighted A and its B, term index innermost, are views of one
+      scratch array of _conjugate_sum_work complex entries, sized from the
+      first chunk alone and reused by every chunk and probe.
       `work`, a contiguous complex array of at least that many entries, is
       used as that scratch and overwritten; without it the call allocates
       its own.  The one-sided route needs no scratch and ignores `work`.
@@ -269,15 +269,15 @@ def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
         out = _superoperator(a, wa) @ _swap_middle(op, da, db, da, db) @ _superoperator(b, wb).T
         return _swap_middle(out, da, da, db, db)
     probes = op if op.ndim == 3 else op[None]
-    size = _conjugate_sum_work(len(a), len(b), da, db, len(probes))
+    size = _conjugate_sum_work(len(a), len(b), da, db)
     a, b = np.broadcast_to(a, (k, da, da)), np.broadcast_to(b, (k, db, db))
     root_w = np.sqrt(weights)
     if work is None:
         work = np.empty(size, dtype=complex)
     chunks = _chunk_lengths(k, d * d)
     step = max(chunks, default=0)  # the first chunk, the longest
-    ends = np.cumsum([step * d * d, step * d * d, step * da * da, step * db * db])
-    kt_buf, y_buf, a_buf, b_buf, kc_buf = np.split(work[:size], ends)
+    ends = np.cumsum([step * d * d, step * d * d, step * da * da])
+    kt_buf, y_buf, a_buf, b_buf = np.split(work[:size], ends)
     out = np.zeros(probes.shape, dtype=complex)
     s = 0
     for m in chunks:
@@ -290,14 +290,12 @@ def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
         np.copyto(b_t, b[chunk].transpose(1, 2, 0))
         kt = kt_buf[: m * d * d].reshape(da, db, da, db, m)
         np.multiply(a_t[:, None, :, None, :], b_t[None, :, None, :, :], out=kt)
-        kc = kt if len(probes) < 2 else kc_buf[: m * d * d].reshape(kt.shape)
-        for i, (x, acc) in enumerate(zip(probes, out)):
+        for x, acc in zip(probes, out):
             # y[r, c, n] = (K_n x)[r, c]: one (D, D) @ (D, m) product per row r
             y = np.matmul(x.T, kt.reshape(d, d, m), out=y_buf[: m * d * d].reshape(d, d, m))
-            if i == 0:
-                np.conjugate(kt, out=kc)
-            # acc[r, t] += sum over (c, n) of y[r, c, n] conj(K_n[t, c])
-            acc += y.reshape(d, d * m) @ kc.reshape(d, d * m).T
+            # acc[r, t] += sum over (c, n) of y[r, c, n] conj(K_n[t, c]), as conj(conj(y) K^T)
+            p = np.conjugate(y, out=y).reshape(d, d * m) @ kt.reshape(d, d * m).T
+            acc += np.conjugate(p, out=p)
     return out.reshape(op.shape)
 
 
@@ -307,17 +305,16 @@ def _one_sided(ka: int, kb: int, da: int, db: int) -> bool:
     return min(ka, kb) == 1 and 16 * max(da, db) ** 4 <= CONJUGATE_SUM_CHUNK_BYTES
 
 
-def _conjugate_sum_work(ka: int, kb: int, da: int, db: int, probes: int = 1) -> int:
+def _conjugate_sum_work(ka: int, kb: int, da: int, db: int) -> int:
     """Complex entries of scratch that conjugate_sum uses for stacks of ka and
-    kb matrices of sizes d_A and d_B and a stack of `probes` operators: none
-    on the one-sided route; on the two-sided route, for a chunk of s terms,
-    the Kronecker products and their products with the operator (s D^2
-    entries each), the weighted A (s d_A^2) and the B (s d_B^2), then, for
-    more than one probe, the conjugated products (s D^2)."""
+    kb matrices of sizes d_A and d_B, for one probe or a stack of any size:
+    none on the one-sided route; on the two-sided route, for the first chunk
+    of s terms, the Kronecker products and their products with the operator
+    (s D^2 entries each), the weighted A (s d_A^2) and the B (s d_B^2)."""
     if _one_sided(ka, kb, da, db):
         return 0
     d = da * db
-    return max(_chunk_lengths(max(ka, kb), d * d), default=0) * ((2 + (probes > 1)) * d * d + da * da + db * db)
+    return max(_chunk_lengths(max(ka, kb), d * d), default=0) * (2 * d * d + da * da + db * db)
 
 
 def _superoperator(g, weights) -> np.ndarray:

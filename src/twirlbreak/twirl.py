@@ -244,11 +244,11 @@ def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -
     and summed by one conjugate_sum call over every probe.  The U x U*
     twirl is taken as PT o (U x U twirl) o PT, so no conjugate copy of the
     samples is made.  Every chunk works in one workspace allocated per call,
-    sized from the first chunk and the number of probes: its samples, then
-    a scratch that the sampler's draws and Gram-Schmidt temporaries use
-    first and conjugate_sum's two-sided buffers reuse once the samples are
-    drawn.  Apart from it, memory grows with m only through the m results.
-    The sampler's d must be the dimension of each twirled side.
+    sized from the first chunk only: its samples, then a scratch that the
+    sampler's draws and Gram-Schmidt temporaries use first and conjugate_sum's
+    two-sided buffers reuse once the samples are drawn.  Apart from it, memory
+    grows with m only through the m results.  The sampler's d must be the
+    dimension of each twirled side; op's shape is checked before any draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -259,11 +259,13 @@ def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -
     if da != s.d or (both and db != s.d):
         raise ValueError(f"mode {mode!r} with dims ({da}, {db}) does not match a sampler of d = {s.d}")
     op = np.asarray(op, dtype=complex)
+    if op.ndim not in (2, 3) or op.shape[-2:] != (da * db, da * db):
+        raise ValueError(f"operator shape {op.shape} does not match dims ({da}, {db})")
     if mode == "uustar":
         op = partial_transpose_mat(op, da, db)
     chunks = _chunk_lengths(n, s.d * s.d)
     stack = chunks[0] * s.d * s.d
-    kernel = _conjugate_sum_work(chunks[0], chunks[0] if both else 1, da, db, len(op) if op.ndim == 3 else 1)
+    kernel = _conjugate_sum_work(chunks[0], chunks[0] if both else 1, da, db)
     work = np.empty(stack + max(stack, kernel), dtype=complex)
     eye = np.eye(db)[None]
     out = np.zeros(op.shape, dtype=complex)

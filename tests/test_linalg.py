@@ -288,27 +288,61 @@ class TestConjugateSum:
     def test_work_gives_the_same_bits(self, da, db):
         # several two-sided chunks of terms plus a tail, worked in a scratch
         # filled with NaN so that an entry read before it is written shows;
-        # one operator, then a stack, which also fills the conjugates' buffer
+        # one operator, then a stack
         d = da * db
         k = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 5
         rng = np.random.default_rng(36)
         a, b = HaarSampler(37, da).sample_batch(k), HaarSampler(38, db).sample_batch(k).conj()
         w = rng.dirichlet(np.ones(k))
         ops = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
-        for op, probes in ((ops[0], 1), (ops, 3)):
-            work = np.full(linalg._conjugate_sum_work(k, k, da, db, probes), np.nan, dtype=complex)
+        for op in (ops[0], ops):
+            work = np.full(linalg._conjugate_sum_work(k, k, da, db), np.nan, dtype=complex)
             assert np.array_equal(conjugate_sum(op, a, b, w, work=work), conjugate_sum(op, a, b, w))
 
-    def test_stack_scratch_adds_one_buffer(self):
-        # a single probe's scratch is the two-sided layout alone; a stack of
-        # any size adds one chunk of conjugated products, s D^2 entries
+    def test_scratch_does_not_depend_on_the_probe_count(self):
+        # the two-sided layout of the first chunk of s terms, for one probe or
+        # a stack: a stack of 6 probes leaves every entry after it untouched
         da, db, k = 3, 2, 1000
         s, d = linalg._chunk_lengths(k, 36)[0], da * db
-        single = linalg._conjugate_sum_work(k, k, da, db)
-        assert single == s * (2 * d * d + da * da + db * db)
-        for probes in (2, 6):
-            assert linalg._conjugate_sum_work(k, k, da, db, probes) == single + s * d * d
-        assert linalg._conjugate_sum_work(k, 1, 3, 3, 6) == 0  # one-sided
+        size = linalg._conjugate_sum_work(k, k, da, db)
+        assert size == s * (2 * d * d + da * da + db * db)
+        assert linalg._conjugate_sum_work(k, 1, 3, 3) == 0  # one-sided
+        rng = np.random.default_rng(52)
+        a, b = HaarSampler(53, da).sample_batch(k), HaarSampler(54, db).sample_batch(k)
+        w = rng.dirichlet(np.ones(k))
+        ops = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
+        work = np.full(size + s * d * d, np.nan, dtype=complex)
+        assert np.array_equal(conjugate_sum(ops, a, b, w, work=work), conjugate_sum(ops, a, b, w))
+        assert np.isnan(work[size:]).all()
+
+    @pytest.mark.parametrize("da, db", [(3, 3), (3, 2)])
+    def test_two_sided_matches_conjugated_products(self, da, db):
+        # the two-sided route adds each chunk's sum_k (K_k x) K_k^dag as the
+        # conjugate of conj(K_k x) K_k^T, so that K is only read; written out
+        # here as the product of Y = K x with conj(K)^T, at the same layouts
+        # and shapes, the two agree bit for bit: two chunks and a tail,
+        # complex non-Hermitian probes, non-real stacks on both sides
+        d = da * db
+        k = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 5
+        rng = np.random.default_rng(55)
+        a, b = HaarSampler(56, da).sample_batch(k), HaarSampler(57, db).sample_batch(k)
+        w = rng.dirichlet(np.ones(k))
+        ops = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
+        got = conjugate_sum(ops, a, b, w)
+        root_w = np.sqrt(w)
+        want = np.zeros_like(ops)
+        s = 0
+        for m in linalg._chunk_lengths(k, d * d):
+            chunk = slice(s, s + m)
+            s += m
+            a_t = root_w[chunk] * a[chunk].transpose(1, 2, 0)
+            b_t = b[chunk].transpose(1, 2, 0)
+            kt = np.ascontiguousarray(a_t[:, None, :, None, :] * b_t[None, :, None, :, :]).reshape(d, d, m)
+            kc = kt.conj()
+            for x, acc in zip(ops, want):
+                y = np.matmul(x.T, kt)
+                acc += y.reshape(d, d * m) @ kc.reshape(d, d * m).T
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A"])
     def test_stack_matches_single_calls(self, monkeypatch, mode):

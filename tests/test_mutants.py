@@ -41,10 +41,22 @@ MUTANTS = {
     "two-sided-conjugate-dropped": (
         linalg,
         "conjugate_sum",
-        "np.conjugate(kt, out=kc)",
-        "kc",
+        "np.conjugate(y, out=y).reshape",
+        "y.reshape",
         ["2design", "pt-conjugation", "dilations"],
         ["clifford-span-IV", "pt-conjugation-identity", "twirl-dilation-vs-kraus"],
+        [],
+    ),
+    # the conjugate of each two-sided sum: the Clifford twirls of the real
+    # matrix units that the 2design and pt-conjugation gates compare are real
+    # too, so only the Haar twirl dilation's gate fails
+    "two-sided-outer-conjugate-dropped": (
+        linalg,
+        "conjugate_sum",
+        "acc += np.conjugate(p, out=p)",
+        "acc += p",
+        ["dilations"],
+        ["twirl-dilation-vs-kraus"],
         [],
     ),
     "one-sided-conjugate-dropped": (

@@ -416,16 +416,15 @@ class TestMCTwirl:
         assert np.array_equal(one, mc_twirl_operator(ops[0], mode, n, HaarSampler(51, d), dims)[None])
 
     def test_stack_workspace_peak(self):
-        # bound fixed from the layout: the single-probe workspace of
-        # test_workspace_peak with the stack's one extra buffer of conjugated
-        # products (_conjugate_sum_work for 6 probes), 2.11 MiB at d = 3; on
-        # top of it the m results of the twirl and of one conjugate_sum call
-        # and one D^2 product, numpy's iterator buffers of one buffered ufunc
-        # call and a chunk's L weights and their square roots
+        # bound fixed from the layout: the workspace of test_workspace_peak,
+        # 1.61 MiB at d = 3, as a stack needs no more scratch than one probe;
+        # on top of it the m results of the twirl and of one conjugate_sum
+        # call and one D^2 product, numpy's iterator buffers of one buffered
+        # ufunc call and a chunk's L weights and their square roots
         d, n, m = 3, 10_000, 6
         chunk = linalg._chunk_lengths(n, d * d)[0]
         stack = chunk * d * d
-        workspace = 16 * (stack + max(stack, linalg._conjugate_sum_work(chunk, chunk, d, d, m)))
+        workspace = 16 * (stack + max(stack, linalg._conjugate_sum_work(chunk, chunk, d, d)))
         bound = workspace + 16 * (2 * m + 1) * d**4 + 3 * 16 * np.getbufsize() + 2 * 8 * chunk
         rho = np.stack([werner_multi(d, g).mat for g in np.linspace(-1, 1, m)])
         mc_twirl_operator(rho, "uu", n, HaarSampler(43, d), (d, d))
@@ -496,6 +495,15 @@ class TestMCTwirl:
         s = HaarSampler(46, 3)
         with pytest.raises(ValueError, match=f"unknown mode '{mode}'"):
             mc_twirl_operator(np.eye(9) / 9, mode, 10, s, (3, 3))
+        assert np.array_equal(s.sample_batch(5), HaarSampler(46, 3).sample_batch(5))
+
+    @pytest.mark.parametrize("mode", ["uu", "uustar", "partial-A"])
+    @pytest.mark.parametrize("op", [np.eye(4) / 4, np.ones((1, 2, 9, 9)) / 9], ids=["wrong-size", "4-D"])
+    def test_rejects_an_operator_of_another_shape(self, mode, op):
+        # checked before the first draw: the sampler's stream has not moved
+        s = HaarSampler(46, 3)
+        with pytest.raises(ValueError, match=r"operator shape .* dims \(3, 3\)"):
+            mc_twirl_operator(op, mode, 10, s, (3, 3))
         assert np.array_equal(s.sample_batch(5), HaarSampler(46, 3).sample_batch(5))
 
     def test_seed_reproducibility(self):

@@ -8,15 +8,16 @@ set in that child's own environment; nothing else is changed.  A child
 writes the `--out` document of every golden run, compares it with its golden
 by `test_golden._mismatches`, and prints both as JSON.  It then runs the
 exact tests (EXACT_TESTS: the shipped rows against their closed forms, the
-invariant families' projector and zero member residuals, and each probe of
-a conjugate_sum or MC-twirl stack against its own call) with pytest in
-the same process, so under the same kernel class, its report on stderr.  The
-parent prints, per run, the kernel class that OpenBLAS reports, whether the
-goldens and the exact tests pass and each mismatching field, then the
-spread across the runs of each float field that differs between them,
-largest first (max - min, divided by max(1, |value|) as the golden
-tolerance is).  Exit code 0 when every golden and every exact test pass
-under every run, 1 otherwise.
+invariant families' projector and zero member residuals, each probe of a
+conjugate_sum or MC-twirl stack against its own call, and the two-sided
+conjugate_sum against its sum taken with the conjugated products) with
+pytest in the same process, so under the same kernel class, its report on
+stderr.  The parent prints, per run, the kernel class that OpenBLAS
+reports, whether the goldens and the exact tests pass and each mismatching
+field, then the spread across the runs of each float field that differs
+between them, largest first (max - min, divided by max(1, |value|) as the
+golden tolerance is).  Exit code 0 when every golden and every exact test
+pass under every run, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ EXACT_TESTS = (
     "tests/test_gaussian.py::TestSolveInvariantCm::test_projector_is_exact",
     "tests/test_gaussian.py::TestSolveInvariantCm::test_members_have_zero_residual",
     "tests/test_linalg.py::TestConjugateSum::test_stack_matches_single_calls",
+    "tests/test_linalg.py::TestConjugateSum::test_two_sided_matches_conjugated_products",
     "tests/test_twirl.py::TestMCTwirl::test_stack_matches_single_calls",
 )
 
