@@ -249,11 +249,13 @@ def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
       if more).  Each probe conjugates its Y in place and adds the conjugate
       of conj(Y) K^T, so the products are only read.  They, Y and the
       chunk's weighted A and its B, term index innermost, are views of one
-      scratch array of _conjugate_sum_work complex entries, sized from the
-      first chunk alone and reused by every chunk and probe.
-      `work`, a contiguous complex array of at least that many entries, is
-      used as that scratch and overwritten; without it the call allocates
-      its own.  The one-sided route needs no scratch and ignores `work`.
+      scratch array, sized from the first chunk alone and reused by every
+      chunk and probe.
+
+    Either route works in one scratch array of _conjugate_sum_work complex
+    entries (on the one-sided route, a chunk's weighted conjugates).  `work`,
+    a contiguous complex array of at least that many entries, is used as that
+    scratch and overwritten; without it the call allocates its own.
     """
     op = np.asarray(op, dtype=complex)
     k, da, db = max(len(a), len(b)), np.shape(a)[-1], np.shape(b)[-1]
@@ -266,7 +268,7 @@ def conjugate_sum(op, a, b, weights, work=None) -> np.ndarray:
     if _one_sided(len(a), len(b), da, db):
         # the sum factorises into (sum_k w_k S(G_k)) x S(F), S(M) = M x conj(M)
         wa, wb = (weights, np.ones(1)) if len(b) == 1 else (np.ones(1), weights)
-        out = _superoperator(a, wa) @ _swap_middle(op, da, db, da, db) @ _superoperator(b, wb).T
+        out = _superoperator(a, wa, work) @ _swap_middle(op, da, db, da, db) @ _superoperator(b, wb, work).T
         return _swap_middle(out, da, da, db, db)
     probes = op if op.ndim == 3 else op[None]
     size = _conjugate_sum_work(len(a), len(b), da, db)
@@ -308,32 +310,45 @@ def _one_sided(ka: int, kb: int, da: int, db: int) -> bool:
 def _conjugate_sum_work(ka: int, kb: int, da: int, db: int) -> int:
     """Complex entries of scratch that conjugate_sum uses for stacks of ka and
     kb matrices of sizes d_A and d_B, for one probe or a stack of any size:
-    none on the one-sided route; on the two-sided route, for the first chunk
-    of s terms, the Kronecker products and their products with the operator
-    (s D^2 entries each), the weighted A (s d_A^2) and the B (s d_B^2)."""
+    on the one-sided route, the weighted conjugates of either side's first
+    chunk of terms (_superoperator); on the two-sided route, for the first
+    chunk of s terms, the Kronecker products and their products with the
+    operator (s D^2 entries each), the weighted A (s d_A^2) and the B
+    (s d_B^2)."""
     if _one_sided(ka, kb, da, db):
-        return 0
+        return max(min(k, _superoperator_step(d)) * d * d for k, d in ((ka, da), (kb, db)))
     d = da * db
     return max(_chunk_lengths(max(ka, kb), d * d), default=0) * (2 * d * d + da * da + db * db)
 
 
-def _superoperator(g, weights) -> np.ndarray:
+def _superoperator_step(d: int) -> int:
+    """Terms per chunk of _superoperator for d x d matrices: a chunk holds
+    its weighted conjugates (d^2 entries a term), the product and the sum
+    (d^4 each) within CONJUGATE_SUM_CHUNK_BYTES."""
+    return max(1, (CONJUGATE_SUM_CHUNK_BYTES - 2 * 16 * d**4) // (16 * d * d))
+
+
+def _superoperator(g, weights, work=None) -> np.ndarray:
     """sum_k w_k G_k x conj(G_k) for a (K, d, d) stack, as the (d^2, d^2) matrix
-    [(x, z), (x', z')] that maps X[x', z'] to sum_k w_k G_k X G_k^dag."""
+    [(x, z), (x', z')] that maps X[x', z'] to sum_k w_k G_k X G_k^dag.  A
+    chunk's weighted conjugates go to the start of `work`, a complex array of
+    at least min(K, _superoperator_step(d)) d^2 entries; without it, to one
+    array allocated here."""
     g = np.asarray(g, dtype=complex)
     k, d = len(g), g.shape[-1]
     # each G_k flattened in (column, row) order: a view of the sampler's
     # q[col, row, sample] layout, a copy only of a C-ordered stack
     flat = g.transpose(0, 2, 1).reshape(k, d * d)
-    # [(x', x), (z', z)] order: one GEMM a chunk of terms; a chunk holds its
-    # weighted conjugates (d^2 entries a term), the product and the sum (d^4 each)
+    # [(x', x), (z', z)] order: one GEMM a chunk of terms
     s = np.zeros((d * d, d * d), dtype=complex)
-    step = max(1, (CONJUGATE_SUM_CHUNK_BYTES - 2 * 16 * d**4) // (16 * d * d))
+    step = _superoperator_step(d)
+    if work is None:
+        work = np.empty(min(k, step) * d * d, dtype=complex)
     for i in range(0, k, step):
-        chunk = slice(i, i + step)
-        g_bar = flat[chunk].conj()
-        g_bar *= weights[chunk, None]
-        s += flat[chunk].T @ g_bar
+        chunk = flat[i : i + step]
+        g_bar = np.conjugate(chunk, out=work[: chunk.size].reshape(chunk.shape))
+        g_bar *= weights[i : i + step, None]
+        s += chunk.T @ g_bar
     return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 

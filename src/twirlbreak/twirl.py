@@ -3,6 +3,7 @@ analytic twirl projectors for qudits, and Monte-Carlo Haar twirling."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,49 +231,77 @@ def _row_sum(p: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def mc_twirl_operator(op: np.ndarray, mode: str, n: int, s: HaarSampler, dims) -> np.ndarray:
+def mc_twirl_operator(op: np.ndarray, mode: str | Sequence[str], n: int, s: HaarSampler, dims) -> np.ndarray:
     """Empirical twirl of a raw operator over n Haar samples: mode 'uu'
     (U x U), 'uustar' (U x U*) or 'partial-A' (U x I).  op is one (D, D)
-    operator or an (m, D, D) stack of probes, and the result has its shape:
-    every probe is twirled over the same n samples, drawn once, and each
-    result is bit for bit the one a call on that probe alone, with a fresh
-    sampler of the same seed, gives.
+    operator or an (m, D, D) stack of probes, and the result has its shape;
+    mode is one mode for every probe or, with a stack, a sequence of m modes,
+    one per probe.  Every probe is twirled over the same n samples, drawn
+    once, and each result is bit for bit the one a call on that probe alone,
+    in its mode, with a fresh sampler of the same seed, gives.
 
     The samples are drawn and summed in cache-sized chunks (_chunk_lengths),
     so memory does not grow with n; the sampler's stream does not depend on
     the batch split, so neither do the samples.  Each chunk is drawn once
-    and summed by one conjugate_sum call over every probe.  The U x U*
-    twirl is taken as PT o (U x U twirl) o PT, so no conjugate copy of the
-    samples is made.  Every chunk works in one workspace allocated per call,
-    sized from the first chunk only: its samples, then a scratch that the
-    sampler's draws and Gram-Schmidt temporaries use first and conjugate_sum's
-    two-sided buffers reuse once the samples are drawn.  Apart from it, memory
-    grows with m only through the m results.  The sampler's d must be the
-    dimension of each twirled side; op's shape is checked before any draw.
+    and summed by at most two conjugate_sum calls: one two-sided stack of
+    the 'uu' and 'uustar' probes, one one-sided stack of the 'partial-A'
+    probes.  The U x U* twirl is taken as PT o (U x U twirl) o PT, so no
+    conjugate copy of the samples is made.  Every chunk works in one
+    workspace allocated per call, sized from the first chunk only: its
+    samples, then a scratch that the sampler's draws and Gram-Schmidt
+    temporaries use first and conjugate_sum's buffers, of either route, reuse
+    once the samples are drawn.  Apart from it, memory grows with m only
+    through the m results, and a copy of op when a probe is transposed or
+    the routes' stacks reorder the probes.  The sampler's d must be the
+    dimension of each twirled side; the modes and op's shape are checked
+    before any draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if mode not in ("uu", "uustar", "partial-A"):
-        raise ValueError(f"unknown mode {mode!r}")
-    da, db = dims
-    both = mode != "partial-A"  # else side B's matrix is the identity
-    if da != s.d or (both and db != s.d):
-        raise ValueError(f"mode {mode!r} with dims ({da}, {db}) does not match a sampler of d = {s.d}")
     op = np.asarray(op, dtype=complex)
+    if isinstance(mode, str):
+        modes = [mode] * (len(op) if op.ndim == 3 else 1)
+    elif op.ndim == 3 and len(mode) == len(op):
+        modes = list(mode)
+    else:
+        raise ValueError(f"{len(mode)} modes for an operator of shape {op.shape}: give one per probe of a stack")
+    for name in modes:
+        if name not in ("uu", "uustar", "partial-A"):
+            raise ValueError(f"unknown mode {name!r}")
+    da, db = dims
+    both = [m != "partial-A" for m in modes]  # else side B's matrix is the identity
+    if da != s.d or (any(both) and db != s.d):
+        raise ValueError(f"mode {mode!r} with dims ({da}, {db}) does not match a sampler of d = {s.d}")
     if op.ndim not in (2, 3) or op.shape[-2:] != (da * db, da * db):
         raise ValueError(f"operator shape {op.shape} does not match dims ({da}, {db})")
-    if mode == "uustar":
-        op = partial_transpose_mat(op, da, db)
+    probes = op.reshape(-1, da * db, da * db)
+    # the routes' stack: the two-sided probes, the 'uustar' ones transposed,
+    # then the one-sided ones, each in the caller's order; op itself unless
+    # that moves or transposes a probe
+    order = sorted(range(len(probes)), key=lambda i: not both[i])
+    star = [modes[i] == "uustar" for i in order]
+    copied = order != sorted(order) or any(star)
+    x = np.empty_like(probes) if copied else probes
+    for j, i in enumerate(order if copied else ()):
+        x[j] = partial_transpose_mat(probes[i], da, db) if star[j] else probes[i]
+    k = sum(both)
     chunks = _chunk_lengths(n, s.d * s.d)
     stack = chunks[0] * s.d * s.d
-    kernel = _conjugate_sum_work(chunks[0], chunks[0] if both else 1, da, db)
+    # the scratch of whichever routes run
+    kernel = max([_conjugate_sum_work(chunks[0], chunks[0] if b else 1, da, db) for b in set(both)], default=0)
     work = np.empty(stack + max(stack, kernel), dtype=complex)
     eye = np.eye(db)[None]
-    out = np.zeros(op.shape, dtype=complex)
+    out = np.zeros(x.shape, dtype=complex)
     for m in chunks:
         us = s.sample_batch(m, work=work)
-        out += conjugate_sum(op, us, us if both else eye, 1.0 / n, work=work[m * s.d * s.d :])
-    return partial_transpose_mat(out, da, db) if mode == "uustar" else out
+        if k:
+            out[:k] += conjugate_sum(x[:k], us, us, 1.0 / n, work=work[m * s.d * s.d :])
+        if k < len(x):
+            out[k:] += conjugate_sum(x[k:], us, eye, 1.0 / n, work=work[m * s.d * s.d :])
+    # the results back in op's copy, in the caller's order, 'uustar' transposed back
+    for j, i in enumerate(order if copied else ()):
+        x[i] = partial_transpose_mat(out[j], da, db) if star[j] else out[j]
+    return (x if copied else out).reshape(op.shape)
 
 
 def mc_twirl(rho: DensityOperator, mode: str, n: int, s: HaarSampler) -> DensityOperator:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels, gaussian, states, twirl
-from .linalg import conjugate_sum, frobenius_distance, negativity, ppt_from_spectrum
+from .linalg import conjugate_sum, frobenius_distance, negativity, ppt_from_spectrum, validate_density_stack
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,14 @@ class VerifyConfig:
         return 5.0 / np.sqrt(self.mc_samples)
 
 
+def _streams(cfg: VerifyConfig, group: str, haar: int = 0) -> list[np.random.SeedSequence]:
+    """The random streams of one check group of ALL_CHECKS: children of the
+    group's own child of SeedSequence(cfg.seed), one per group in table
+    order.  The first haar of them seed the group's Haar samplers, one per d;
+    the last seeds the draws of its probes."""
+    return np.random.SeedSequence(cfg.seed).spawn(len(_GROUPS))[_GROUPS.index(group)].spawn(haar + 1)
+
+
 def _result(name: str, residuals, tol: float, ok: bool = True) -> CheckResult:
     """A gate at the tolerance fixed where it is defined, its residual the
     largest of residuals (one number or a sequence); ok carries any verdict it
@@ -43,6 +51,16 @@ def _result(name: str, residuals, tol: float, ok: bool = True) -> CheckResult:
     if not np.isfinite(residual):
         return CheckResult(name, False, None, tol, f"non-finite residual {residual}")
     return CheckResult(name, ok and residual <= tol, residual, tol)
+
+
+def _is_state(mat) -> bool:
+    """Whether mat is a density matrix (validate_density_stack): an MC twirl
+    that is not one fails its own gate, while the group's other gates report."""
+    try:
+        validate_density_stack(mat[None])
+    except ValueError:
+        return False
+    return True
 
 
 def _map_distance(d: int, f, *others) -> float:
@@ -58,7 +76,8 @@ def _map_distance(d: int, f, *others) -> float:
 
 # 1. EB threshold for local depolarizing channels
 def check_eb_threshold(cfg: VerifyConfig) -> list[CheckResult]:
-    p = np.random.default_rng(cfg.seed).dirichlet(np.ones(4), size=200)
+    (probes,) = _streams(cfg, "eb-threshold")
+    p = np.random.default_rng(probes).dirichlet(np.ones(4), size=200)
     spec = channels.choi_pt_spectra(channels.local_depolarizing_kraus(p))
     predicted = np.max(p, axis=1) <= 0.5 + 1e-12
     verdicts_ok = bool(np.array_equal(ppt_from_spectrum(spec), predicted))
@@ -109,32 +128,31 @@ def check_2design(cfg: VerifyConfig) -> list[CheckResult]:
     ]
 
 
-# 4. Werner / isotropic invariance under exact and MC twirls, d in {2,3,4}
+# 4. Werner / isotropic invariance under exact and MC twirls, d in {2,3,4};
+# the three MC twirls of each d share one draw
 def check_qudit_invariance(cfg: VerifyConfig) -> list[CheckResult]:
+    *haar, probes = _streams(cfg, "qudit-invariance", haar=3)
+    rng = np.random.default_rng(probes)
     out = []
-    for d in (2, 3, 4):
+    for d, stream in zip((2, 3, 4), haar):
         werner = states.werner_multi(d, -0.9)
         iso = states.isotropic(d, 0.8)
         exact_uu, exact_uustar = twirl.twirl_exact(werner, "uu"), twirl.twirl_exact(iso, "uustar")
         out.append(_result(f"werner-exact-uu(d={d})", frobenius_distance(exact_uu.mat, werner.mat), 1e-11))
         out.append(_result(f"isotropic-exact-uustar(d={d})", frobenius_distance(exact_uustar.mat, iso.mat), 1e-11))
-        sampler = twirl.HaarSampler(cfg.seed + d, d)
-        mc = twirl.mc_twirl(werner, "uu", cfg.mc_samples, sampler)
-        out.append(
-            _result(f"werner-mc-uu(d={d})", frobenius_distance(mc.mat, werner.mat), cfg.mc_tol)
-        )
-        mc = twirl.mc_twirl(iso, "uustar", cfg.mc_samples, sampler)
-        out.append(
-            _result(f"isotropic-mc-uustar(d={d})", frobenius_distance(mc.mat, iso.mat), cfg.mc_tol)
+        rho = states.random_density(d, d, rng)
+        mc = twirl.mc_twirl_operator(
+            np.stack([werner.mat, iso.mat, rho.mat]),
+            ("uu", "uustar", "partial-A"),
+            cfg.mc_samples,
+            twirl.HaarSampler(stream, d),
+            (d, d),
         )
         # single transmission fully depolarizes the sent side
-        rng = np.random.default_rng(cfg.seed + 10 * d)
-        rho = states.random_density(d, d, rng)
-        target = twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A")
-        got = twirl.mc_twirl(rho, "partial-A", cfg.mc_samples, sampler).mat
-        out.append(
-            _result(f"single-transmission-product-mc(d={d})", frobenius_distance(got, target), cfg.mc_tol)
-        )
+        targets = (werner.mat, iso.mat, twirl.partial_twirl_exact_mat(rho.mat, (d, d), "A"))
+        names = (f"werner-mc-uu(d={d})", f"isotropic-mc-uustar(d={d})", f"single-transmission-product-mc(d={d})")
+        for name, got, want in zip(names, mc, targets):
+            out.append(_result(name, frobenius_distance(got, want), cfg.mc_tol, ok=_is_state(got)))
     return out
 
 
@@ -158,15 +176,13 @@ def check_partial_haar(cfg: VerifyConfig) -> list[CheckResult]:
         lambda e: twirl.partial_twirl_operator(e, cl, "B", (2, 2)),
     )
     out = [_result("partial-haar-exact(d=2)", residual, 1e-11)]
-    rng = np.random.default_rng(cfg.seed + 3)
-    sampler = twirl.HaarSampler(cfg.seed + 4, 3)
-    residuals = []
-    for _ in range(5):
-        t = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        t /= np.linalg.norm(t)
-        got = twirl.mc_twirl_operator(t, "partial-A", cfg.mc_samples, sampler, (3, 3))
-        want = twirl.partial_twirl_exact_mat(t, (3, 3), "A")
-        residuals.append(np.linalg.norm(got - want))
+    haar, probes = _streams(cfg, "partial-haar", haar=1)
+    # five unit-norm complex operators, twirled as one stack over one draw
+    z = np.random.default_rng(probes).standard_normal((5, 2, 9, 9))
+    t = z[:, 0] + 1j * z[:, 1]
+    t /= np.linalg.norm(t, axis=(1, 2), keepdims=True)
+    got = twirl.mc_twirl_operator(t, "partial-A", cfg.mc_samples, twirl.HaarSampler(haar, 3), (3, 3))
+    residuals = [np.linalg.norm(g - twirl.partial_twirl_exact_mat(x, (3, 3), "A")) for x, g in zip(t, got)]
     out.append(_result("partial-haar-mc(d=3)", residuals, cfg.mc_tol))
     return out
 
@@ -214,7 +230,8 @@ def check_invariant_family(cfg: VerifyConfig) -> list[CheckResult]:
 
 # 9. Uniform dephasing is entanglement-breaking (truncated Fock sector)
 def check_dephasing(cfg: VerifyConfig) -> list[CheckResult]:
-    rng = np.random.default_rng(cfg.seed + 5)
+    (probes,) = _streams(cfg, "dephasing")
+    rng = np.random.default_rng(probes)
     pt, rec = [0.0], []  # the PPT residual is clamped at 0.0
     for n in (4, 6, 8):
         # the draws of 100 calls of states.random_pure(n, n, rng)
@@ -237,10 +254,11 @@ def check_dephasing(cfg: VerifyConfig) -> list[CheckResult]:
 # are not compared with each other: for the twirl both run conjugate_sum.  The
 # Pauli direct map is the Kraus sum written out with np.kron.
 def check_dilations(cfg: VerifyConfig) -> list[CheckResult]:
-    p = channels.ProbabilityVector(tuple(np.random.default_rng(cfg.seed + 6).dirichlet(np.ones(4))))
+    haar, probes = _streams(cfg, "dilations", haar=1)
+    p = channels.ProbabilityVector(tuple(np.random.default_rng(probes).dirichlet(np.ones(4))))
     pauli_pairs = [np.kron(pauli, pauli) for pauli in channels.PAULIS]
     # generic twirl dilation with a small Haar-sampled unitary set
-    uset = twirl.UnitarySet(twirl.HaarSampler(cfg.seed + 7, 2).sample_batch(6))
+    uset = twirl.UnitarySet(twirl.HaarSampler(haar, 2).sample_batch(6))
     cases = (
         (
             "pauli",
@@ -279,6 +297,8 @@ ALL_CHECKS = (
     ("dephasing", check_dephasing),
     ("dilations", check_dilations),
 )
+# the group names in table order, which fix each group's stream (_streams)
+_GROUPS = tuple(group for group, _ in ALL_CHECKS)
 
 
 def run_all(cfg: VerifyConfig) -> list[CheckResult]:

@@ -286,18 +286,19 @@ class TestConjugateSum:
 
     @pytest.mark.parametrize("da, db", [(3, 3), (2, 3)])
     def test_work_gives_the_same_bits(self, da, db):
-        # several two-sided chunks of terms plus a tail, worked in a scratch
-        # filled with NaN so that an entry read before it is written shows;
-        # one operator, then a stack
+        # several two-sided chunks of terms plus a tail, and the one-sided
+        # route on the same terms, worked in a scratch filled with NaN so that
+        # an entry read before it is written shows; one operator, then a stack
         d = da * db
         k = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 5
         rng = np.random.default_rng(36)
         a, b = HaarSampler(37, da).sample_batch(k), HaarSampler(38, db).sample_batch(k).conj()
         w = rng.dirichlet(np.ones(k))
         ops = rng.standard_normal((3, d, d)) + 1j * rng.standard_normal((3, d, d))
-        for op in (ops[0], ops):
-            work = np.full(linalg._conjugate_sum_work(k, k, da, db), np.nan, dtype=complex)
-            assert np.array_equal(conjugate_sum(op, a, b, w, work=work), conjugate_sum(op, a, b, w))
+        for b_side in (b, np.eye(db)[None]):
+            for op in (ops[0], ops):
+                work = np.full(linalg._conjugate_sum_work(k, len(b_side), da, db), np.nan, dtype=complex)
+                assert np.array_equal(conjugate_sum(op, a, b_side, w, work=work), conjugate_sum(op, a, b_side, w))
 
     def test_scratch_does_not_depend_on_the_probe_count(self):
         # the two-sided layout of the first chunk of s terms, for one probe or
@@ -306,14 +307,19 @@ class TestConjugateSum:
         s, d = linalg._chunk_lengths(k, 36)[0], da * db
         size = linalg._conjugate_sum_work(k, k, da, db)
         assert size == s * (2 * d * d + da * da + db * db)
-        assert linalg._conjugate_sum_work(k, 1, 3, 3) == 0  # one-sided
+        # one-sided: the weighted conjugates of the K-long side's first chunk
+        # of terms, here all k of them
+        assert linalg._conjugate_sum_work(k, 1, da, db) == k * da * da
+        assert linalg._conjugate_sum_work(1, k, da, db) == k * db * db
         rng = np.random.default_rng(52)
         a, b = HaarSampler(53, da).sample_batch(k), HaarSampler(54, db).sample_batch(k)
         w = rng.dirichlet(np.ones(k))
         ops = rng.standard_normal((6, d, d)) + 1j * rng.standard_normal((6, d, d))
-        work = np.full(size + s * d * d, np.nan, dtype=complex)
-        assert np.array_equal(conjugate_sum(ops, a, b, w, work=work), conjugate_sum(ops, a, b, w))
-        assert np.isnan(work[size:]).all()
+        for b_side in (b, np.eye(db)[None]):
+            size = linalg._conjugate_sum_work(k, len(b_side), da, db)
+            work = np.full(size + s * d * d, np.nan, dtype=complex)
+            assert np.array_equal(conjugate_sum(ops, a, b_side, w, work=work), conjugate_sum(ops, a, b_side, w))
+            assert np.isnan(work[size:]).all()
 
     @pytest.mark.parametrize("da, db", [(3, 3), (3, 2)])
     def test_two_sided_matches_conjugated_products(self, da, db):

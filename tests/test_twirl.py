@@ -374,17 +374,16 @@ class TestMCTwirl:
 
     def test_one_sided_workspace_peak(self):
         # bound fixed from the layout: the workspace of the first chunk's L
-        # samples (L d^2 complex entries) and a scratch of as many (the
-        # one-sided route needs none of its own), 1.0 MiB at d = 3; on top of
-        # it the superoperator's one copy of the chunk, its weighted
-        # conjugates (L d^2 entries; the samples are flattened as a view),
-        # numpy's iterator buffers of one buffered ufunc call (at most three
-        # operands of np.getbufsize() complex entries) and a chunk's L weights
-        # and their comparison with 0
+        # samples (L d^2 complex entries) and a scratch of as many, which
+        # holds the superoperator's one copy of the chunk, its weighted
+        # conjugates (the samples are flattened as a view), 1.0 MiB at d = 3;
+        # on top of it numpy's iterator buffers of one buffered ufunc call
+        # (at most three operands of np.getbufsize() complex entries) and a
+        # chunk's L weights and their comparison with 0
         d, n = 3, 10_000
         chunk = linalg._chunk_lengths(n, d * d)[0]
         stack = chunk * d * d
-        bound = 16 * 3 * stack + 3 * 16 * np.getbufsize() + 2 * 8 * chunk
+        bound = 16 * 2 * stack + 3 * 16 * np.getbufsize() + 2 * 8 * chunk
         rho = werner_multi(d, -0.9).mat
         mc_twirl_operator(rho, "partial-A", n, HaarSampler(43, d), (d, d))
         tracemalloc.start()
@@ -435,6 +434,83 @@ class TestMCTwirl:
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+    def test_mixed_stack_matches_single_mode_calls(self, monkeypatch):
+        # two full chunks and a tail of 11 samples; every probe of a stack of
+        # mixed modes, non-Hermitian and complex, is bit for bit its own 2-D
+        # call in its mode with a fresh sampler, and the stack is drawn once
+        d = 3
+        n = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 11
+        modes = ("partial-A", "uustar", "uu", "partial-A", "uustar", "uu")
+        ops = _complex_probes(len(modes), d * d, 58)
+        sampler, drawn = HaarSampler(59, d), []
+        draw = sampler.sample_batch
+        monkeypatch.setattr(sampler, "sample_batch", lambda m, work=None: drawn.append(m) or draw(m, work=work))
+        got = mc_twirl_operator(ops, modes, n, sampler, (d, d))
+        assert drawn == linalg._chunk_lengths(n, d * d)
+        assert got.shape == ops.shape
+        for x, mode, g in zip(ops, modes, got):
+            assert np.array_equal(g, mc_twirl_operator(x, mode, n, HaarSampler(59, d), (d, d)))
+
+    def test_a_probe_does_not_depend_on_its_companions(self):
+        # a probe's samples, and so its bits, are the same alone, beside a
+        # probe of either route, first or last, and in a single-mode stack
+        d, n = 3, 5000
+        ops = _complex_probes(3, d * d, 60)
+        stacks = [
+            ([0], ["uu"]),
+            ([0, 1], ["uu", "partial-A"]),
+            ([2, 0], ["uustar", "uu"]),
+            ([1, 2, 0], ["partial-A", "uustar", "uu"]),
+            ([0, 2], ["uu", "uu"]),
+        ]
+        alone = mc_twirl_operator(ops[0], "uu", n, HaarSampler(61, d), (d, d))
+        for probes, modes in stacks:
+            got = mc_twirl_operator(ops[probes], modes, n, HaarSampler(61, d), (d, d))
+            assert np.array_equal(got[probes.index(0)], alone), modes
+        # and a partial-A probe alone, beside a two-sided one, in either order
+        alone = mc_twirl_operator(ops[1], "partial-A", n, HaarSampler(61, d), (d, d))
+        for probes, modes in (([1, 2], ["partial-A", "uustar"]), ([2, 1], ["uu", "partial-A"])):
+            got = mc_twirl_operator(ops[probes], modes, n, HaarSampler(61, d), (d, d))
+            assert np.array_equal(got[probes.index(1)], alone), modes
+
+    @pytest.mark.parametrize(
+        "op, modes, dims, message",
+        [
+            (np.ones((3, 9, 9)), ("uu", "uustar"), (3, 3), "2 modes for an operator of shape"),
+            (np.ones((1, 9, 9)), ("uu", "uu"), (3, 3), "2 modes for an operator of shape"),
+            (np.eye(9), ("uu",), (3, 3), "1 modes for an operator of shape"),
+            (np.ones((2, 9, 9)), ("uu", "partial-B"), (3, 3), "unknown mode 'partial-B'"),
+            (np.ones((2, 6, 6)), ("partial-A", "uu"), (3, 2), r"dims \(3, 2\) .* d = 3"),
+        ],
+        ids=["too-few", "too-many", "2-D", "unknown-entry", "partial-A-beside-uu-at-3x2"],
+    )
+    def test_rejects_a_mode_sequence_before_any_draw(self, op, modes, dims, message):
+        # the sampler's stream has not moved
+        s = HaarSampler(46, 3)
+        with pytest.raises(ValueError, match=message):
+            mc_twirl_operator(op, modes, 10, s, dims)
+        assert np.array_equal(s.sample_batch(5), HaarSampler(46, 3).sample_batch(5))
+
+    def test_mixed_stack_peak(self):
+        # a mixed stack's extra arrays are the copy of op that groups its
+        # probes by route and transposes the uustar ones: no more than its m
+        # results on top of a U x U call on the same stack, as both routes
+        # work in the one workspace
+        d, n = 3, 10_000
+        rho = random_density(d, d, np.random.default_rng(62))
+        ops = np.stack([werner_multi(d, -0.9).mat, isotropic(d, 0.8).mat, rho.mat])
+        peaks = {}
+        for modes in ("uu", ("uu", "uustar", "partial-A"), ("partial-A", "uustar", "uu")):
+            mc_twirl_operator(ops, modes, n, HaarSampler(63, d), (d, d))
+            tracemalloc.start()
+            try:
+                mc_twirl_operator(ops, modes, n, HaarSampler(63, d), (d, d))
+                peaks[modes] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        bound = peaks["uu"] + 16 * len(ops) * d**4
+        assert max(peaks.values()) <= bound, peaks
 
     def test_superoperator_matches_row_major_flattening(self):
         # the sum over the samples' (column, row) flattening, a view of the
@@ -513,10 +589,16 @@ class TestMCTwirl:
         assert np.array_equal(a.mat, b.mat)
 
 
-def _row_major_superoperator(g, weights):
+def _complex_probes(m, dim, seed):
+    """m complex, non-Hermitian (dim, dim) probes."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((m, dim, dim)) + 1j * rng.standard_normal((m, dim, dim))
+
+
+def _row_major_superoperator(g, weights, work=None):
     """sum_k w_k G_k x conj(G_k) from a (row, column) flattening of each G_k,
     all terms in one matrix product: a copy of the stack and of its weighted
-    conjugates."""
+    conjugates, made here whether or not a scratch `work` is given."""
     g = np.asarray(g, dtype=complex)
     k, d = len(g), g.shape[-1]
     flat = g.reshape(k, d * d)

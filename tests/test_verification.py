@@ -110,12 +110,41 @@ def test_clifford_basis_residuals_do_not_depend_on_the_seed():
     assert residuals(913) == first
 
 
+def _generator_seeds(monkeypatch, seed):
+    """The seed of every random generator that run_all makes at a seed, the
+    Haar samplers' included, in order."""
+    seeds, default_rng = [], np.random.default_rng
+
+    def recording(seed=None):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recording)
+        verification.run_all(verification.VerifyConfig(seed=seed, mc_samples=100))
+    return seeds
+
+
+def test_every_draw_has_its_own_stream(monkeypatch):
+    # each generator is seeded by a SeedSequence spawned from the config's
+    # seed, one child per check group and within it one per Haar sampler and
+    # one for the probes: ten in all, and no two streams alike, within a run
+    # or between seeds s and s + 1 (whose cfg.seed + k streams overlapped)
+    runs = [_generator_seeds(monkeypatch, seed) for seed in (20240611, 20240612)]
+    for seed, seeds in zip((20240611, 20240612), runs):
+        assert all(isinstance(q, np.random.SeedSequence) and q.entropy == seed for q in seeds)
+        assert len(seeds) == 10
+        assert len({q.spawn_key for q in seeds}) == len(seeds)
+    states = {tuple(q.generate_state(4)) for seeds in runs for q in seeds}
+    assert len(states) == 2 * 10
+
+
 # -- reference loops over the public per-object functions ----------------------
 
-def _dephasing_loop(seed):
+def _dephasing_loop(stream):
     """Per cutoff, the input states and, per point, the least PT eigenvalue
     and the reconstruction error, one validated object at a time."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(stream)
     out = {}
     for n in CUTOFFS:
         inputs, min_pt, rec_error = [], [], []
@@ -131,8 +160,8 @@ def _dephasing_loop(seed):
     return out
 
 
-def _eb_loop(seed):
-    rng = np.random.default_rng(seed)
+def _eb_loop(stream):
+    rng = np.random.default_rng(stream)
     probs, verdicts, spectra = [], [], []
     for _ in range(CHANNELS):
         p = channels.ProbabilityVector(tuple(rng.dirichlet(np.ones(4))))
@@ -160,7 +189,8 @@ def _recorded(monkeypatch, module, name):
 
 def test_dephasing_sweep_matches_per_point_loop(monkeypatch):
     cfg = verification.VerifyConfig()
-    loop = _dephasing_loop(cfg.seed + 5)
+    (probes,) = verification._streams(cfg, "dephasing")
+    loop = _dephasing_loop(probes)
     calls = _recorded(monkeypatch, gaussian, "dephasing_sweep")
     ppt, rec = verification.check_dephasing(cfg)
     for n in CUTOFFS:
@@ -177,7 +207,8 @@ def test_dephasing_sweep_matches_per_point_loop(monkeypatch):
 
 def test_eb_sweep_matches_per_point_loop(monkeypatch):
     cfg = verification.VerifyConfig()
-    probs, verdicts, spectra = _eb_loop(cfg.seed)
+    (probes,) = verification._streams(cfg, "eb-threshold")
+    probs, verdicts, spectra = _eb_loop(probes)
     calls = _recorded(monkeypatch, channels, "choi_pt_spectra")
     (result,) = verification.check_eb_threshold(cfg)
     spec = np.concatenate([out for _, out in calls])
@@ -188,7 +219,7 @@ def test_eb_sweep_matches_per_point_loop(monkeypatch):
     assert result.passed
     assert abs(result.residual - worst) <= 1e-15
     # the stacked draw is the loop's stream
-    p = np.random.default_rng(cfg.seed).dirichlet(np.ones(4), size=CHANNELS)
+    p = np.random.default_rng(probes).dirichlet(np.ones(4), size=CHANNELS)
     assert np.array_equal(p, probs)
 
 

@@ -9,8 +9,9 @@ writes the `--out` document of every golden run, compares it with its golden
 by `test_golden._mismatches`, and prints both as JSON.  It then runs the
 exact tests (EXACT_TESTS: the shipped rows against their closed forms, the
 invariant families' projector and zero member residuals, each probe of a
-conjugate_sum or MC-twirl stack against its own call, and the two-sided
-conjugate_sum against its sum taken with the conjugated products) with
+conjugate_sum or MC-twirl stack, of one mode or of mixed modes, against
+its own call and beside other companions, and the two-sided conjugate_sum
+against its sum taken with the conjugated products) with
 pytest in the same process, so under the same kernel class, its report on
 stderr.  The parent prints, per run, the kernel class that OpenBLAS
 reports, whether the goldens and the exact tests pass and each mismatching
@@ -41,6 +42,8 @@ EXACT_TESTS = (
     "tests/test_linalg.py::TestConjugateSum::test_stack_matches_single_calls",
     "tests/test_linalg.py::TestConjugateSum::test_two_sided_matches_conjugated_products",
     "tests/test_twirl.py::TestMCTwirl::test_stack_matches_single_calls",
+    "tests/test_twirl.py::TestMCTwirl::test_mixed_stack_matches_single_mode_calls",
+    "tests/test_twirl.py::TestMCTwirl::test_a_probe_does_not_depend_on_its_companions",
 )
 
 # run name -> what the child adds to its own environment
