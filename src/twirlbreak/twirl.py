@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    CONJUGATE_SUM_CACHE_BYTES,
     DensityOperator,
     _chunk_lengths,
     _conjugate_sum_work,
@@ -242,19 +243,30 @@ def mc_twirl_operator(op: np.ndarray, mode: str | Sequence[str], n: int, s: Haar
 
     The samples are drawn and summed in cache-sized chunks (_chunk_lengths),
     so memory does not grow with n; the sampler's stream does not depend on
-    the batch split, so neither do the samples.  Each chunk is drawn once
-    and summed by at most two conjugate_sum calls: one two-sided stack of
-    the 'uu' and 'uustar' probes, one one-sided stack of the 'partial-A'
-    probes.  The U x U* twirl is taken as PT o (U x U twirl) o PT, so no
-    conjugate copy of the samples is made.  Every chunk works in one
-    workspace allocated per call, sized from the first chunk only: its
-    samples, then a scratch that the sampler's draws and Gram-Schmidt
-    temporaries use first and conjugate_sum's buffers, of either route, reuse
-    once the samples are drawn.  Apart from it, memory grows with m only
-    through the m results, and a copy of op when a probe is transposed or
-    the routes' stacks reorder the probes.  The sampler's d must be the
-    dimension of each twirled side; the modes and op's shape are checked
-    before any draw.
+    the batch split, so neither do the samples.  The U x U* twirl is taken
+    as PT o (U x U twirl) o PT, so no conjugate copy of the samples is made,
+    and the probes go by three routes, each chunk drawn once for all:
+
+    - two-sided at d <= 3 (16 d^8 <= CONJUGATE_SUM_CACHE_BYTES, a rule on d
+      alone): the 'uu' and transposed 'uustar' probes are twirled through
+      the Gram matrix G = (1/n) sum_k s_k s_k^dag of the draw's Sym^2
+      coordinates s_k = (u_p u_q)_{p <= q}, u_k = vec(U_k) (_gram_add),
+      then each probe by one matrix-vector product with the d^4 x d^4
+      superoperator gathered from G (_gram_superoperator), so the cost per
+      sample, N^2 for N = d^2 (d^2 + 1)/2, does not grow with the number of
+      probes;
+    - two-sided at d >= 4: those probes as one conjugate_sum stack a chunk;
+    - one-sided: the 'partial-A' probes as one conjugate_sum stack a chunk.
+
+    Every chunk works in one workspace allocated per call, sized from the
+    first chunk only: G when the Gram route runs, then the chunk's samples,
+    then a scratch that the sampler's draws and Gram-Schmidt temporaries use
+    first and the routes' buffers, of whichever routes run, reuse once the
+    samples are drawn; the superoperator is built there after the last
+    draw.  Apart from it, memory grows with m only through the m results
+    and one copy of op, the routes' stack, which the results then fill.
+    The sampler's d must be the dimension of each twirled side; the modes
+    and op's shape are checked before any draw.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -275,33 +287,120 @@ def mc_twirl_operator(op: np.ndarray, mode: str | Sequence[str], n: int, s: Haar
     if op.ndim not in (2, 3) or op.shape[-2:] != (da * db, da * db):
         raise ValueError(f"operator shape {op.shape} does not match dims ({da}, {db})")
     probes = op.reshape(-1, da * db, da * db)
-    # the routes' stack: the two-sided probes, the 'uustar' ones transposed,
-    # then the one-sided ones, each in the caller's order; op itself unless
-    # that moves or transposes a probe
+    # the routes' stack, a copy of op that holds the results at the end: the
+    # two-sided probes, the 'uustar' ones transposed, then the one-sided
+    # ones, each in the caller's order
     order = sorted(range(len(probes)), key=lambda i: not both[i])
     star = [modes[i] == "uustar" for i in order]
-    copied = order != sorted(order) or any(star)
-    x = np.empty_like(probes) if copied else probes
-    for j, i in enumerate(order if copied else ()):
+    x = np.empty_like(probes)
+    for j, i in enumerate(order):
         x[j] = partial_transpose_mat(probes[i], da, db) if star[j] else probes[i]
     k = sum(both)
+    # the Gram route when the d^4 x d^4 superoperator fits in the cache
+    # budget (d <= 3); the budget bound at import, so the route depends on
+    # d alone, not on a budget patched to split the samples finer
+    gram = k > 0 and 16 * s.d**8 <= CONJUGATE_SUM_CACHE_BYTES
     chunks = _chunk_lengths(n, s.d * s.d)
     stack = chunks[0] * s.d * s.d
     # the scratch of whichever routes run
-    kernel = max([_conjugate_sum_work(chunks[0], chunks[0] if b else 1, da, db) for b in set(both)], default=0)
-    work = np.empty(stack + max(stack, kernel), dtype=complex)
+    kernel = max(
+        [
+            _gram_work(chunks[0], s.d) if b and gram else _conjugate_sum_work(chunks[0], chunks[0] if b else 1, da, db)
+            for b in set(both)
+        ],
+        default=0,
+    )
+    # G ahead of the samples, where no draw writes
+    pairs = s.d * s.d * (s.d * s.d + 1) // 2 if gram else 0
+    head = pairs * pairs
+    work = np.empty(head + stack + max(stack, kernel), dtype=complex)
+    g = work[:head].reshape(pairs, pairs)
+    g.fill(0)
     eye = np.eye(db)[None]
     out = np.zeros(x.shape, dtype=complex)
     for m in chunks:
-        us = s.sample_batch(m, work=work)
-        if k:
-            out[:k] += conjugate_sum(x[:k], us, us, 1.0 / n, work=work[m * s.d * s.d :])
+        us = s.sample_batch(m, work=work[head:])
+        scratch = work[head + m * s.d * s.d :]
+        if gram:
+            _gram_add(g, us, scratch)
+        elif k:
+            out[:k] += conjugate_sum(x[:k], us, us, 1.0 / n, work=scratch)
         if k < len(x):
-            out[k:] += conjugate_sum(x[k:], us, eye, 1.0 / n, work=work[m * s.d * s.d :])
+            out[k:] += conjugate_sum(x[k:], us, eye, 1.0 / n, work=scratch)
+    if gram:
+        g *= 1.0 / n
+        sup = _gram_superoperator(g, s.d, work[head:])
+        for x_j, out_j in zip(x[:k], out[:k]):
+            np.matmul(sup, x_j.reshape(-1), out=out_j.reshape(-1))
     # the results back in op's copy, in the caller's order, 'uustar' transposed back
-    for j, i in enumerate(order if copied else ()):
+    for j, i in enumerate(order):
         x[i] = partial_transpose_mat(out[j], da, db) if star[j] else out[j]
-    return (x if copied else out).reshape(op.shape)
+    return x.reshape(op.shape)
+
+
+def _sym_pairs(dd: int) -> np.ndarray:
+    """The symmetric pair index pi[p, q] = pi[q, p] of p, q < dd: the row of
+    u_p u_q among the N = dd (dd + 1)/2 Sym^2 coordinates, the pairs p <= q
+    in row-major order, as _gram_add builds them."""
+    p, q = np.indices((dd, dd))
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    return lo * dd - lo * (lo - 1) // 2 + hi - lo
+
+
+def _gram_work(m: int, d: int) -> int:
+    """Complex entries of scratch that the Gram route uses after a first
+    chunk of m samples, G apart: while summing, S and its conjugate for the
+    first sub-chunk of L samples (N L entries each) and their product (N^2);
+    then G gathered to d^4 x d^4 and the superoperator (d^8 entries each,
+    _gram_superoperator)."""
+    pairs = d * d * (d * d + 1) // 2
+    return max(2 * pairs * _chunk_lengths(m, pairs)[0] + pairs * pairs, 2 * d**8)
+
+
+def _gram_add(g: np.ndarray, us: np.ndarray, work: np.ndarray) -> None:
+    """Add sum_k s_k s_k^dag to the (N, N) Gram matrix g over a chunk us of
+    the sampler's (m, d, d) samples, s_k[pi(p, q)] = u_p u_q for p <= q,
+    u_k = vec(U_k) in (column, row) order (_sym_pairs).  The samples go in
+    sub-chunks of _chunk_lengths(m, N); one sub-chunk's S, its conjugate and
+    their product S S^dag are views of work (_gram_work)."""
+    m, d = len(us), us.shape[-1]
+    dd, pairs = d * d, len(g)
+    # column k is u_k: a view of the sampler's q[col, row, sample] layout
+    ut = us.transpose(2, 1, 0).reshape(dd, m)
+    # the pairs p <= q in row-major order, the order of _sym_pairs
+    rows = [(p, q) for p in range(dd) for q in range(p, dd)]
+    lengths = _chunk_lengths(m, pairs)
+    ends = np.cumsum([pairs * lengths[0]] * 2)
+    s_buf, bar_buf, product = np.split(work[: ends[-1] + pairs * pairs], ends)
+    start = 0
+    for length in lengths:
+        u = ut[:, start : start + length]
+        start += length
+        s = s_buf[: pairs * length].reshape(pairs, length)
+        # one 1-D product a row: a broadcast u[p:] * u[p] over the strided
+        # rows would make numpy allocate ~0.2 MiB of iterator buffers
+        for row, (p, q) in enumerate(rows):
+            np.multiply(u[p], u[q], out=s[row])
+        s_bar = np.conjugate(s, out=bar_buf[: pairs * length].reshape(pairs, length))
+        g += np.matmul(s, s_bar.T, out=product.reshape(pairs, pairs))
+
+
+def _gram_superoperator(g: np.ndarray, d: int, work: np.ndarray) -> np.ndarray:
+    """The (d^4, d^4) superoperator sup[(a b a' b'), (c e c' e')] =
+    g[pi(ca, eb), pi(c'a', e'b')] of the Gram matrix g, which maps vec(X) to
+    vec(sum_k (U_k x U_k) X (U_k x U_k)^dag) with g = sum_k s_k s_k^dag.
+    Built in the first 2 d^8 entries of work: g's rows gathered, then their
+    columns, then sup over the rows' place."""
+    dd, size = d * d, d**4
+    # idx[a, b, c, e] = pi(ca, eb)
+    idx = _sym_pairs(dd).reshape(d, d, d, d).transpose(1, 3, 0, 2).ravel()
+    # mode 'clip' writes into out directly ('raise' would buffer a copy); every index is in range
+    rows = np.take(g, idx, axis=0, out=work[: size * len(g)].reshape(size, len(g)), mode="clip")
+    full = np.take(rows, idx, axis=1, out=work[size * size : 2 * size * size].reshape(size, size), mode="clip")
+    # full is [(a b), (c e), (a' b'), (c' e')]: bring (a' b') ahead of (c e)
+    sup = work[: size * size].reshape(dd, dd, dd, dd)
+    np.copyto(sup, full.reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3))
+    return sup.reshape(size, size)
 
 
 def mc_twirl(rho: DensityOperator, mode: str, n: int, s: HaarSampler) -> DensityOperator:

@@ -22,7 +22,8 @@ passes those defects.
 
 NEAR_MISSES holds defects at rounding scale that every gate passes at the
 tolerances as set: each is pinned as passing, so a tolerance tightened to
-catch it shows here, and the case then moves to MUTANTS.
+catch it shows here, and the case then moves to MUTANTS.  KERNEL_ONLY holds
+defects that every gate passes but a kernel test fails, each pinned as both.
 """
 
 import inspect
@@ -33,6 +34,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from test_twirl import gram_route_error
 from test_verification import CHECK_NAMES
 from twirlbreak import channels, gaussian, linalg, twirl, verification
 from twirlbreak.cli import main
@@ -355,7 +357,7 @@ MUTANTS = {
     "mc-twirl-nan": (
         twirl,
         "mc_twirl_operator",
-        "return (x if copied else out).reshape(op.shape)",
+        "return x.reshape(op.shape)",
         "return np.full(op.shape, np.nan, dtype=complex)",
         ["partial-haar"],
         ["partial-haar-mc(d=3)"],
@@ -371,6 +373,28 @@ MUTANTS = {
         "x[i] = out[j]",
         ["qudit-invariance"],
         [f"isotropic-mc-uustar(d={d})" for d in (2, 3, 4)],
+        [],
+    ),
+    # the Gram route's G summed as S S^T: each sample's (U x U) X (U x U)^T,
+    # which fixes no Werner or isotropic state; d = 4 runs conjugate_sum
+    "gram-conjugate-dropped": (
+        twirl,
+        "_gram_add",
+        "s_bar = np.conjugate(s, out=",
+        "s_bar = np.positive(s, out=",
+        ["qudit-invariance"],
+        [f"{gate}(d={d})" for d in (2, 3) for gate in ("werner-mc-uu", "isotropic-mc-uustar")],
+        [],
+    ),
+    # pi(q, p) read as pi(p, p) for q > p: the superoperator's entries of the
+    # pairs below the diagonal come from the wrong rows and columns of G
+    "gram-pair-index-folded": (
+        twirl,
+        "_sym_pairs",
+        "lo, hi = np.minimum(p, q), np.maximum(p, q)",
+        "lo, hi = np.minimum(p, q), q",
+        ["qudit-invariance"],
+        [f"{gate}(d={d})" for d in (2, 3) for gate in ("werner-mc-uu", "isotropic-mc-uustar")],
         [],
     ),
     # every probe twirled by U x U: the random state's twirl is no product
@@ -416,15 +440,34 @@ NAN_MUTANTS = [
     "mc-twirl-nan",
 ]
 
-_MC_IDENTITY = "every unitary fixes the twirled state: only a non-unitary sample fails it, not a biased sampler"
-
 # gates that hold by construction, and why: no defect of the code they read
 # fails them (a NaN handed to one still does)
 IDENTITIES = {
     "pauli-env-classical": "DilatedChannel.env_state is built diagonal",
     "twirl-env-classical": "DilatedChannel.env_state is built diagonal",
     "dephased-output-ppt": "B^T has B's spectrum, on blocks already validated PSD; a dropped transpose passes",
-    **{f"werner-mc-uu(d={d})": _MC_IDENTITY for d in (2, 3, 4)},
+    # at d = 2 and 3 the Gram route's defects fail it by name; at d = 4
+    # conjugate_sum's two-sided defects are named on other gates
+    "werner-mc-uu(d=4)": "every unitary fixes the twirled state: only a non-unitary sample fails it, not a biased sampler",
+}
+
+# defects that every gate passes but a kernel test fails (module, function,
+# line as written, defective line, the failing test's function and its
+# arguments); each runs on every check group.  A gate that comes to fail one
+# moves it to MUTANTS.
+KERNEL_ONLY = {
+    # G summed as conj(S) S^T, that is conj(G): each twirl becomes the
+    # conjugate of the twirl of conj(X), which equals the twirl on the real
+    # probes that every MC gate and shipped row twirls (ROADMAP item 2's
+    # complex probe would see it)
+    "gram-conjugated": (
+        twirl,
+        "_gram_add",
+        "np.matmul(s, s_bar.T,",
+        "np.matmul(s_bar, s.T,",
+        gram_route_error,
+        [(d, mode) for d in (2, 3) for mode in ("uu", "uustar")],
+    ),
 }
 
 
@@ -498,6 +541,18 @@ def test_a_nan_residual_fails_its_gate_by_name(monkeypatch, capsys, group_gates,
         assert checks[gate]["tolerance"] is not None
         assert f"ERROR {gate}: non-finite residual nan" in err.splitlines()
     assert all(c["residual"] is not None for name, c in checks.items() if name not in gates)
+
+
+@pytest.mark.parametrize("mutant", sorted(KERNEL_ONLY))
+def test_a_kernel_test_fails_what_no_gate_sees(monkeypatch, mutant):
+    module, name, line, defect, kernel_test, cases = KERNEL_ONLY[mutant]
+    _install_mutant(monkeypatch, module, name, line, defect)
+    monkeypatch.setattr(twirl, "_CLIFFORD_QUBIT", None)
+    results = verification.run_all(verification.VerifyConfig())
+    assert len(results) == len(CHECK_NAMES)
+    assert [r.name for r in results if not r.passed] == []
+    # 1e-14 is the bound the kernel test sets
+    assert [args for args in cases if not kernel_test(*args) > 1e-14] == []
 
 
 @pytest.mark.parametrize("mutant", sorted(NEAR_MISSES))

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -351,17 +352,16 @@ class TestMCTwirl:
             assert peak - n * d * d * 16 < 3 * linalg.CONJUGATE_SUM_CACHE_BYTES, mode
 
     def test_workspace_peak(self):
-        # bound fixed from the layout: one workspace of the first chunk's L
-        # samples (L d^2 complex entries) and a scratch of max(L d^2, the
-        # two-sided route's buffers), 1.61 MiB at d = 3; on top of it numpy's
-        # iterator buffers of one buffered ufunc call (at most three operands
-        # of np.getbufsize() complex entries) and a chunk's L weights and
-        # their square roots
+        # bound fixed from the layout: one workspace of the Gram matrix (N^2
+        # complex entries, N = 45), the first chunk's L samples (L d^2) and
+        # a scratch of max(L d^2, the Gram route's buffers), 1.56 MiB at
+        # d = 3; on top of it numpy's iterator buffers of one buffered ufunc
+        # call (at most three operands of np.getbufsize() complex entries)
         d, n = 3, 10_000
         chunk = linalg._chunk_lengths(n, d * d)[0]
         stack = chunk * d * d
-        workspace = 16 * (stack + max(stack, linalg._conjugate_sum_work(chunk, chunk, d, d)))
-        bound = workspace + 3 * 16 * np.getbufsize() + 2 * 8 * chunk
+        workspace = 16 * (45**2 + stack + max(stack, twirl._gram_work(chunk, d)))
+        bound = workspace + 3 * 16 * np.getbufsize()
         rho = werner_multi(d, -0.9).mat
         mc_twirl_operator(rho, "uu", n, HaarSampler(43, d), (d, d))
         tracemalloc.start()
@@ -416,15 +416,14 @@ class TestMCTwirl:
 
     def test_stack_workspace_peak(self):
         # bound fixed from the layout: the workspace of test_workspace_peak,
-        # 1.61 MiB at d = 3, as a stack needs no more scratch than one probe;
-        # on top of it the m results of the twirl and of one conjugate_sum
-        # call and one D^2 product, numpy's iterator buffers of one buffered
-        # ufunc call and a chunk's L weights and their square roots
+        # 1.56 MiB at d = 3, as a stack needs no more scratch than one probe;
+        # on top of it the m results and the copy of op that the routes'
+        # stack is, and numpy's iterator buffers of one buffered ufunc call
         d, n, m = 3, 10_000, 6
         chunk = linalg._chunk_lengths(n, d * d)[0]
         stack = chunk * d * d
-        workspace = 16 * (stack + max(stack, linalg._conjugate_sum_work(chunk, chunk, d, d)))
-        bound = workspace + 16 * (2 * m + 1) * d**4 + 3 * 16 * np.getbufsize() + 2 * 8 * chunk
+        workspace = 16 * (45**2 + stack + max(stack, twirl._gram_work(chunk, d)))
+        bound = workspace + 16 * 2 * m * d**4 + 3 * 16 * np.getbufsize()
         rho = np.stack([werner_multi(d, g).mat for g in np.linspace(-1, 1, m)])
         mc_twirl_operator(rho, "uu", n, HaarSampler(43, d), (d, d))
         tracemalloc.start()
@@ -536,22 +535,75 @@ class TestMCTwirl:
         monkeypatch.setattr(linalg, "_superoperator", _row_major_superoperator)
         assert np.array_equal(got, mc_twirl_operator(op, mode, n, HaarSampler(49, d), dims))
 
-    @pytest.mark.parametrize("mode, dims", [("uu", (3, 3)), ("uustar", (3, 3)), ("partial-A", (3, 2))])
+    @pytest.mark.parametrize(
+        "mode, dims",
+        [("uu", (3, 3)), ("uustar", (3, 3)), ("partial-A", (3, 2)), ("uu", (4, 4)), ("uustar", (4, 4))],
+    )
     def test_workspace_matches_chunked_loop(self, mode, dims):
-        # the chunk loop written out with fresh stacks: two full chunks and
-        # a tail of 11 samples
-        d, (da, db) = 3, dims
+        # the chunk loop written out with fresh arrays: two full chunks and
+        # a tail of 11 samples; the two-sided probes by the Gram route at
+        # d <= 3, by conjugate_sum at d = 4
+        d, (da, db) = dims[0], dims
         n = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 11
         op = random_density(da, db, np.random.default_rng(44)).mat
         got = mc_twirl_operator(op, mode, n, HaarSampler(45, d), dims)
         s, x = HaarSampler(45, d), partial_transpose_mat(op, da, db) if mode == "uustar" else op
-        want = np.zeros((da * db, da * db), dtype=complex)
-        for m in linalg._chunk_lengths(n, d * d):
-            us = s.sample_batch(m)
-            want += linalg.conjugate_sum(x, us, np.eye(db)[None] if mode == "partial-A" else us, 1.0 / n)
+        if mode != "partial-A" and d <= 3:
+            want = _gram_loop(x, n, s)
+        else:
+            want = np.zeros((da * db, da * db), dtype=complex)
+            for m in linalg._chunk_lengths(n, d * d):
+                us = s.sample_batch(m)
+                want += linalg.conjugate_sum(x, us, np.eye(db)[None] if mode == "partial-A" else us, 1.0 / n)
         if mode == "uustar":
             want = partial_transpose_mat(want, da, db)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", ["uu", "uustar"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gram_route_matches_kron_sum(self, mode, d):
+        # complex, non-Hermitian probes, which see a conjugated twirl
+        assert gram_route_error(d, mode) <= 1e-14
+
+    def test_gram_route_is_fixed_by_d(self, monkeypatch):
+        # the two-sided probes skip conjugate_sum at d <= 3, whatever the
+        # probes beside them, and take it at d = 4
+        calls = []
+
+        def recorded(op, a, b, weights, work=None):
+            if len(b) > 1:
+                calls.append(np.shape(a)[-1])
+                assert np.shape(a)[-1] > 3, "two-sided conjugate_sum at d <= 3"
+            return linalg.conjugate_sum(op, a, b, weights, work=work)
+
+        monkeypatch.setattr(twirl, "conjugate_sum", recorded)
+        for d in (2, 3):
+            ops = _complex_probes(3, d * d, 64)
+            mc_twirl_operator(ops, ("uu", "partial-A", "uustar"), 50, HaarSampler(65, d), (d, d))
+            mc_twirl_operator(ops[0], "uu", 50, HaarSampler(65, d), (d, d))
+        assert calls == []
+        mc_twirl_operator(_complex_probes(1, 16, 64), "uu", 50, HaarSampler(65, 4), (4, 4))
+        assert calls == [4]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_nan_filled_workspace_gives_the_same_bits(self, monkeypatch, d):
+        # every entry of the workspace is written before it is read: G is
+        # zeroed, and the buffers of each sub-chunk, chunk and route are
+        # filled first; two full chunks and a tail of 11 samples
+        n = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 11
+        modes = ("uustar", "partial-A", "uu")
+        ops = _complex_probes(len(modes), d * d, 66)
+        want = mc_twirl_operator(ops, modes, n, HaarSampler(67, d), (d, d))
+        empty = np.empty
+
+        def nan_filled(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            if np.issubdtype(out.dtype, np.inexact):
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", nan_filled)
+        assert np.array_equal(mc_twirl_operator(ops, modes, n, HaarSampler(67, d), (d, d)), want)
 
     @pytest.mark.parametrize(
         "mode, dims",
@@ -593,6 +645,50 @@ def _complex_probes(m, dim, seed):
     """m complex, non-Hermitian (dim, dim) probes."""
     rng = np.random.default_rng(seed)
     return rng.standard_normal((m, dim, dim)) + 1j * rng.standard_normal((m, dim, dim))
+
+
+def gram_route_error(d, mode, n=1000):
+    """Largest entry of the difference between the MC twirl of two complex,
+    non-Hermitian probes over n samples (one chunk, several sub-chunks at
+    d = 3) and the sum (1/n) sum_k K_k X K_k^dag over the same samples,
+    K_k = U_k x U_k or U_k x conj(U_k) written out with np.kron."""
+    ops = _complex_probes(2, d * d, 68)
+    got = mc_twirl_operator(ops, mode, n, HaarSampler(69, d), (d, d))
+    want = np.zeros_like(ops)
+    for u in HaarSampler(69, d).sample_batch(n):
+        k = np.kron(u, u.conj() if mode == "uustar" else u)
+        want += k @ ops @ k.conj().T
+    return np.max(np.abs(got - want / n))
+
+
+def _gram_loop(x, n, s):
+    """The Gram route written out with fresh arrays, for one (d^2, d^2)
+    operator x and n samples of the sampler s: per chunk of samples and per
+    sub-chunk of _chunk_lengths(m, N), S = (u_p u_q)_{p <= q} with
+    u_p = U[a, c] for p = c d + a, and G += S conj(S)^T; then G / n gathered
+    entry by entry into the superoperator, applied to vec(x)."""
+    d = s.d
+    dd = d * d
+    rows = [(p, q) for p in range(dd) for q in range(p, dd)]
+    pair = {}
+    for i, (p, q) in enumerate(rows):
+        pair[p, q] = pair[q, p] = i
+    g = np.zeros((len(rows), len(rows)), dtype=complex)
+    for m in linalg._chunk_lengths(n, dd):
+        us = s.sample_batch(m)
+        u = np.stack([us[:, a, c] for c in range(d) for a in range(d)])
+        start = 0
+        for length in linalg._chunk_lengths(m, len(rows)):
+            chunk = u[:, start : start + length]
+            start += length
+            sym = np.stack([chunk[p] * chunk[q] for p, q in rows])
+            g += sym @ sym.conj().T
+    g *= 1.0 / n
+    sup = np.empty((dd * dd, dd * dd), dtype=complex)
+    for a, b, a2, b2, c, e, c2, e2 in itertools.product(range(d), repeat=8):
+        row, col = ((a * d + b) * d + a2) * d + b2, ((c * d + e) * d + c2) * d + e2
+        sup[row, col] = g[pair[c * d + a, e * d + b], pair[c2 * d + a2, e2 * d + b2]]
+    return (sup @ x.reshape(-1)).reshape(dd, dd)
 
 
 def _row_major_superoperator(g, weights, work=None):

@@ -10,8 +10,10 @@ by `test_golden._mismatches`, and prints both as JSON.  It then runs the
 exact tests (EXACT_TESTS: the shipped rows against their closed forms, the
 invariant families' projector and zero member residuals, each probe of a
 conjugate_sum or MC-twirl stack, of one mode or of mixed modes, against
-its own call and beside other companions, and the two-sided conjugate_sum
-against its sum taken with the conjugated products) with
+its own call and beside other companions, the two-sided conjugate_sum
+against its sum taken with the conjugated products, and the MC twirl
+against its chunk loop written out with fresh arrays, the Gram route's
+included, and against itself in a NaN-filled workspace) with
 pytest in the same process, so under the same kernel class, its report on
 stderr.  The parent prints, per run, the kernel class that OpenBLAS
 reports, whether the goldens and the exact tests pass and each mismatching
@@ -44,6 +46,8 @@ EXACT_TESTS = (
     "tests/test_twirl.py::TestMCTwirl::test_stack_matches_single_calls",
     "tests/test_twirl.py::TestMCTwirl::test_mixed_stack_matches_single_mode_calls",
     "tests/test_twirl.py::TestMCTwirl::test_a_probe_does_not_depend_on_its_companions",
+    "tests/test_twirl.py::TestMCTwirl::test_workspace_matches_chunked_loop",
+    "tests/test_twirl.py::TestMCTwirl::test_nan_filled_workspace_gives_the_same_bits",
 )
 
 # run name -> what the child adds to its own environment
