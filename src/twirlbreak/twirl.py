@@ -23,6 +23,14 @@ from .states import flip_operator, max_entangled_mat
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
+# the most multiply-adds of a complex matrix product (m n k) and of a
+# matrix-vector product (m n) that OpenBLAS runs on one thread: a
+# 45 x 45 x 32 product and a 50 x 81 one stay on one, a 45 x 45 x 33 and a
+# 51 x 81 one start a second.  A threaded call waits on its threads' CPUs
+# and stalls, by milliseconds, whenever another process holds one; the Gram
+# route splits its products to stay within these
+_SERIAL_GEMM_MACS = 2**16 - 1
+_SERIAL_GEMV_MACS = 2**12 - 1
 
 
 @dataclass(frozen=True)
@@ -254,7 +262,8 @@ def mc_twirl_operator(op: np.ndarray, mode: str | Sequence[str], n: int, s: Haar
       then each probe by one matrix-vector product with the d^4 x d^4
       superoperator gathered from G (_gram_superoperator), so the cost per
       sample, N^2 for N = d^2 (d^2 + 1)/2, does not grow with the number of
-      probes;
+      probes; both products go in slices that BLAS runs on one thread
+      (_SERIAL_GEMM_MACS, _SERIAL_GEMV_MACS);
     - two-sided at d >= 4: those probes as one conjugate_sum stack a chunk;
     - one-sided: the 'partial-A' probes as one conjugate_sum stack a chunk.
 
@@ -330,8 +339,10 @@ def mc_twirl_operator(op: np.ndarray, mode: str | Sequence[str], n: int, s: Haar
     if gram:
         g *= 1.0 / n
         sup = _gram_superoperator(g, s.d, work[head:])
+        step = max(1, _SERIAL_GEMV_MACS // len(sup))
         for x_j, out_j in zip(x[:k], out[:k]):
-            np.matmul(sup, x_j.reshape(-1), out=out_j.reshape(-1))
+            for rows in (slice(a, a + step) for a in range(0, len(sup), step)):
+                np.matmul(sup[rows], x_j.reshape(-1), out=out_j.reshape(-1)[rows])
     # the results back in op's copy, in the caller's order, 'uustar' transposed back
     for j, i in enumerate(order):
         x[i] = partial_transpose_mat(out[j], da, db) if star[j] else out[j]
@@ -362,7 +373,8 @@ def _gram_add(g: np.ndarray, us: np.ndarray, work: np.ndarray) -> None:
     the sampler's (m, d, d) samples, s_k[pi(p, q)] = u_p u_q for p <= q,
     u_k = vec(U_k) in (column, row) order (_sym_pairs).  The samples go in
     sub-chunks of _chunk_lengths(m, N); one sub-chunk's S, its conjugate and
-    their product S S^dag are views of work (_gram_work)."""
+    the product S S^dag of each slice of _SERIAL_GEMM_MACS / N^2 of its
+    columns are views of work (_gram_work)."""
     m, d = len(us), us.shape[-1]
     dd, pairs = d * d, len(g)
     # column k is u_k: a view of the sampler's q[col, row, sample] layout
@@ -370,6 +382,7 @@ def _gram_add(g: np.ndarray, us: np.ndarray, work: np.ndarray) -> None:
     # the pairs p <= q in row-major order, the order of _sym_pairs
     rows = [(p, q) for p in range(dd) for q in range(p, dd)]
     lengths = _chunk_lengths(m, pairs)
+    step = max(1, _SERIAL_GEMM_MACS // (pairs * pairs))
     ends = np.cumsum([pairs * lengths[0]] * 2)
     s_buf, bar_buf, product = np.split(work[: ends[-1] + pairs * pairs], ends)
     start = 0
@@ -382,7 +395,8 @@ def _gram_add(g: np.ndarray, us: np.ndarray, work: np.ndarray) -> None:
         for row, (p, q) in enumerate(rows):
             np.multiply(u[p], u[q], out=s[row])
         s_bar = np.conjugate(s, out=bar_buf[: pairs * length].reshape(pairs, length))
-        g += np.matmul(s, s_bar.T, out=product.reshape(pairs, pairs))
+        for cols in (slice(a, a + step) for a in range(0, length, step)):
+            g += np.matmul(s[:, cols], s_bar[:, cols].T, out=product.reshape(pairs, pairs))
 
 
 def _gram_superoperator(g: np.ndarray, d: int, work: np.ndarray) -> np.ndarray:

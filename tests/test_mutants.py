@@ -463,8 +463,8 @@ KERNEL_ONLY = {
     "gram-conjugated": (
         twirl,
         "_gram_add",
-        "np.matmul(s, s_bar.T,",
-        "np.matmul(s_bar, s.T,",
+        "np.matmul(s[:, cols], s_bar[:, cols].T,",
+        "np.matmul(s_bar[:, cols], s[:, cols].T,",
         gram_route_error,
         [(d, mode) for d in (2, 3) for mode in ("uu", "uustar")],
     ),

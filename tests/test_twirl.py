@@ -585,6 +585,27 @@ class TestMCTwirl:
         mc_twirl_operator(_complex_probes(1, 16, 64), "uu", 50, HaarSampler(65, 4), (4, 4))
         assert calls == [4]
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gram_route_products_stay_on_one_blas_thread(self, monkeypatch, d):
+        # every product of the Gram route, its S S^dag slices and its
+        # superoperator's row slices, stays within the sizes that OpenBLAS
+        # runs on one thread; two full chunks and a tail of 11 samples
+        n = 2 * linalg._chunk_lengths(10**6, d * d)[0] + 11
+        sizes, matmul = [], np.matmul
+
+        def recorded(a, b, **kwargs):
+            sizes.append((np.shape(a), np.shape(b)))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorded)
+        mc_twirl_operator(_complex_probes(2, d * d, 70), ("uu", "uustar"), n, HaarSampler(71, d), (d, d))
+        assert sizes
+        for (m, k), b in sizes:
+            if len(b) == 1:
+                assert m * k <= twirl._SERIAL_GEMV_MACS, (m, k)
+            else:
+                assert m * k * b[1] <= twirl._SERIAL_GEMM_MACS, (m, k, b[1])
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_nan_filled_workspace_gives_the_same_bits(self, monkeypatch, d):
         # every entry of the workspace is written before it is read: G is
@@ -665,8 +686,10 @@ def _gram_loop(x, n, s):
     """The Gram route written out with fresh arrays, for one (d^2, d^2)
     operator x and n samples of the sampler s: per chunk of samples and per
     sub-chunk of _chunk_lengths(m, N), S = (u_p u_q)_{p <= q} with
-    u_p = U[a, c] for p = c d + a, and G += S conj(S)^T; then G / n gathered
-    entry by entry into the superoperator, applied to vec(x)."""
+    u_p = U[a, c] for p = c d + a, and G += S conj(S)^T over each slice of
+    twirl._SERIAL_GEMM_MACS / N^2 of its columns; then G / n gathered
+    entry by entry into the superoperator, applied to vec(x) a slice of
+    twirl._SERIAL_GEMV_MACS / d^4 of its rows at a time."""
     d = s.d
     dd = d * d
     rows = [(p, q) for p in range(dd) for q in range(p, dd)]
@@ -682,13 +705,16 @@ def _gram_loop(x, n, s):
             chunk = u[:, start : start + length]
             start += length
             sym = np.stack([chunk[p] * chunk[q] for p, q in rows])
-            g += sym @ sym.conj().T
+            step = twirl._SERIAL_GEMM_MACS // len(rows) ** 2
+            for a in range(0, length, step):
+                g += sym[:, a : a + step] @ sym[:, a : a + step].conj().T
     g *= 1.0 / n
     sup = np.empty((dd * dd, dd * dd), dtype=complex)
     for a, b, a2, b2, c, e, c2, e2 in itertools.product(range(d), repeat=8):
         row, col = ((a * d + b) * d + a2) * d + b2, ((c * d + e) * d + c2) * d + e2
         sup[row, col] = g[pair[c * d + a, e * d + b], pair[c2 * d + a2, e2 * d + b2]]
-    return (sup @ x.reshape(-1)).reshape(dd, dd)
+    height = twirl._SERIAL_GEMV_MACS // len(sup)
+    return np.concatenate([sup[a : a + height] @ x.reshape(-1) for a in range(0, len(sup), height)]).reshape(dd, dd)
 
 
 def _row_major_superoperator(g, weights, work=None):
